@@ -39,9 +39,8 @@ from .degrees import DirectedDegreeBiSequence
 from .realization import (
     BipartiteRealization,
     SwapMove,
+    _restricted_form,
     construct_bipartite,
-    construct_directed,
-    to_bipartite_representation,
     try_c4_swap,
     try_c6_swap,
 )
@@ -220,7 +219,7 @@ def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
     if isinstance(seq, DirectedDegreeBiSequence):
         if chain_kind != "directed":
             raise ValueError("directed bi-sequences require chain_kind='directed'")
-        return to_bipartite_representation(construct_directed(seq))
+        seq, forbidden = _restricted_form(seq)
     r = construct_bipartite(seq, forbidden)
     if chain_kind == "bipartite" and r.forbidden:
         raise ValueError("bipartite kernel requires an empty forbidden set")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .conditions import (
     erdos_renyi_window,
 )
 from .degrees import (
-    BipartiteDegreeSequence,
     DirectedDegreeBiSequence,
     bounds_of,
     is_bipartite_graphic,
@@ -54,6 +52,7 @@ from .oracle import (
 from .paths import build_canonical_path, verify_bad_positions, verify_repairs
 from .realization import (
     DirectedRealization,
+    _restricted_form,
     from_bipartite_representation,
     to_bipartite_representation,
 )
@@ -67,12 +66,6 @@ def _err(category: str, detail) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _as_restricted(seq):
-    """Map a directed bi-sequence to (bipartite seq, diagonal forbidden)."""
-    bip = BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees)
-    return bip, tuple((i, i) for i in range(seq.n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +150,10 @@ def _emit_sample(real, fmt: str, chain_idx: int, k: int, directed: bool) -> str:
 def cmd_sample(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    if directed:
-        run_seq: object = seq
-        forbidden: tuple = ()
-        kind = "directed"
-    else:
-        run_seq, forbidden, kind = seq, (), "bipartite"
+    kind = "directed" if directed else "bipartite"
     try:
+        if args.chains < 1:
+            raise ValueError("chains must be >= 1")
         seeds = (
             [args.seed] if args.chains == 1 else derive_chain_seeds(args.seed, args.chains)
         )
@@ -181,14 +171,7 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         _err("config", exc)
         return 2
-    if args.chains == 1:
-        results = [sample(run_seq, forbidden, configs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=args.chains) as pool:
-            futures = [
-                pool.submit(sample, run_seq, forbidden, cfg) for cfg in configs
-            ]
-            results = [f.result() for f in futures]
+    results = [sample(seq, (), cfg) for cfg in configs]
     for chain_idx, result in enumerate(results, start=1):
         for k, state in enumerate(result.realizations, start=1):
             print(_emit_sample(state, args.format, chain_idx, k, directed))
@@ -206,10 +189,7 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    if directed:
-        bip, forbidden = _as_restricted(seq)
-    else:
-        bip, forbidden = seq, ()
+    bip, forbidden = _restricted_form(seq) if directed else (seq, ())
     reals = enumerate_realizations(bip, forbidden, position_budget=args.budget)
     print(f"realizations: {len(reals)}")
     for r in reals:
@@ -229,11 +209,8 @@ def cmd_enumerate(args) -> int:
 def cmd_diagnose(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    if directed:
-        bip, forbidden = _as_restricted(seq)
-        kind = "directed"
-    else:
-        bip, forbidden, kind = seq, (), "bipartite"
+    bip, forbidden = _restricted_form(seq) if directed else (seq, ())
+    kind = "directed" if directed else "bipartite"
     kernel = exact_transition_matrix(bip, forbidden, kind, state_budget=args.budget)
     N = kernel.size
     print(f"states: {N}")

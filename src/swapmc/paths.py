@@ -25,6 +25,7 @@ from .errors import IllegalMoveError, RepairError
 from .realization import (
     BipartiteRealization,
     SwapMove,
+    apply_switch,
     hamming_distance,
     partner_arrays,
 )
@@ -605,14 +606,6 @@ class RepairResult:
     distance: int  # Hamming distance from the input auxiliary matrix
 
 
-def _apply_switch(M: np.ndarray, mv: SwapMove) -> None:
-    (r1, r2), (c1, c2), s = mv.us, mv.vs, mv.sign
-    M[r1, c1] += s
-    M[r2, c2] += s
-    M[r1, c2] -= s
-    M[r2, c1] -= s
-
-
 def repair_to_realization(
     aux: AuxiliaryMatrix,
     cycle_rows=(),
@@ -667,7 +660,7 @@ def repair_to_realization(
             raise RepairError(_repair_message("2-entry", (u1, vj), bounds))
         uk, vl = found
         mv = SwapMove.switch((u1, uk), (vj, vl), sign=-1)
-        _apply_switch(M, mv)
+        apply_switch(M, mv)
         switches.append(mv)
 
     minus = [(int(u), int(v)) for u, v in zip(*np.nonzero(M == -1))]
@@ -690,7 +683,7 @@ def repair_to_realization(
         if direct is not None:
             u, v = direct
             mv = SwapMove.switch((u0, u), (v0, v), sign=1)
-            _apply_switch(M, mv)
+            apply_switch(M, mv)
             switches.append(mv)
         else:
             quad = _find_detour(M, star, u0, v0, u_prime, v_prime)
@@ -698,10 +691,10 @@ def repair_to_realization(
                 raise RepairError(_repair_message("-1-entry", (u0, v0), bounds))
             u1_, v1_, u2, v2 = quad
             mv1 = SwapMove.switch((u1_, u2), (v1_, v2), sign=-1)
-            _apply_switch(M, mv1)
+            apply_switch(M, mv1)
             switches.append(mv1)
             mv2 = SwapMove.switch((u0, u1_), (v0, v1_), sign=1)
-            _apply_switch(M, mv2)
+            apply_switch(M, mv2)
             switches.append(mv2)
 
     realization = BipartiteRealization(aux.seq, M.astype(np.uint8), aux.forbidden)

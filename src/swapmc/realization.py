@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .degrees import (
     BipartiteDegreeSequence,
@@ -45,6 +43,7 @@ __all__ = [
     "hamming_distance",
     "canonical_forbidden",
     "partner_arrays",
+    "apply_switch",
 ]
 
 
@@ -134,14 +133,18 @@ class SwapMove:
             return SwapMove.c6((u1, u3, u2), (v3, v2, v1))
         return SwapMove.switch(self.us, self.vs, -self.sign)
 
-    def positions(self) -> list[tuple[int, int]]:
-        """All matrix cells touched by the move."""
-        if self.kind == "c6":
-            u1, u2, u3 = self.us
-            v1, v2, v3 = self.vs
-            return [(u1, v1), (u2, v2), (u3, v3), (u2, v1), (u3, v2), (u1, v3)]
-        (ua, ub), (va, vb) = self.us, self.vs
-        return [(ua, va), (ub, vb), (ua, vb), (ub, va)]
+
+def apply_switch(M: np.ndarray, mv: SwapMove) -> None:
+    """Add ``mv.sign`` at (r1,c1), (r2,c2) and subtract it at (r1,c2), (r2,c1).
+
+    Updates the integer matrix ``M`` in place without any legality check;
+    margins are preserved by construction.
+    """
+    (r1, r2), (c1, c2), s = mv.us, mv.vs, mv.sign
+    M[r1, c1] += s
+    M[r2, c2] += s
+    M[r1, c2] -= s
+    M[r2, c1] -= s
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +282,13 @@ class BipartiteRealization:
             if r1 == r2 or c1 == c2:
                 raise IllegalMoveError("switch corners must span two rows and columns")
             work = M.astype(np.int16)
-            s = mv.sign
-            work[r1, c1] += s
-            work[r2, c2] += s
-            work[r1, c2] -= s
-            work[r2, c1] -= s
+            apply_switch(work, mv)
             if not np.isin(work[[r1, r1, r2, r2], [c1, c2, c1, c2]], (0, 1)).all():
                 raise IllegalMoveError("switch leaves the 0/1 range")
-            for u, v in ((r1, c1), (r2, c2)) if s == 1 else ((r1, c2), (r2, c1)):
-                if not self.is_chord(u, v):
-                    raise IllegalMoveError("switch would set a forbidden position")
-            M[r1, c1] = work[r1, c1]
-            M[r2, c2] = work[r2, c2]
-            M[r1, c2] = work[r1, c2]
-            M[r2, c1] = work[r2, c1]
+            raised = ((r1, c1), (r2, c2)) if mv.sign == 1 else ((r1, c2), (r2, c1))
+            if not all(self.is_chord(u, v) for u, v in raised):
+                raise IllegalMoveError("switch would set a forbidden position")
+            M[:] = work
         else:
             raise IllegalMoveError(f"unknown move kind {mv.kind!r}")
         return target
@@ -380,41 +376,27 @@ def _greedy_fill(seq: BipartiteDegreeSequence) -> np.ndarray:
     return M
 
 
-def _flow_fill(seq: BipartiteDegreeSequence, forbidden) -> np.ndarray:
-    """Exact construction avoiding a forbidden set, via max-flow."""
-    n, m = seq.n, seq.m
-    total = seq.edge_count
-    M = np.zeros((n, m), dtype=np.uint8)
-    if total == 0:
-        return M
-    blocked = set(forbidden)
-    src, snk = 0, n + m + 1
-    rows, cols, caps = [], [], []
-    for i, d in enumerate(seq.u_degrees):
-        rows.append(src)
-        cols.append(1 + i)
-        caps.append(d)
-    for j, d in enumerate(seq.v_degrees):
-        rows.append(1 + n + j)
-        cols.append(snk)
-        caps.append(d)
-    for i in range(n):
-        for j in range(m):
-            if (i, j) not in blocked:
-                rows.append(1 + i)
-                cols.append(1 + n + j)
-                caps.append(1)
-    graph = csr_matrix((caps, (rows, cols)), shape=(snk + 1, snk + 1), dtype=np.int32)
-    result = maximum_flow(graph, src, snk)
-    if result.flow_value != total:
-        raise InfeasibleSequenceError(
-            "no realization avoids the forbidden matching "
-            f"(flow {result.flow_value} < {total})"
-        )
-    flow = result.flow.tocoo()
-    for r, c, f in zip(flow.row, flow.col, flow.data):
-        if f == 1 and 1 <= r <= n and n + 1 <= c <= n + m:
-            M[r - 1, c - n - 1] = 1
+def _kleitman_wang_fill(seq: BipartiteDegreeSequence, forbidden) -> np.ndarray | None:
+    """Realization avoiding a forbidden matching, via the merged digraph.
+
+    Digraph vertex ``u < n`` is row ``u`` merged with its forbidden partner
+    column, if any; each unmatched column is appended as a further vertex.
+    Out-degrees are row degrees and in-degrees column degrees (0 where the
+    vertex has no row or no column), and arc ``a -> b`` is the edge from
+    ``a``'s row to ``b``'s column.  Loops are exactly the forbidden cells,
+    so the loop-free realizations found by Kleitman-Wang are the wanted
+    ones.  On the diagonal the map is the identity.  ``None`` if infeasible.
+    """
+    fu, fv = partner_arrays(forbidden, seq.n, seq.m)
+    cols = fu.tolist() + [v for v in range(seq.m) if fv[v] < 0]
+    out = seq.u_degrees + (0,) * (len(cols) - seq.n)
+    ins = tuple(seq.v_degrees[c] if c >= 0 else 0 for c in cols)
+    arcs = kleitman_wang_arcs(DirectedDegreeBiSequence(out, ins))
+    if arcs is None:
+        return None
+    M = np.zeros((seq.n, seq.m), dtype=np.uint8)
+    for a, b in arcs:
+        M[a, cols[b]] = 1
     return M
 
 
@@ -424,8 +406,10 @@ def construct_bipartite(
     """Build some realization of ``seq`` avoiding ``forbidden``.
 
     Without forbidden positions this is the classical greedy construction;
-    with a forbidden matching feasibility and construction are settled
-    exactly by a unit-capacity max-flow.  Deterministic output either way.
+    with a forbidden matching it is the Kleitman-Wang construction on the
+    merged digraph (see :func:`_kleitman_wang_fill`), which is exact.  For
+    the diagonal it returns ``to_bipartite_representation`` of
+    :func:`construct_directed`.  Deterministic output either way.
 
     Raises
     ------
@@ -436,24 +420,32 @@ def construct_bipartite(
     forb = canonical_forbidden(forbidden, seq.n, seq.m)
     if not seq.fits_class_sizes:
         raise InfeasibleSequenceError("a degree exceeds the opposite class size")
-    matrix = _greedy_fill(seq) if not forb else _flow_fill(seq, forb)
+    if not forb:
+        return BipartiteRealization(seq, _greedy_fill(seq))
+    matrix = _kleitman_wang_fill(seq, forb)
+    if matrix is None:
+        if seq.n == seq.m and forb == tuple((i, i) for i in range(seq.n)):
+            raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
+        raise InfeasibleSequenceError("no realization avoids the forbidden matching")
     return BipartiteRealization(seq, matrix, forb)
 
 
 def construct_directed(seq: DirectedDegreeBiSequence) -> DirectedRealization:
     """Build a loop-free realization via the Kleitman-Wang reduction."""
-    arcs = kleitman_wang_arcs(seq)
-    if arcs is None:
-        raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
-    M = np.zeros((seq.n, seq.n), dtype=np.uint8)
-    for i, j in arcs:
-        M[i, j] = 1
-    return DirectedRealization(seq, M)
+    return from_bipartite_representation(construct_bipartite(*_restricted_form(seq)))
 
 
 # ---------------------------------------------------------------------------
 # Digraph <-> restricted bipartite representation
 # ---------------------------------------------------------------------------
+
+
+def _restricted_form(
+    seq: DirectedDegreeBiSequence,
+) -> tuple[BipartiteDegreeSequence, tuple[tuple[int, int], ...]]:
+    """A bi-sequence as (out-degree rows x in-degree columns, diagonal)."""
+    bip = BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees)
+    return bip, tuple((i, i) for i in range(seq.n))
 
 
 def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:
@@ -462,8 +454,7 @@ def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:
     Vertices with zero out- or in-degree keep their (empty) row/column so
     that indices are stable under round-tripping.
     """
-    seq = BipartiteDegreeSequence(d.seq.out_degrees, d.seq.in_degrees)
-    diag = tuple((i, i) for i in range(d.n))
+    seq, diag = _restricted_form(d.seq)
     return BipartiteRealization(seq, d.matrix, diag)
 
 

@@ -148,6 +148,14 @@ def test_sample_bad_config(capsys, k22_file):
     assert err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("chains", ["0", "-1"])
+def test_sample_rejects_chain_counts_below_one(capsys, k22_file, chains):
+    code, out, err = run(capsys, "sample", k22_file, "--seed", "1", "--chains", chains)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config:")
+
+
 def test_sample_infeasible(capsys, tmp_path):
     p = tmp_path / "inf.deg"
     p.write_text("out: 2 2 0\nin: 0 2 2\n")

@@ -1,6 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import swapmc
 from swapmc import (
     BipartiteDegreeSequence,
     BipartiteRealization,
@@ -10,8 +18,11 @@ from swapmc import (
     SwapMove,
     construct_bipartite,
     construct_directed,
+    count_realizations,
     from_bipartite_representation,
     hamming_distance,
+    is_directed_graphic,
+    kleitman_wang_arcs,
     to_bipartite_representation,
     try_c4_swap,
     try_c6_swap,
@@ -48,6 +59,68 @@ def test_construct_infeasible_is_distinct_error():
         construct_bipartite(BipartiteDegreeSequence((1,), (1,)), ((0, 0),))
     with pytest.raises(InfeasibleSequenceError):
         construct_directed(DirectedDegreeBiSequence((2, 0), (0, 2)))
+
+
+@st.composite
+def sequences_with_matchings(draw):
+    """Margins of a random 0..2 matrix (so some are infeasible) and a random
+    partial matching on the same grid."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    M = np.array(
+        draw(st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    )
+    seq = BipartiteDegreeSequence(tuple(M.sum(axis=1)), tuple(M.sum(axis=0)))
+    perm = draw(st.permutations(range(max(n, m))))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    forbidden = [(u, perm[u]) for u in range(n) if keep[u] and perm[u] < m]
+    return seq, forbidden
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sequences_with_matchings())
+def test_construct_bipartite_is_exact_under_forbidden_matchings(case):
+    seq, forbidden = case
+    feasible = count_realizations(seq, forbidden) > 0
+    try:
+        r = construct_bipartite(seq, forbidden)
+    except InfeasibleSequenceError:
+        assert not feasible
+        return
+    assert feasible
+    assert set(np.unique(r.matrix).tolist()) <= {0, 1}
+    assert tuple(r.matrix.sum(axis=1).tolist()) == seq.u_degrees
+    assert tuple(r.matrix.sum(axis=0).tolist()) == seq.v_degrees
+    assert not any(r.matrix[u, v] for u, v in forbidden)
+
+
+def test_construct_bipartite_on_diagonal_matches_construct_directed():
+    graphic = 0
+    for n in range(1, 5):
+        for out in itertools.product(range(n), repeat=n):
+            for ins in itertools.product(range(n), repeat=n):
+                if sum(out) != sum(ins):
+                    continue
+                d = DirectedDegreeBiSequence(out, ins)
+                if not is_directed_graphic(d):
+                    continue
+                graphic += 1
+                diag = [(i, i) for i in range(n)]
+                r = construct_bipartite(BipartiteDegreeSequence(out, ins), diag)
+                assert r == to_bipartite_representation(construct_directed(d))
+                assert sorted(r.edges()) == sorted(kleitman_wang_arcs(d))
+    assert graphic > 2000
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swapmc.__file__)))
+    code = (
+        "import sys, swapmc; "
+        "sys.exit(any(k == 'scipy' or k.startswith('scipy.') for k in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_construct_directed_examples():
@@ -182,3 +255,15 @@ def test_switch_move_on_realization():
     assert sorted(r2.edges()) == [(0, 1), (1, 0)]
     with pytest.raises(IllegalMoveError):
         r2.apply_move(sw)  # would leave 0/1 range
+
+
+def test_switch_move_checks_corners_and_forbidden():
+    seq = BipartiteDegreeSequence((1, 1), (1, 1))
+    sw = SwapMove.switch((0, 1), (0, 1))
+    free = BipartiteRealization(seq, [[0, 1], [1, 0]])
+    assert free.apply_move(sw).edges() == [(0, 0), (1, 1)]
+    with pytest.raises(IllegalMoveError):
+        free.apply_move(SwapMove.switch((0, 0), (0, 1)))  # one row only
+    starred = BipartiteRealization(seq, [[0, 1], [1, 0]], ((0, 0),))
+    with pytest.raises(IllegalMoveError):
+        starred.apply_move(sw)  # would set the forbidden (0,0)
