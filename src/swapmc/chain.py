@@ -16,6 +16,11 @@ induced hexagon alternates.  One-step probabilities are
 a c6-neighbour.  Both kernels are symmetric, so the uniform distribution on
 the realization set is stationary.
 
+One implementation serves both kernels: the bipartite kernel is the
+restricted one without its c6 branch, which is how the directed case reduces
+to the bipartite technique (a loop-free digraph is a bipartite realization
+whose diagonal is forbidden).
+
 RNG stream contract (bit-reproducibility): every step consumes, in order,
 
 * one ``rng.random()`` draw deciding the branch (omitted when ``lazy`` is
@@ -97,6 +102,11 @@ class StepOutcome:
     reason: str  # "lazy" | "proposal_illegal" | "applied_c4" | "applied_c6"
 
 
+# Shared by every holding or rejected step; the dataclass is frozen.
+_LAZY = StepOutcome(False, None, "lazy")
+_REJECTED = StepOutcome(False, None, "proposal_illegal")
+
+
 @dataclass
 class ChainStats:
     """Acceptance statistics accumulated over chain steps."""
@@ -149,22 +159,42 @@ def _draw_triple(rng, n: int) -> tuple[int, int, int]:
     return i, j, k
 
 
+def _step(r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool):
+    """The kernel behind both public step functions.
+
+    ``c6`` selects the restricted kernel, whose non-holding mass is split
+    evenly between a c4 and a c6 branch; without it every non-holding step
+    proposes a c4-swap and no branch uniform is drawn when ``lazy`` is off.
+    """
+    kind = "restricted" if c6 else "bipartite"
+    if bool(r.forbidden) != c6:
+        need = "a forbidden matching" if c6 else "an empty forbidden set"
+        raise ValueError(f"{kind} kernel requires {need}")
+    if r.n < 2 or r.m < 2:
+        raise ValueError(f"{kind} kernel needs at least two vertices per class")
+    x = rng.random() if lazy or c6 else 1.0
+    if lazy and x < 0.5:
+        return r, _LAZY
+    if not c6 or x < (0.75 if lazy else 0.5):
+        u1, u2 = _draw_pair(rng, r.n)
+        v1, v2 = _draw_pair(rng, r.m)
+        mv = try_c4_swap(r, u1, u2, v1, v2)
+        reason = "applied_c4"
+    elif r.n < 3 or r.m < 3:
+        mv = None
+    else:
+        mv = try_c6_swap(r, _draw_triple(rng, r.n), _draw_triple(rng, r.m))
+        reason = "applied_c6"
+    if mv is None:
+        return r, _REJECTED
+    return r.apply_move(mv, inplace=inplace), StepOutcome(True, mv, reason)
+
+
 def step_bipartite(
     r: BipartiteRealization, rng, *, lazy: bool = True, inplace: bool = False
 ) -> tuple[BipartiteRealization, StepOutcome]:
     """One step of the bipartite kernel; requires an empty forbidden set."""
-    if r.forbidden:
-        raise ValueError("bipartite kernel requires an empty forbidden set")
-    if r.n < 2 or r.m < 2:
-        raise ValueError("bipartite kernel needs at least two vertices per class")
-    if lazy and rng.random() < 0.5:
-        return r, StepOutcome(False, None, "lazy")
-    u1, u2 = _draw_pair(rng, r.n)
-    v1, v2 = _draw_pair(rng, r.m)
-    mv = try_c4_swap(r, u1, u2, v1, v2)
-    if mv is None:
-        return r, StepOutcome(False, None, "proposal_illegal")
-    return r.apply_move(mv, inplace=inplace), StepOutcome(True, mv, "applied_c4")
+    return _step(r, rng, lazy, inplace, c6=False)
 
 
 def step_directed(
@@ -176,32 +206,7 @@ def step_directed(
     when it represents a digraph.  With fewer than three vertices per class
     the c6 branch keeps its proposal mass but always rejects.
     """
-    if not r.forbidden:
-        raise ValueError("restricted kernel requires a forbidden matching")
-    if r.n < 2 or r.m < 2:
-        raise ValueError("restricted kernel needs at least two vertices per class")
-    x = rng.random()
-    if lazy:
-        if x < 0.5:
-            return r, StepOutcome(False, None, "lazy")
-        use_c4 = x < 0.75
-    else:
-        use_c4 = x < 0.5
-    if use_c4:
-        u1, u2 = _draw_pair(rng, r.n)
-        v1, v2 = _draw_pair(rng, r.m)
-        mv = try_c4_swap(r, u1, u2, v1, v2)
-        if mv is None:
-            return r, StepOutcome(False, None, "proposal_illegal")
-        return r.apply_move(mv, inplace=inplace), StepOutcome(True, mv, "applied_c4")
-    if r.n < 3 or r.m < 3:
-        return r, StepOutcome(False, None, "proposal_illegal")
-    us = _draw_triple(rng, r.n)
-    vs = _draw_triple(rng, r.m)
-    mv = try_c6_swap(r, us, vs)
-    if mv is None:
-        return r, StepOutcome(False, None, "proposal_illegal")
-    return r.apply_move(mv, inplace=inplace), StepOutcome(True, mv, "applied_c6")
+    return _step(r, rng, lazy, inplace, c6=True)
 
 
 @dataclass
@@ -243,16 +248,12 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     if rng is None:
         rng = np.random.default_rng(config.seed)
     stats = ChainStats()
-    burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
-    for _ in range(burn):
-        r, out = step(r, rng, lazy=config.lazy, inplace=True)
-        stats.record(out)
     result = SampleResult(stats=stats)
+    burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
     for k in range(config.samples):
-        if k:
-            for _ in range(config.thinning):
-                r, out = step(r, rng, lazy=config.lazy, inplace=True)
-                stats.record(out)
+        for _ in range(config.thinning if k else burn):
+            r, out = step(r, rng, lazy=config.lazy, inplace=True)
+            stats.record(out)
         result.realizations.append(r.copy())
     return result
 

@@ -77,11 +77,10 @@ def cmd_check(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
     print(f"kind: {'directed' if directed else 'bipartite'}")
+    print(f"n: {seq.n}")
     if directed:
-        print(f"n: {seq.n}")
         graphic = is_directed_graphic(seq)
     else:
-        print(f"n: {seq.n}")
         print(f"m: {seq.m}")
         graphic = is_bipartite_graphic(seq)
     print(f"graphic: {'yes' if graphic else 'no'}")
@@ -100,8 +99,7 @@ def cmd_check(args) -> int:
     else:
         print(f"spread-condition: verdict=not-applicable ({rep.reason})")
     if directed:
-        arcs = sum(seq.out_degrees)
-        p = arcs / (seq.n * (seq.n - 1)) if seq.n > 1 else 0.0
+        p = seq.arc_count / (seq.n * (seq.n - 1)) if seq.n > 1 else 0.0
     else:
         p = seq.edge_count / (seq.n * seq.m)
     if 0.0 < p < 1.0:

@@ -221,8 +221,12 @@ def _pairwise_hamming(states: list[BipartiteRealization]) -> np.ndarray:
     return 2 * (edges - gram)
 
 
-def _classify_neighbors(states, chain_kind):
-    """Yield (i, j, kind) for every ordered neighbour pair, from state diffs."""
+def _classify_neighbors(states, c6: bool):
+    """Yield (i, j, kind) for every ordered neighbour pair, from state diffs.
+
+    c6 pairs are looked for only when ``c6`` is set and the states carry
+    forbidden positions; without them no hexagon can be a c6-swap.
+    """
     if not states:
         return
     ref = states[0]
@@ -230,7 +234,7 @@ def _classify_neighbors(states, chain_kind):
     fu, _ = partner_arrays(ref.forbidden, ref.n, ref.m)
     for i, j in zip(*np.nonzero(ham == 4)):
         yield int(i), int(j), "c4"
-    if chain_kind == "directed":
+    if c6 and ref.forbidden:
         for i, j in zip(*np.nonzero(ham == 6)):
             if i > j:
                 continue
@@ -282,7 +286,7 @@ def exact_transition_matrix(
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
     offdiag: dict[tuple[int, int], Fraction] = {}
-    for i, j, kind in _classify_neighbors(states, chain_kind):
+    for i, j, kind in _classify_neighbors(states, chain_kind == "directed"):
         offdiag[(i, j)] = p4 if kind == "c4" else p6
     P = np.zeros((N, N), dtype=np.float64)
     rowsum = [Fraction(0)] * N
@@ -321,11 +325,7 @@ def swap_graph_connected(
     if N == 0:
         return False, 0
     adj: list[list[int]] = [[] for _ in range(N)]
-    # Classify with the full restricted move set; without forbidden positions
-    # no c6 exists, and the filter drops c6 edges when only c4 is requested.
-    for i, j, kind_ij in _classify_neighbors(states, "directed"):
-        if kind_ij == "c6" and moves == "c4":
-            continue
+    for i, j, _ in _classify_neighbors(states, moves == "c4+c6"):
         adj[i].append(j)
     seen = [False] * N
     components = 0
@@ -353,10 +353,10 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     uniform = np.full(N, 1.0 / N)
     dist = np.eye(N)
     curve = []
-    for _ in range(horizon + 1):
-        tv = 0.5 * np.abs(dist - uniform).sum(axis=1).max()
-        curve.append(float(tv))
-        dist = dist @ P
+    for t in range(horizon + 1):
+        if t:
+            dist = dist @ P
+        curve.append(float(0.5 * np.abs(dist - uniform).sum(axis=1).max()))
     return curve
 
 

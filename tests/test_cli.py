@@ -156,6 +156,14 @@ def test_sample_rejects_chain_counts_below_one(capsys, k22_file, chains):
     assert err.startswith("error: config:")
 
 
+def test_sample_kernel_too_small(capsys, tmp_path):
+    p = tmp_path / "one.deg"
+    p.write_text("U: 1\nV: 1\n")
+    code, out, err = run(capsys, "sample", str(p), "--seed", "1")
+    assert code == 2
+    assert err == "error: invalid: bipartite kernel needs at least two vertices per class\n"
+
+
 def test_sample_infeasible(capsys, tmp_path):
     p = tmp_path / "inf.deg"
     p.write_text("out: 2 2 0\nin: 0 2 2\n")
