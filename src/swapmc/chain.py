@@ -32,6 +32,14 @@ RNG stream contract (bit-reproducibility): every step consumes, in order,
 Any generator with ``random`` / ``integers`` works; the package uses
 ``numpy.random.default_rng`` (PCG64) and derives independent per-chain
 streams with ``numpy.random.SeedSequence(seed).spawn``.
+
+:func:`sample` consumes this same stream.  When its generator is a
+``numpy.random.Generator`` on ``PCG64``, the burn-in runs through a block
+core that draws raw 64-bit words in blocks, rebuilds numpy's ``random()``
+and ``integers(0, k)`` from them, and then rewinds the generator past the
+words it used.  States, statistics and the generator's final state are
+bit-identical to the per-step functions, which stay as the reference.
+Other generators take the per-step path.
 """
 
 from __future__ import annotations
@@ -159,6 +167,15 @@ def _draw_triple(rng, n: int) -> tuple[int, int, int]:
     return i, j, k
 
 
+def _check_kernel(r: BipartiteRealization, c6: bool) -> None:
+    kind = "restricted" if c6 else "bipartite"
+    if bool(r.forbidden) != c6:
+        need = "a forbidden matching" if c6 else "an empty forbidden set"
+        raise ValueError(f"{kind} kernel requires {need}")
+    if r.n < 2 or r.m < 2:
+        raise ValueError(f"{kind} kernel needs at least two vertices per class")
+
+
 def _step(r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool):
     """The kernel behind both public step functions.
 
@@ -166,12 +183,7 @@ def _step(r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool):
     evenly between a c4 and a c6 branch; without it every non-holding step
     proposes a c4-swap and no branch uniform is drawn when ``lazy`` is off.
     """
-    kind = "restricted" if c6 else "bipartite"
-    if bool(r.forbidden) != c6:
-        need = "a forbidden matching" if c6 else "an empty forbidden set"
-        raise ValueError(f"{kind} kernel requires {need}")
-    if r.n < 2 or r.m < 2:
-        raise ValueError(f"{kind} kernel needs at least two vertices per class")
+    _check_kernel(r, c6)
     x = rng.random() if lazy or c6 else 1.0
     if lazy and x < 0.5:
         return r, _LAZY
@@ -209,6 +221,169 @@ def step_directed(
     return _step(r, rng, lazy, inplace, c6=True)
 
 
+_BLOCK = 2048  # most raw words drawn at once by the block core
+_LOW = 0xFFFFFFFF
+
+
+def _raw_draws(bg, budget: int):
+    """numpy's scalar draws on a ``PCG64`` bit generator, rebuilt from raw words.
+
+    Returns ``(word, below, close)``.  ``word()`` is the fresh 64-bit word
+    that ``Generator.random()`` consumes; that call returns
+    ``(word() >> 11) * 2**-53``.  ``below(k)`` equals
+    ``Generator.integers(0, k)`` for ``1 <= k <= 2**32``: 0 without a draw
+    when ``k == 1``, otherwise Lemire's method on 32-bit halves taken
+    through PCG64's one-half buffer, the low half first and the high half
+    kept for the next call.  Words come from ``random_raw`` in blocks of at
+    most ``_BLOCK``, sized to the ``budget`` of words the caller expects to
+    use.  ``close()`` rewinds ``bg`` past the words actually used and
+    restores the half buffer, so its ``state`` is what the scalar calls
+    would have left; call it once, in a ``finally``.
+    """
+    snap = bg.state
+    has, half = snap["has_uint32"], snap["uinteger"]
+    words: list[int] = []
+    pos = drawn = 0
+
+    def refill() -> None:
+        nonlocal words, pos, drawn
+        size = min(_BLOCK, max(budget - drawn, 8))
+        words = bg.random_raw(size).tolist()
+        drawn += size
+        pos = 0
+
+    def word() -> int:
+        nonlocal pos
+        if pos == len(words):
+            refill()
+        pos += 1
+        return words[pos - 1]
+
+    def below(k: int) -> int:
+        nonlocal has, half, pos
+        if k == 1:
+            return 0
+        while True:
+            if has:
+                has = 0
+                p = half * k
+            else:
+                if pos == len(words):  # word(), inlined on the hot path
+                    refill()
+                w = words[pos]
+                pos += 1
+                half, has = w >> 32, 1
+                p = (w & _LOW) * k
+            # numpy computes the rejection bound only when the low word is below k
+            if (p & _LOW) >= k or (p & _LOW) >= (0x100000000 - k) % k:
+                return p >> 32
+
+    def close() -> None:
+        bg.state = snap
+        bg.advance(drawn - len(words) + pos)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bg.state = state
+
+    return word, below, close
+
+
+def _run(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
+    """``steps`` kernel steps on ``r`` in place: the block core of :func:`sample`.
+
+    It consumes exactly the documented stream of ``rng``, a
+    ``numpy.random.Generator`` on ``PCG64``, so ``r``, ``stats`` and the
+    generator's state end as ``steps`` calls of :func:`_step` leave them.
+    The state is the matrix's own bytes and the forbidden partners a list;
+    outcomes are counted in local ints, and no move object is built.
+    """
+    if not steps:
+        return
+    _check_kernel(r, c6)
+    n, m = r.n, r.m
+    fu = [-1] * n  # forbidden partner column of each row
+    for u, v in r.forbidden:
+        fu[u] = v
+    branch = lazy or c6
+    # Words per step: the branch word, then two for a c4 proposal's four
+    # 32-bit draws or three for a c6 proposal's six.
+    word, below, close = _raw_draws(rng.bit_generator, steps * (2 + branch + c6))
+    # The branch uniform (w >> 11) * 2**-53 is below 0.5 exactly when
+    # w < 2**63, and below 0.75 exactly when w < 3 * 2**62.
+    hold = 1 << 63 if lazy else 0
+    c4_below = (3 << 62 if lazy else 1 << 63) if c6 else 1 << 64
+    no_c6 = n < 3 or m < 3
+
+    def triple(k):
+        i = below(k)
+        j = below(k - 1)
+        j += j >= i
+        lo, hi = (i, j) if i < j else (j, i)
+        x = below(k - 2)
+        x += x >= lo
+        return i, j, x + (x >= hi)
+
+    held = illegal = c4 = c6_moves = 0
+    try:
+        with memoryview(r.matrix).cast("B") as M:
+            for _ in range(steps):
+                w = word() if branch else 0
+                if w < hold:
+                    held += 1
+                elif w < c4_below:
+                    i = below(n)
+                    i2 = below(n - 1)
+                    i2 += i2 >= i
+                    j = below(m)
+                    j2 = below(m - 1)
+                    j2 += j2 >= j
+                    p, q = i * m, i2 * m
+                    a, b, c, d = M[p + j], M[q + j2], M[p + j2], M[q + j]
+                    if a != b or c != d or a == c:
+                        illegal += 1  # not alternating
+                    elif fu[i] == (j2 if a else j) or fu[i2] == (j if a else j2):
+                        illegal += 1  # an inserted edge would be forbidden
+                    else:
+                        M[p + j] = M[q + j2] = c
+                        M[p + j2] = M[q + j] = a
+                        c4 += 1
+                elif no_c6:
+                    illegal += 1
+                else:
+                    x, y, z = triple(n)
+                    vs = triple(m)
+                    px, py, pz = fu[x], fu[y], fu[z]
+                    if px < 0 or py < 0 or pz < 0 or {px, py, pz} != set(vs):
+                        illegal += 1
+                        continue
+                    # Hexagon x, pz, y, px, z, py: it alternates when the cells
+                    # (x,pz), (y,px), (z,py) agree and the other three hold the
+                    # opposite value.  Reordering x, y, z at most swaps the two
+                    # triples, so the drawn order serves as well as the sorted.
+                    X, Y, Z = x * m, y * m, z * m
+                    a, b = M[X + pz], M[Y + pz]
+                    if a == M[Y + px] == M[Z + py] != b == M[Z + px] == M[X + py]:
+                        M[X + pz] = M[Y + px] = M[Z + py] = b
+                        M[Y + pz] = M[Z + px] = M[X + py] = a
+                        c6_moves += 1
+                    else:
+                        illegal += 1
+    finally:
+        close()
+        stats.lazy += held
+        stats.illegal += illegal
+        stats.applied_c4 += c4
+        stats.applied_c6 += c6_moves
+        stats.steps += held + illegal + c4 + c6_moves
+
+
+def _loop(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
+    """The per-step reference for :func:`_run`, for any generator."""
+    for _ in range(steps):
+        _, out = _step(r, rng, lazy, True, c6)
+        stats.record(out)
+
+
 @dataclass
 class SampleResult:
     realizations: list = field(default_factory=list)
@@ -240,20 +415,28 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     ``burn_in=0`` emits the deterministic initial realization first.
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
+    With a ``numpy.random.Generator`` on ``PCG64`` the burn-in runs through
+    the block core :func:`_run`; thinning gaps, and every step under any
+    other generator, run the per-step loop.  Both consume the same stream.
     """
     if config is None:
         raise ValueError("a ChainConfig is required")
     r = initial_state(seq, forbidden, config.chain_kind)
-    step = step_directed if config.chain_kind == "directed" else step_bipartite
+    c6 = config.chain_kind == "directed"
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    block = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
     stats = ChainStats()
     result = SampleResult(stats=stats)
     burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
-    for k in range(config.samples):
-        for _ in range(config.thinning if k else burn):
-            r, out = step(r, rng, lazy=config.lazy, inplace=True)
-            stats.record(out)
+    (_run if block else _loop)(r, rng, burn, config.lazy, c6, stats)
+    result.realizations.append(r.copy())
+    # A block-core call costs about three steps of set-up, so a gap of 1
+    # (the default) would be slower through it.  Longer gaps would gain, but
+    # on the benchmark's short-gap workload the faster emit rate reads as
+    # peak-RSS growth (ROADMAP item 1), so they stay here for now.
+    for _ in range(config.samples - 1):
+        _loop(r, rng, config.thinning, config.lazy, c6, stats)
         result.realizations.append(r.copy())
     return result
 

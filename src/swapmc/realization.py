@@ -228,7 +228,7 @@ class BipartiteRealization:
         M = self.matrix
         if M.shape != (self.seq.n, self.seq.m):
             raise ValueError(f"matrix shape {M.shape} does not match degrees")
-        if not np.isin(M, (0, 1)).all():
+        if M.max(initial=0) > 1:
             raise ValueError("incidence entries must be 0 or 1")
         rows = M.sum(axis=1)
         cols = M.sum(axis=0)
@@ -359,20 +359,19 @@ class DirectedRealization:
 
 def _greedy_fill(seq: BipartiteDegreeSequence) -> np.ndarray:
     """Gale-style greedy: row by row, take the columns of largest residual."""
-    caps = list(seq.v_degrees)
+    caps = np.array(seq.v_degrees, dtype=np.int64)
     M = np.zeros((seq.n, seq.m), dtype=np.uint8)
     for i, d in enumerate(seq.u_degrees):
         if d == 0:
             continue
-        order = sorted(range(seq.m), key=lambda j: (-caps[j], j))
-        chosen = order[:d]
+        # largest residual first, ties to the lower column index
+        chosen = np.argsort(-caps, kind="stable")[:d]
         if d > seq.m or caps[chosen[-1]] <= 0:
             raise InfeasibleSequenceError(
                 f"no bipartite realization: row {i} cannot place degree {d}"
             )
-        for j in chosen:
-            caps[j] -= 1
-            M[i, j] = 1
+        caps[chosen] -= 1
+        M[i, chosen] = 1
     return M
 
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapmc import (
     BipartiteDegreeSequence,
@@ -16,6 +18,7 @@ from swapmc import (
     step_directed,
     to_bipartite_representation,
 )
+from swapmc import chain
 
 DIAG3 = tuple((i, i) for i in range(3))
 
@@ -280,3 +283,136 @@ def test_sample_stream_is_pinned():
     h = hashlib.sha256(b"".join(r.key() for r in res.realizations)).hexdigest()
     assert res.stats.as_dict() == SAMPLE_STATS
     assert h == SAMPLE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The block core behind sample(), checked against the per-step kernel
+# ---------------------------------------------------------------------------
+
+
+def _per_step_sample(seq, cfg, rng):
+    """sample() written as a loop over the reference kernel ``_step``."""
+    r = chain.initial_state(seq, (), cfg.chain_kind)
+    stats = chain.ChainStats()
+    burn = cfg.burn_in if cfg.burn_in is not None else chain.default_burn_in(r)
+    keys = []
+    for k in range(cfg.samples):
+        for _ in range(cfg.thinning if k else burn):
+            r, out = chain._step(r, rng, cfg.lazy, True, cfg.chain_kind == "directed")
+            stats.record(out)
+        keys.append(r.key())
+    return keys, stats.as_dict()
+
+
+@st.composite
+def chain_runs(draw):
+    """Margins of a random 0/1 matrix (loop-free when directed) and a run."""
+    kind = draw(st.sampled_from(chain.CHAIN_KINDS))
+    n = draw(st.integers(2, 7))
+    m = n if kind == "directed" else draw(st.integers(2, 7))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    M = np.array(cells, dtype=np.int64).reshape(n, m)
+    if kind == "directed":
+        np.fill_diagonal(M, 0)
+        seq = DirectedDegreeBiSequence(tuple(M.sum(axis=1)), tuple(M.sum(axis=0)))
+    else:
+        seq = BipartiteDegreeSequence(tuple(M.sum(axis=1)), tuple(M.sum(axis=0)))
+    cfg = ChainConfig(
+        seed=draw(st.integers(0, 2**32)),
+        samples=draw(st.integers(1, 8)),
+        burn_in=draw(st.integers(0, 300)),
+        thinning=draw(st.integers(1, 20)),
+        chain_kind=kind,
+        lazy=draw(st.booleans()),
+    )
+    # a few scalar draws first, which may leave half a word buffered
+    return seq, cfg, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(chain_runs())
+@example(  # the directed triangle: every c6 proposal is applied
+    (
+        DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+        ChainConfig(seed=1, samples=4, burn_in=50, thinning=5, chain_kind="directed"),
+        1,
+    )
+)
+@example(
+    (
+        DirectedDegreeBiSequence((2, 2, 2, 2, 1, 1), (2, 2, 1, 2, 2, 1)),
+        ChainConfig(seed=2, samples=6, thinning=10, chain_kind="directed", lazy=False),
+        0,
+    )
+)
+def test_sample_block_core_matches_per_step_kernel(case):
+    seq, cfg, pre = case
+    rng_core, rng_ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    for rng in (rng_core, rng_ref):
+        rng.integers(0, 5, size=pre)
+    res = sample(seq, (), cfg, rng=rng_core)
+    keys, stats = _per_step_sample(seq, cfg, rng_ref)
+    assert [r.key() for r in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+    assert rng_core.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("budget", [1, 40, 5000])
+@pytest.mark.parametrize("pre", [0, 1])
+def test_raw_draws_match_numpy_call_for_call(budget, pre):
+    # 2**31 + 1 and 3 * 2**30 reject a quarter to a half of their first
+    # Lemire draws; k == 1 draws nothing
+    ks = [1, 2, 3, 200, 2**31 + 1, 3 * 2**30, None]  # None: random()
+    schedule = np.random.default_rng(99).choice(len(ks), size=3000).tolist()
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    rng.integers(0, 9, size=pre)
+    ref.integers(0, 9, size=pre)
+    word, below, close = chain._raw_draws(rng.bit_generator, budget)
+    try:
+        for c in schedule:
+            k = ks[c]
+            if k is None:
+                assert (word() >> 11) * 2**-53 == ref.random()
+            else:
+                assert below(k) == ref.integers(0, k)
+    finally:
+        close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random() and rng.integers(0, 7) == ref.integers(0, 7)
+
+
+def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
+    def no_block_core(*args):
+        raise AssertionError("the block core needs PCG64")
+
+    monkeypatch.setattr(chain, "_run", no_block_core)
+    d = DirectedDegreeBiSequence((2, 1, 1, 1), (1, 2, 1, 1))
+    cfg = ChainConfig(seed=3, samples=5, burn_in=200, thinning=13, chain_kind="directed")
+    res = sample(d, (), cfg, rng=np.random.Generator(np.random.MT19937(3)))
+    ref = np.random.Generator(np.random.MT19937(3))
+    keys, stats = _per_step_sample(d, cfg, ref)
+    assert [r.key() for r in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+
+
+def test_sample_block_core_memory_matches_per_step_loop():
+    # drawing the whole run's random words at once would show here
+    import tracemalloc
+
+    seq = BipartiteDegreeSequence((10,) * 200, (10,) * 200)
+    cfg = ChainConfig(seed=5, samples=1, burn_in=20_000)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    warm = ChainConfig(seed=5, samples=1, burn_in=10)  # one-time set-up stays out
+    sample(seq, (), warm)
+    _per_step_sample(seq, warm, np.random.default_rng(5))
+    core = peak(lambda: sample(seq, (), cfg))
+    loop = peak(lambda: _per_step_sample(seq, cfg, np.random.default_rng(5)))
+    assert core <= loop + 256 * 1024

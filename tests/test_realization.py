@@ -267,3 +267,66 @@ def test_switch_move_checks_corners_and_forbidden():
     starred = BipartiteRealization(seq, [[0, 1], [1, 0]], ((0, 0),))
     with pytest.raises(IllegalMoveError):
         starred.apply_move(sw)  # would set the forbidden (0,0)
+
+
+def _greedy_fill_reference(seq):
+    """The row-by-row greedy as first written, with a Python sort per row."""
+    caps = list(seq.v_degrees)
+    M = np.zeros((seq.n, seq.m), dtype=np.uint8)
+    for i, d in enumerate(seq.u_degrees):
+        if d == 0:
+            continue
+        chosen = sorted(range(seq.m), key=lambda j: (-caps[j], j))[:d]
+        if d > seq.m or caps[chosen[-1]] <= 0:
+            raise InfeasibleSequenceError(
+                f"no bipartite realization: row {i} cannot place degree {d}"
+            )
+        for j in chosen:
+            caps[j] -= 1
+            M[i, j] = 1
+    return M
+
+
+@st.composite
+def equal_sum_sequences(draw):
+    """Row degrees up to m + 1 and column degrees splitting the same sum, so
+    that both graphic and non-graphic sequences occur."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7))
+    u = draw(st.lists(st.integers(0, m + 1), min_size=n, max_size=n))
+    v = [0] * m
+    for _ in range(sum(u)):
+        v[draw(st.integers(0, m - 1))] += 1
+    return BipartiteDegreeSequence(tuple(u), tuple(v))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(equal_sum_sequences())
+def test_greedy_fill_matches_reference(seq):
+    from swapmc.realization import _greedy_fill
+
+    try:
+        expected = _greedy_fill_reference(seq)
+    except InfeasibleSequenceError as exc:
+        with pytest.raises(InfeasibleSequenceError, match=str(exc)):
+            _greedy_fill(seq)
+        return
+    got = _greedy_fill(seq)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+
+
+def test_validate_rejects_entries_outside_0_1():
+    seq = BipartiteDegreeSequence((2, 0), (1, 1))
+    with pytest.raises(ValueError, match="incidence entries must be 0 or 1"):
+        BipartiteRealization(seq, [[2, 0], [0, 0]])
+    # -1 + 3 keeps the margins; the -1 is stored as the wrapped uint8 255
+    wrapped = np.array([[-1, 3], [0, 0]]).astype(np.uint8)
+    assert wrapped[0, 0] == 255
+    with pytest.raises(ValueError, match="incidence entries must be 0 or 1"):
+        BipartiteRealization(seq, wrapped)
+    d = DirectedDegreeBiSequence((2, 0), (0, 2))
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        swapmc.DirectedRealization(d, [[0, 2], [0, 0]])
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        swapmc.DirectedRealization(d, np.array([[0, 3], [0, -1]]).astype(np.uint8))
