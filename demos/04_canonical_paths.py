@@ -44,7 +44,8 @@ print("=== unforbidden 6+6 instance ===")
 seq = BipartiteDegreeSequence((3, 2, 3, 3, 2, 3), (3, 3, 2, 3, 2, 3))
 x, y = randomized_pair(seq)
 dec = decompose(x, y)
-print(f"symmetric difference: {dec.chord_count} chords in {len(dec.cycles)} cycles")
+chords = sum(2 * cyc.ell for cyc in dec.cycles)
+print(f"symmetric difference: {chords} chords in {len(dec.cycles)} cycles")
 for k, cyc in enumerate(dec.cycles, start=1):
     print(f"  cycle {k}: ell={cyc.ell}")
 

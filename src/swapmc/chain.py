@@ -294,16 +294,14 @@ def _run(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) 
     It consumes exactly the documented stream of ``rng``, a
     ``numpy.random.Generator`` on ``PCG64``, so ``r``, ``stats`` and the
     generator's state end as ``steps`` calls of :func:`_step` leave them.
-    The state is the matrix's own bytes and the forbidden partners a list;
+    The state is the matrix's own bytes and the forbidden partners a tuple;
     outcomes are counted in local ints, and no move object is built.
     """
     if not steps:
         return
     _check_kernel(r, c6)
     n, m = r.n, r.m
-    fu = [-1] * n  # forbidden partner column of each row
-    for u, v in r.forbidden:
-        fu[u] = v
+    fu = r._fu  # forbidden partner column of each row, -1 if none
     branch = lazy or c6
     # Words per step: the branch word, then two for a c4 proposal's four
     # 32-bit draws or three for a c6 proposal's six.

@@ -355,7 +355,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     curve = []
     for t in range(horizon + 1):
         if t:
-            dist = dist @ P
+            dist = P if t == 1 else dist @ P
         curve.append(float(0.5 * np.abs(dist - uniform).sum(axis=1).max()))
     return curve
 

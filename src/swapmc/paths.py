@@ -17,7 +17,9 @@ bounds constrain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -94,16 +96,6 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleDecomposition:
     cycles: tuple[Cycle, ...]
-
-    @property
-    def chord_count(self) -> int:
-        return sum(2 * c.ell for c in self.cycles)
-
-    def all_chords(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for c in self.cycles:
-            out.update(c.chords())
-        return out
 
 
 def _check_compatible(x: BipartiteRealization, y: BipartiteRealization) -> None:
@@ -229,16 +221,13 @@ class AuxiliaryMatrix:
     M_X, which the constructor verifies.
     """
 
-    __slots__ = ("matrix", "forbidden", "seq", "_fu", "_fv")
+    __slots__ = ("matrix", "forbidden", "seq", "_fu")
 
-    def __init__(self, seq, matrix, forbidden=(), *, validate=True, _partners=None):
+    def __init__(self, seq, matrix, forbidden=(), *, validate=True):
         self.seq = seq
         self.matrix = np.array(matrix, dtype=np.int16, copy=True)
         self.forbidden = tuple(forbidden)
-        if _partners is not None:
-            self._fu, self._fv = _partners
-        else:
-            self._fu, self._fv = partner_arrays(self.forbidden, seq.n, seq.m)
+        self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
         if validate:
             self.validate()
 
@@ -268,15 +257,6 @@ class AuxiliaryMatrix:
             [(int(u), int(v)) for u, v in ones],
         )
 
-    def copy(self) -> "AuxiliaryMatrix":
-        return AuxiliaryMatrix(
-            self.seq,
-            self.matrix,
-            self.forbidden,
-            validate=False,
-            _partners=(self._fu, self._fv),
-        )
-
     def render(self) -> str:
         rows = []
         for i in range(self.seq.n):
@@ -300,9 +280,7 @@ def auxiliary_matrix(
         + y.matrix.astype(np.int16)
         - z.matrix.astype(np.int16)
     )
-    return AuxiliaryMatrix(
-        x.seq, M, x.forbidden, validate=False, _partners=(x._fu, x._fv)
-    )
+    return AuxiliaryMatrix(x.seq, M, x.forbidden, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +297,7 @@ def cornerstone(state, cycle: Cycle) -> int:
     sums stay constant along the sweep.
     """
     matrix = state.matrix
-    forb_u, _ = partner_arrays(getattr(state, "forbidden", ()), *matrix.shape)
+    forb_u = state._fu
     cols = sorted(set(cycle.vs))
     best_u = -1
     best_sum = None
@@ -468,11 +446,14 @@ class PathSegment:
     norm_vs: tuple[int, ...]
     first_state: int  # index of the segment's starting milestone in states
     last_state: int  # index of the segment's final milestone
-    move_count: int
 
     @property
     def ell(self) -> int:
         return self.cycle.ell
+
+    @property
+    def move_count(self) -> int:
+        return self.last_state - self.first_state
 
 
 @dataclass
@@ -481,7 +462,6 @@ class CanonicalPath:
 
     states: list[BipartiteRealization]
     moves: list[SwapMove]
-    milestone_indices: list[int]
     intermediate: list[bool]
     segments: list[PathSegment]
 
@@ -489,11 +469,16 @@ class CanonicalPath:
     def length(self) -> int:
         return len(self.moves)
 
+    @property
+    def milestone_indices(self) -> list[int]:
+        return [0] + [seg.last_state for seg in self.segments]
+
     def segment_of(self, state_index: int) -> PathSegment | None:
-        for seg in self.segments:
-            if seg.first_state <= state_index <= seg.last_state:
-                return seg
-        return None
+        """The segment holding a state; a milestone belongs to the one it ends."""
+        k = bisect_left(self.segments, state_index, key=attrgetter("last_state"))
+        if state_index < 0 or k == len(self.segments):
+            return None
+        return self.segments[k]
 
 
 def build_canonical_path(
@@ -511,7 +496,6 @@ def build_canonical_path(
     states = [x.copy()]
     moves: list[SwapMove] = []
     inter = [False]
-    milestone_indices = [0]
     segments: list[PathSegment] = []
     for k, cyc in enumerate(dec.cycles):
         g, g_next = miles[k], miles[k + 1]
@@ -530,14 +514,11 @@ def build_canonical_path(
                 norm_vs=res.norm_vs,
                 first_state=first,
                 last_state=len(states) - 1,
-                move_count=len(res.moves),
             )
         )
-        milestone_indices.append(len(states) - 1)
     return CanonicalPath(
         states=states,
         moves=moves,
-        milestone_indices=milestone_indices,
         intermediate=inter,
         segments=segments,
     )
@@ -781,20 +762,20 @@ def verify_repairs(
         rows = seg.norm_us if seg else ()
         cols = seg.norm_vs if seg else ()
         corner = seg.corner if seg else None
-        target = path.states[idx + 1] if path.intermediate[idx] else z
+        aux = auxiliary_matrix(x, y, z)
+        mid = path.intermediate[idx]
+        target = auxiliary_matrix(x, y, path.states[idx + 1]) if mid else aux
         try:
-            res = repair_to_realization(
-                auxiliary_matrix(x, y, target), rows, cols, corner, bounds
-            )
+            res = repair_to_realization(target, rows, cols, corner, bounds)
         except RepairError:
             report.failures.append(idx)
             continue
         report.max_switches = max(report.max_switches, len(res.switches))
-        dist = hamming_distance(auxiliary_matrix(x, y, z), res.realization)
-        if path.intermediate[idx]:
+        if mid:
+            dist = hamming_distance(aux, res.realization)
             report.max_distance_intermediate = max(
                 report.max_distance_intermediate, dist
             )
         else:
-            report.max_distance_direct = max(report.max_distance_direct, dist)
+            report.max_distance_direct = max(report.max_distance_direct, res.distance)
     return report

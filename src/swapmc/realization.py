@@ -69,14 +69,14 @@ def canonical_forbidden(forbidden, n: int, m: int) -> tuple[tuple[int, int], ...
 
 def partner_arrays(
     forbidden: tuple[tuple[int, int], ...], n: int, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-row / per-column forbidden partner index, -1 where unconstrained."""
-    fu = np.full(n, -1, dtype=np.int64)
-    fv = np.full(m, -1, dtype=np.int64)
+    fu = [-1] * n
+    fv = [-1] * m
     for u, v in forbidden:
-        fu[u] = v
-        fv[v] = u
-    return fu, fv
+        fu[u] = int(v)
+        fv[v] = int(u)
+    return tuple(fu), tuple(fv)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +160,13 @@ class BipartiteRealization:
     same legality checks and produce identical states.
     """
 
-    __slots__ = ("seq", "matrix", "forbidden", "_fu", "_fv")
+    __slots__ = ("seq", "matrix", "forbidden", "_fu")
 
-    def __init__(self, seq, matrix, forbidden=(), *, validate=True, _partners=None):
+    def __init__(self, seq, matrix, forbidden=(), *, validate=True):
         self.seq = seq
         self.matrix = np.array(matrix, dtype=np.uint8, copy=True)
         self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
-        if _partners is not None:
-            self._fu, self._fv = _partners
-        else:
-            self._fu, self._fv = partner_arrays(self.forbidden, seq.n, seq.m)
+        self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
         if validate:
             self.validate()
 
@@ -199,13 +196,11 @@ class BipartiteRealization:
         return self.matrix.tobytes()
 
     def copy(self) -> "BipartiteRealization":
-        return BipartiteRealization(
-            self.seq,
-            self.matrix,
-            self.forbidden,
-            validate=False,
-            _partners=(self._fu, self._fv),
-        )
+        """A new state with its own matrix; the immutable parts are shared."""
+        out = BipartiteRealization.__new__(BipartiteRealization)
+        out.seq, out.forbidden, out._fu = self.seq, self.forbidden, self._fu
+        out.matrix = self.matrix.copy()
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -387,7 +382,7 @@ def _kleitman_wang_fill(seq: BipartiteDegreeSequence, forbidden) -> np.ndarray |
     ones.  On the diagonal the map is the identity.  ``None`` if infeasible.
     """
     fu, fv = partner_arrays(forbidden, seq.n, seq.m)
-    cols = fu.tolist() + [v for v in range(seq.m) if fv[v] < 0]
+    cols = fu + tuple(v for v in range(seq.m) if fv[v] < 0)
     out = seq.u_degrees + (0,) * (len(cols) - seq.n)
     ins = tuple(seq.v_degrees[c] if c >= 0 else 0 for c in cols)
     arcs = kleitman_wang_arcs(DirectedDegreeBiSequence(out, ins))
@@ -501,10 +496,10 @@ def try_c6_swap(r: BipartiteRealization, us, vs) -> SwapMove | None:
     x, y, z = sorted(us)
     if len({x, y, z}) < 3:
         return None
-    px, py, pz = (r._fu[x], r._fu[y], r._fu[z])
+    px, py, pz = r._fu[x], r._fu[y], r._fu[z]
     if px < 0 or py < 0 or pz < 0:
         return None
-    if {int(px), int(py), int(pz)} != {int(v) for v in vs} or len(set(vs)) < 3:
+    if {px, py, pz} != {int(v) for v in vs} or len(set(vs)) < 3:
         return None
     M = r.matrix
     # Hexagon x, pz, y, px, z, py; opposite pairs (x,px), (y,py), (z,pz).

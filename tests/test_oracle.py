@@ -182,3 +182,20 @@ def test_tv_curve_non_increasing_and_small_at_horizon():
 def test_tv_from_kernel_matches_tv_curve():
     k = exact_transition_matrix(TRI, DIAG3, "directed")
     assert tv_from_kernel(k, 5) == tv_curve(TRI, DIAG3, "directed", horizon=5)
+
+
+def test_tv_from_kernel_matches_matrix_powers():
+    k = exact_transition_matrix(
+        BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), (), "bipartite"
+    )
+    uniform = np.full(k.size, 1.0 / k.size)
+    curve = tv_from_kernel(k, 4)
+    assert len(curve) == 5
+    for t, tv in enumerate(curve):
+        dist = np.linalg.matrix_power(k.matrix, t)
+        expected = float(0.5 * np.abs(dist - uniform).sum(axis=1).max())
+        if t <= 1:
+            assert tv == expected
+        else:
+            assert abs(tv - expected) <= 1e-12
+    assert tv_from_kernel(k, 0) == curve[:1] == [1.0 - 1.0 / k.size]

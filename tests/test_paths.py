@@ -7,6 +7,7 @@ from swapmc import (
     AuxiliaryMatrix,
     BipartiteDegreeSequence,
     BipartiteRealization,
+    RepairReport,
     auxiliary_matrix,
     bounds_of,
     build_canonical_path,
@@ -606,3 +607,93 @@ def test_hamming_via_path_states():
     assert hamming_distance(a, b) == 4
     x, y = _triangle_reps()
     assert hamming_distance(x, y) == 6
+
+
+# ---------------------------------------------------------------------------
+# derived path facts and the one-matrix repair audit
+# ---------------------------------------------------------------------------
+
+
+def _segment_of_scan(path, state_index):
+    """Linear-scan reference: the first segment whose range holds the index."""
+    for seg in path.segments:
+        if seg.first_state <= state_index <= seg.last_state:
+            return seg
+    return None
+
+
+def _verify_repairs_two_pass(path, x, y, bounds=None):
+    """Reference audit that builds every state's auxiliary matrix twice."""
+    report = RepairReport()
+    for idx, z in enumerate(path.states):
+        seg = _segment_of_scan(path, idx)
+        rows = seg.norm_us if seg else ()
+        cols = seg.norm_vs if seg else ()
+        corner = seg.corner if seg else None
+        target = path.states[idx + 1] if path.intermediate[idx] else z
+        try:
+            res = repair_to_realization(
+                auxiliary_matrix(x, y, target), rows, cols, corner, bounds
+            )
+        except RepairError:
+            report.failures.append(idx)
+            continue
+        report.max_switches = max(report.max_switches, len(res.switches))
+        dist = hamming_distance(auxiliary_matrix(x, y, z), res.realization)
+        if path.intermediate[idx]:
+            report.max_distance_intermediate = max(
+                report.max_distance_intermediate, dist
+            )
+        else:
+            report.max_distance_direct = max(report.max_distance_direct, dist)
+    return report
+
+
+def _random_paths(count=12):
+    seq = BipartiteDegreeSequence((2, 3, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2))
+    for forbidden in ((), DIAG(6)):
+        for seed in range(count):
+            x, y = _randomized_pair(seq, forbidden, seed)
+            yield x, y, build_canonical_path(x, y)
+
+
+def test_segment_of_matches_linear_scan():
+    a, b = _matchings_22()
+    cases = list(_random_paths()) + [(a, a, build_canonical_path(a, a))]
+    boundaries = 0
+    for _, _, path in cases:
+        n_states = len(path.states)
+        for i in range(-1, n_states + 1):
+            assert path.segment_of(i) is _segment_of_scan(path, i)
+        boundaries += len(path.segments) - 1
+        for seg in path.segments:
+            assert path.segment_of(seg.last_state) is seg
+        assert path.segment_of(-1) is None
+        assert path.segment_of(n_states) is None
+    assert boundaries > 0  # some paths cross a milestone inside
+    assert build_canonical_path(a, a).segment_of(0) is None
+
+
+def test_verify_repairs_matches_two_pass_audit():
+    intermediates = 0
+    for x, y, path in _random_paths():
+        bounds = bounds_of(x.seq)
+        assert verify_repairs(path, x, y, bounds) == _verify_repairs_two_pass(
+            path, x, y, bounds
+        )
+        intermediates += sum(path.intermediate)
+    assert intermediates > 0  # the double-step branch is exercised
+
+
+def test_milestones_and_move_counts_are_derived_from_states():
+    for x, y, path in _random_paths(6):
+        miles = milestones(x, y, decompose(x, y))
+        anchors = [0]
+        for k, seg in enumerate(path.segments):
+            res = sweep(miles[k], miles[k + 1], seg.cycle, seg.corner)
+            assert seg.move_count == len(res.moves)
+            assert path.moves[seg.first_state : seg.last_state] == res.moves
+            anchors.append(anchors[-1] + len(res.moves))
+        assert path.milestone_indices == anchors
+        assert [path.states[i] for i in anchors] == miles
+        assert sum(seg.move_count for seg in path.segments) == len(path.moves)

@@ -27,6 +27,7 @@ from swapmc import (
     try_c4_swap,
     try_c6_swap,
 )
+from swapmc.realization import partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
 
@@ -330,3 +331,33 @@ def test_validate_rejects_entries_outside_0_1():
         swapmc.DirectedRealization(d, [[0, 2], [0, 0]])
     with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
         swapmc.DirectedRealization(d, np.array([[0, 3], [0, -1]]).astype(np.uint8))
+
+
+def test_copy_is_equal_with_an_independent_matrix():
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    r = BipartiteRealization(seq, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], DIAG3)
+    c = r.copy()
+    assert c == r and c.key() == r.key() and hash(c) == hash(r)
+    assert c.forbidden is r.forbidden
+    assert not np.shares_memory(c.matrix, r.matrix)
+    c.apply_move(try_c6_swap(c, (0, 1, 2), (0, 1, 2)), inplace=True)
+    assert c != r
+    assert r.matrix.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    c.validate()
+    r.validate()
+
+
+def test_constructor_canonicalises_numpy_forbidden_pairs():
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    forbidden = [(np.int64(2), np.int64(0)), (np.int32(0), np.int64(1))]
+    r = BipartiteRealization(seq, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], forbidden)
+    assert r.forbidden == ((0, 1), (2, 0))
+    assert all(type(i) is int for pair in r.forbidden for i in pair)
+    assert r.is_chord(0, 0) and not r.is_chord(0, 1) and not r.is_chord(2, 0)
+    fu, fv = partner_arrays(forbidden, 3, 3)
+    assert fu == (1, -1, 0) and fv == (2, 0, -1)
+    assert all(type(i) is int for i in fu + fv)
+    with pytest.raises(ValueError, match="partial matching"):
+        BipartiteRealization(seq, np.eye(3), ((0, 1), (2, 1)))
+    with pytest.raises(ValueError, match="outside 3x3 grid"):
+        BipartiteRealization(seq, np.eye(3), ((0, 3),))
