@@ -3,18 +3,21 @@
 Everything here is exhaustive or exact and intentionally independent of the
 sampler's proposal code: realizations are enumerated by backtracking (and
 recounted by a separate column-recursive counter), and kernel neighbours are
-recovered from *state differences* -- two valid realizations at Hamming
-distance 4 necessarily differ by an alternating c4, and at distance 6 by an
-alternating hexagon, so transition matrices are built without ever invoking
-the chain's move-proposal logic.
+found from *state codes* -- each state's matrix read as one big-endian bit
+string.  Two valid realizations are c4 neighbours exactly when their codes
+differ in the four cells of a rectangle, and c6 neighbours exactly when they
+differ in the six cells of a 3x3 block whose other three cells are
+forbidden; so flipping each such mask in every code and looking the result
+up among the sorted codes finds every neighbour without ever invoking the
+chain's move-proposal logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
 
 POSITION_BUDGET = 36  # n*m cap for exhaustive enumeration
 STATE_BUDGET = 5000  # |G| cap for exact transition matrices
+_TV_BLOCK = 1 << 20  # matrix entries per row block of the TV reduction
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +208,77 @@ class ExactKernel:
     def size(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _offdiag_row_sums(self) -> list[Fraction]:
+        sums = [Fraction(0)] * self.size
+        for (i, _), p in self.rational_offdiag.items():
+            sums[i] += p
+        return sums
+
     def rational_entry(self, i: int, j: int) -> Fraction:
         if i == j:
-            return Fraction(1) - sum(
-                (p for (a, _), p in self.rational_offdiag.items() if a == i),
-                Fraction(0),
-            )
+            return Fraction(1) - self._offdiag_row_sums[i]
         return self.rational_offdiag.get((i, j), Fraction(0))
 
 
-def _pairwise_hamming(states: list[BipartiteRealization]) -> np.ndarray:
-    flat = np.stack([r.matrix.reshape(-1) for r in states]).astype(np.int32)
-    # All states share margins, so |a - b| = 2*(E - a.b) for 0/1 vectors.
-    edges = int(flat[0].sum())
-    gram = flat @ flat.T
-    return 2 * (edges - gram)
+def _state_codes(states: list[BipartiteRealization]) -> np.ndarray:
+    """Each state's matrix as one big-endian bit string, row 0 first.
+
+    ``np.uint64`` up to 64 cells, exact Python ints in an object array
+    above.  Canonical enumeration order makes the codes strictly increasing.
+    """
+    dtype = np.uint64 if states[0].matrix.size <= 64 else object
+    flat = np.stack([r.matrix.reshape(-1) for r in states]).astype(dtype)
+    codes = np.zeros(len(states), dtype=dtype)
+    for column in flat.T:
+        codes = (codes << 1) | column
+    return codes
 
 
-def _classify_neighbors(states, c6: bool):
-    """Yield (i, j, kind) for every ordered neighbour pair, from state diffs.
+def _flip_lookup(codes: np.ndarray, masks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j) whose codes differ in exactly one mask's cells.
 
-    c6 pairs are looked for only when ``c6`` is set and the states carry
-    forbidden positions; without them no hexagon can be a c6-swap.
+    Each mask, a list of (row, column) cells of the n x m grid, is XORed
+    into every code and the results are looked up among the sorted codes.
+    A hit is a valid state, so no margin or forbidden-cell test is needed.
+    """
+    top = n * m - 1
+    values = [sum(1 << (top - i * m - j) for i, j in mask) for mask in masks]
+    last = len(codes) - 1
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for mask in np.array(values, dtype=codes.dtype):
+        flipped = codes ^ mask
+        j = np.minimum(np.searchsorted(codes, flipped), last)
+        hit = np.flatnonzero(codes[j] == flipped)
+        src.append(hit)
+        dst.append(j[hit])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _neighbor_pairs(states: list[BipartiteRealization], c6: bool):
+    """Ordered neighbour pairs as index arrays ``(i4, j4), (i6, j6)``.
+
+    c4 masks are the C(n,2) C(m,2) rectangles.  c6 masks are looked for only
+    when ``c6`` is set: the forbidden set is a matching, so each 3-subset of
+    it spans one 3x3 block, and the hexagon is that block's other six cells.
     """
     if not states:
-        return
+        empty = np.empty(0, dtype=np.intp)
+        return (empty, empty), (empty, empty)
     ref = states[0]
-    ham = _pairwise_hamming(states)
-    fu, _ = partner_arrays(ref.forbidden, ref.n, ref.m)
-    for i, j in zip(*np.nonzero(ham == 4)):
-        yield int(i), int(j), "c4"
-    if c6 and ref.forbidden:
-        for i, j in zip(*np.nonzero(ham == 6)):
-            if i > j:
-                continue
-            diff = states[i].matrix != states[j].matrix
-            rows = np.nonzero(diff.any(axis=1))[0]
-            cols = np.nonzero(diff.any(axis=0))[0]
-            # Three rows x three columns; the 3 non-differing cells are the
-            # hexagon's opposite pairs and must all be forbidden.
-            opposite_ok = True
-            for r in rows:
-                for c in cols:
-                    if not diff[r, c] and fu[r] != c:
-                        opposite_ok = False
-            if opposite_ok:
-                yield int(i), int(j), "c6"
-                yield int(j), int(i), "c6"
+    n, m = ref.n, ref.m
+    rectangles = [
+        [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
+        for r1, r2 in combinations(range(n), 2)
+        for c1, c2 in combinations(range(m), 2)
+    ]
+    hexagons = []
+    if c6:
+        for trio in combinations(ref.forbidden, 3):
+            block = product([u for u, _ in trio], [v for _, v in trio])
+            hexagons.append([cell for cell in block if cell not in trio])
+    codes = _state_codes(states)
+    return _flip_lookup(codes, rectangles, n, m), _flip_lookup(codes, hexagons, n, m)
 
 
 def exact_transition_matrix(
@@ -285,16 +313,18 @@ def exact_transition_matrix(
     else:
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
-    offdiag: dict[tuple[int, int], Fraction] = {}
-    for i, j, kind in _classify_neighbors(states, chain_kind == "directed"):
-        offdiag[(i, j)] = p4 if kind == "c4" else p6
+    (i4, j4), (i6, j6) = _neighbor_pairs(states, chain_kind == "directed")
+    offdiag = dict.fromkeys(zip(i4.tolist(), j4.tolist()), p4)
+    offdiag.update(dict.fromkeys(zip(i6.tolist(), j6.tolist()), p6))
     P = np.zeros((N, N), dtype=np.float64)
-    rowsum = [Fraction(0)] * N
-    for (i, j), p in offdiag.items():
-        P[i, j] = float(p)
-        rowsum[i] += p
-    for i in range(N):
-        P[i, i] = float(Fraction(1) - rowsum[i])
+    P[i4, j4] = float(p4)
+    P[i6, j6] = float(p6)
+    # The diagonal is the exact complement of each row, converted once per
+    # distinct pair of neighbour counts (k4, k6).
+    counts = np.stack([np.bincount(i4, minlength=N), np.bincount(i6, minlength=N)], axis=1)
+    distinct, which = np.unique(counts, axis=0, return_inverse=True)
+    holding = [float(1 - int(k4) * p4 - int(k6) * p6) for k4, k6 in distinct]
+    np.fill_diagonal(P, np.array(holding, dtype=np.float64)[which.reshape(-1)])
     return ExactKernel(
         states=states,
         matrix=P,
@@ -324,9 +354,11 @@ def swap_graph_connected(
     N = len(states)
     if N == 0:
         return False, 0
-    adj: list[list[int]] = [[] for _ in range(N)]
-    for i, j, _ in _classify_neighbors(states, moves == "c4+c6"):
-        adj[i].append(j)
+    (i4, j4), (i6, j6) = _neighbor_pairs(states, moves == "c4+c6")
+    src = np.concatenate([i4, i6])
+    order = np.argsort(src, kind="stable")
+    adj = np.concatenate([j4, j6])[order].tolist()
+    start = [0, *np.cumsum(np.bincount(src, minlength=N)).tolist()]
     seen = [False] * N
     components = 0
     for s in range(N):
@@ -337,7 +369,7 @@ def swap_graph_connected(
         seen[s] = True
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y in adj[start[x] : start[x + 1]]:
                 if not seen[y]:
                     seen[y] = True
                     stack.append(y)
@@ -345,18 +377,26 @@ def swap_graph_connected(
 
 
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
-    """Worst-case TV distance to uniform after t exact steps, t = 0..horizon."""
+    """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
+
+    Each ``0.5 * |dist - 1/N|`` row sum is reduced over blocks of rows, so
+    no N x N temporary beyond the power of ``P`` itself is built.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     P = kernel.matrix
     N = kernel.size
-    uniform = np.full(N, 1.0 / N)
-    dist = np.eye(N)
+    uniform = 1.0 / N
+    rows = max(1, _TV_BLOCK // N)
     curve = []
     for t in range(horizon + 1):
         if t:
             dist = P if t == 1 else dist @ P
-        curve.append(float(0.5 * np.abs(dist - uniform).sum(axis=1).max()))
+        worst = 0.0
+        for lo in range(0, N, rows):
+            block = np.eye(min(rows, N - lo), N, lo) if t == 0 else dist[lo : lo + rows]
+            worst = max(worst, float(0.5 * np.abs(block - uniform).sum(axis=1).max()))
+        curve.append(worst)
     return curve
 
 

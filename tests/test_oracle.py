@@ -1,8 +1,15 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapmc import (
     BipartiteDegreeSequence,
@@ -14,6 +21,8 @@ from swapmc import (
     tv_curve,
     tv_from_kernel,
 )
+from swapmc.oracle import _neighbor_pairs, _state_codes
+from swapmc.realization import partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
 TRI = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
@@ -199,3 +208,207 @@ def test_tv_from_kernel_matches_matrix_powers():
         else:
             assert abs(tv - expected) <= 1e-12
     assert tv_from_kernel(k, 0) == curve[:1] == [1.0 - 1.0 / k.size]
+
+
+# ---------------------------------------------------------------------------
+# Neighbours from code masks against the state-difference reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_pairwise_hamming(states):
+    flat = np.stack([r.matrix.reshape(-1) for r in states]).astype(np.int32)
+    # All states share margins, so |a - b| = 2*(E - a.b) for 0/1 vectors.
+    edges = int(flat[0].sum())
+    gram = flat @ flat.T
+    return 2 * (edges - gram)
+
+
+def _ref_classify_neighbors(states, c6):
+    """The dense Gram-matrix neighbour search the masks replaced."""
+    if not states:
+        return
+    ref = states[0]
+    ham = _ref_pairwise_hamming(states)
+    fu, _ = partner_arrays(ref.forbidden, ref.n, ref.m)
+    for i, j in zip(*np.nonzero(ham == 4)):
+        yield int(i), int(j), "c4"
+    if c6 and ref.forbidden:
+        for i, j in zip(*np.nonzero(ham == 6)):
+            if i > j:
+                continue
+            diff = states[i].matrix != states[j].matrix
+            rows = np.nonzero(diff.any(axis=1))[0]
+            cols = np.nonzero(diff.any(axis=0))[0]
+            opposite_ok = True
+            for r in rows:
+                for c in cols:
+                    if not diff[r, c] and fu[r] != c:
+                        opposite_ok = False
+            if opposite_ok:
+                yield int(i), int(j), "c6"
+                yield int(j), int(i), "c6"
+
+
+def _ref_kernel(states, n, m, chain_kind):
+    """The per-entry ``Fraction`` assembly of the exact kernel."""
+    pairs, triples = comb(n, 2) * comb(m, 2), comb(n, 3) * comb(m, 3)
+    if chain_kind == "bipartite":
+        p4 = Fraction(1, 2 * pairs) if pairs else Fraction(0)
+        p6 = Fraction(0)
+    else:
+        p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
+        p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
+    offdiag = {}
+    for i, j, kind in _ref_classify_neighbors(states, chain_kind == "directed"):
+        offdiag[(i, j)] = p4 if kind == "c4" else p6
+    N = len(states)
+    P = np.zeros((N, N), dtype=np.float64)
+    rowsum = [Fraction(0)] * N
+    for (i, j), p in offdiag.items():
+        P[i, j] = float(p)
+        rowsum[i] += p
+    for i in range(N):
+        P[i, i] = float(Fraction(1) - rowsum[i])
+    return P, offdiag
+
+
+def _ref_connected(states, c6):
+    N = len(states)
+    if N == 0:
+        return False, 0
+    adj = [[] for _ in range(N)]
+    for i, j, _ in _ref_classify_neighbors(states, c6):
+        adj[i].append(j)
+    seen = [False] * N
+    components = 0
+    for s in range(N):
+        if seen[s]:
+            continue
+        components += 1
+        stack = [s]
+        seen[s] = True
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    return components == 1, components
+
+
+def _mask_pairs(states, c6):
+    (i4, j4), (i6, j6) = _neighbor_pairs(states, c6)
+    listed = [(i, j, "c4") for i, j in zip(i4.tolist(), j4.tolist())]
+    listed += [(i, j, "c6") for i, j in zip(i6.tolist(), j6.tolist())]
+    assert len(set(listed)) == len(listed)
+    return set(listed)
+
+
+def _assert_matches_reference(seq, forbidden, position_budget=36):
+    kinds = ("directed",) if forbidden else ("bipartite", "directed")
+    for kind in kinds:
+        k = exact_transition_matrix(seq, forbidden, kind, position_budget=position_budget)
+        assert _mask_pairs(k.states, kind == "directed") == set(
+            _ref_classify_neighbors(k.states, kind == "directed")
+        )
+        P, offdiag = _ref_kernel(k.states, seq.n, seq.m, kind)
+        assert k.matrix.tobytes() == P.tobytes()
+        assert k.rational_offdiag == offdiag
+    states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
+    for moves in ("c4", "c4+c6"):
+        got = swap_graph_connected(seq, forbidden, moves, position_budget=position_budget)
+        assert got == _ref_connected(states, moves == "c4+c6")
+    return states
+
+
+@st.composite
+def _instances(draw):
+    """A sequence read off a random 0/1 matrix (so it is realizable), with
+    or without a random forbidden matching kept clear of that matrix."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    forbidden = ()
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(n, m)))
+        rows = draw(st.permutations(range(n)))[:k]
+        cols = draw(st.permutations(range(m)))[:k]
+        forbidden = tuple(zip(rows, cols))
+    bits = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    M = np.array(bits, dtype=np.uint8).reshape(n, m)
+    for u, v in forbidden:
+        M[u, v] = 0
+    seq = BipartiteDegreeSequence(tuple(M.sum(axis=1).tolist()), tuple(M.sum(axis=0).tolist()))
+    return seq, forbidden
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances())
+@example((TRI, DIAG3))
+@example((BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), ((0, 3), (2, 1))))
+@example((BipartiteDegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)), ()))
+@example((BipartiteDegreeSequence((1,), (1,)), ((0, 0),)))  # no realization
+def test_mask_neighbors_match_state_difference_reference(instance):
+    seq, forbidden = instance
+    _assert_matches_reference(seq, forbidden)
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden",
+    [
+        # 5 derangements of a 9x8 grid: c4 and c6 moves, 72 cells
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+        ),
+        (BipartiteDegreeSequence((2, 1, 1) + (0,) * 6, (1,) * 4 + (0,) * 4), ()),
+    ],
+    ids=["derangements", "unforbidden"],
+)
+def test_mask_neighbors_above_64_cells(seq, forbidden):
+    states = _assert_matches_reference(seq, forbidden, position_budget=72)
+    assert _state_codes(states).dtype == object
+    codes = _state_codes(states).tolist()
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    if forbidden:
+        _, (i6, _) = _neighbor_pairs(states, True)
+        assert len(i6) > 0
+
+
+def test_state_codes_read_rows_big_endian():
+    states = enumerate_realizations(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)))
+    codes = _state_codes(states)
+    assert codes.dtype == np.uint64
+    expect = [int("".join(str(b) for b in r.matrix.reshape(-1)), 2) for r in states]
+    assert codes.tolist() == expect == sorted(expect)
+
+
+def test_rational_diagonal_is_complement_of_row():
+    cases = [
+        (TRI, DIAG3),
+        (BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), ((0, 3), (2, 1))),
+    ]
+    for seq, forbidden in cases:
+        k = exact_transition_matrix(seq, forbidden, "directed")
+        for i in range(k.size):
+            row = sum((p for (a, _), p in k.rational_offdiag.items() if a == i), Fraction(0))
+            assert k.rational_entry(i, i) == 1 - row
+            assert k.matrix[i, i] == float(1 - row)
+        assert k.rational_entry(0, k.size) == 0
+
+
+def test_connectivity_on_8x8_permutations_in_bounded_memory():
+    # 40 320 states on 64 cells: the widest uint64 code
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = (
+        "import resource\n"
+        "from swapmc import BipartiteDegreeSequence, swap_graph_connected\n"
+        "seq = BipartiteDegreeSequence((1,) * 8, (1,) * 8)\n"
+        "print(swap_graph_connected(seq, position_budget=64))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    result, maxrss_kib = proc.stdout.split("\n")[:2]
+    assert result == "(True, 1)"
+    assert int(maxrss_kib) < 512 * 1024
