@@ -44,9 +44,9 @@ from .io import load_realization, load_sequence, realization_to_json
 from .oracle import (
     POSITION_BUDGET,
     STATE_BUDGET,
+    _components,
     enumerate_realizations,
     exact_transition_matrix,
-    swap_graph_connected,
     tv_from_kernel,
 )
 from .paths import build_canonical_path, verify_bad_positions, verify_repairs
@@ -212,10 +212,10 @@ def cmd_diagnose(args) -> int:
     kernel = exact_transition_matrix(bip, forbidden, kind, state_budget=args.budget)
     N = kernel.size
     print(f"states: {N}")
-    ok4, comp4 = swap_graph_connected(bip, forbidden, "c4")
+    ok4, comp4 = _components(N, kernel.c4_pairs)
     print(f"connected-c4: {'yes' if ok4 else 'no'} components={comp4}")
     if directed:
-        ok6, comp6 = swap_graph_connected(bip, forbidden, "c4+c6")
+        ok6, comp6 = _components(N, kernel.c4_pairs, kernel.c6_pairs)
         print(f"connected-f-swaps: {'yes' if ok6 else 'no'} components={comp6}")
     P = kernel.matrix
     sym = float(np.abs(P - P.T).max())

@@ -10,6 +10,11 @@ differ in the six cells of a 3x3 block whose other three cells are
 forbidden; so flipping each such mask in every code and looking the result
 up among the sorted codes finds every neighbour without ever invoking the
 chain's move-proposal logic.
+
+The kernel keeps those neighbour pairs as index arrays, and everything
+else is derived from them: the exact rationals (on first use), move-graph
+components (vectorised label propagation), and ``P^2`` for the TV curve
+(a sparse product; later powers are dense because ``P^3`` already is).
 """
 
 from __future__ import annotations
@@ -78,8 +83,9 @@ def enumerate_realizations(
     fu, _ = partner_arrays(forb, n, m)
     caps = list(seq.v_degrees)
     udeg = seq.u_degrees
-    rows: list[tuple[int, ...]] = []
-    found: list[tuple[tuple[int, ...], ...]] = []
+    bit = [1 << (m - 1 - j) for j in range(m)]
+    rows: list[int] = []  # each chosen row as its big-endian bit pattern
+    found: list[tuple[int, ...]] = []
 
     max_udeg_suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -87,7 +93,7 @@ def enumerate_realizations(
 
     def recurse(i: int) -> None:
         if i == n:
-            if all(c == 0 for c in caps):
+            if not any(caps):
                 found.append(tuple(rows))
             return
         d = udeg[i]
@@ -98,31 +104,28 @@ def enumerate_realizations(
         for chosen in combinations(allowed, d):
             for j in chosen:
                 caps[j] -= 1
-            ok = all(c <= rows_left for c in caps)
+            ok = max(caps) <= rows_left
             if ok and rows_left:
-                positive = sum(1 for c in caps if c > 0)
-                ok = positive >= max_udeg_suffix[i + 1]
+                # caps never go negative, so the others are positive
+                ok = m - caps.count(0) >= max_udeg_suffix[i + 1]
             if ok:
-                rows.append(chosen)
+                rows.append(sum(bit[j] for j in chosen))
                 recurse(i + 1)
                 rows.pop()
             for j in chosen:
                 caps[j] += 1
 
     recurse(0)
-
-    def row_key(chosen_rows):
-        return tuple(sum(1 << (m - 1 - j) for j in row) for row in chosen_rows)
-
-    found.sort(key=row_key)
-    out = []
-    for chosen_rows in found:
-        M = np.zeros((n, m), dtype=np.uint8)
-        for i, row in enumerate(chosen_rows):
-            for j in row:
-                M[i, j] = 1
-        out.append(BipartiteRealization(seq, M, forb, validate=False))
-    return out
+    if not found:
+        return []
+    found.sort()
+    dtype = np.uint64 if m <= 64 else object
+    patterns = np.array(found, dtype=dtype)[:, :, None]
+    block = ((patterns & np.array(bit, dtype=dtype)) != 0).astype(np.uint8)
+    # One validated state; the others are shallow clones of it, as copy()
+    # makes them, each with its own matrix.
+    template = BipartiteRealization(seq, block[0], forb)
+    return [template] + [template._with_matrix(M.copy()) for M in block[1:]]
 
 
 def count_realizations(
@@ -189,24 +192,34 @@ def count_realizations(
 class ExactKernel:
     """Exact transition matrix of a kernel over the full realization set.
 
-    ``matrix`` holds float64 probabilities materialized from the exact
-    rationals in ``rational_offdiag`` (diagonal entries are the exact
-    complements, converted once).  ``p_c4`` / ``p_c6`` are the kernel's
-    per-neighbour jumping probabilities (zero when the move kind cannot
-    fire, e.g. c6 in the bipartite kernel or with fewer than three vertices
-    per class).
+    ``c4_pairs`` and ``c6_pairs`` are the ordered neighbour pairs ``(i, j)``
+    of each move kind as two index arrays; every pair is listed in both
+    directions and the c6 arrays are empty unless the kernel has c6 moves.
+    ``matrix`` holds the float64 probabilities: ``p_c4`` / ``p_c6`` at those
+    pairs (zero when the move kind cannot fire, e.g. c6 in the bipartite
+    kernel or with fewer than three vertices per class) and the exact
+    complement of each row on the diagonal, converted once.  The exact
+    rationals, ``rational_offdiag``, are built from the pairs on first use.
     """
 
     states: list[BipartiteRealization]
     matrix: np.ndarray
-    rational_offdiag: dict[tuple[int, int], Fraction]
     chain_kind: str
     p_c4: Fraction
     p_c6: Fraction
+    c4_pairs: tuple[np.ndarray, np.ndarray]
+    c6_pairs: tuple[np.ndarray, np.ndarray]
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def rational_offdiag(self) -> dict[tuple[int, int], Fraction]:
+        (i4, j4), (i6, j6) = self.c4_pairs, self.c6_pairs
+        offdiag = dict.fromkeys(zip(i4.tolist(), j4.tolist()), self.p_c4)
+        offdiag.update(dict.fromkeys(zip(i6.tolist(), j6.tolist()), self.p_c6))
+        return offdiag
 
     @cached_property
     def _offdiag_row_sums(self) -> list[Fraction]:
@@ -314,8 +327,6 @@ def exact_transition_matrix(
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
     (i4, j4), (i6, j6) = _neighbor_pairs(states, chain_kind == "directed")
-    offdiag = dict.fromkeys(zip(i4.tolist(), j4.tolist()), p4)
-    offdiag.update(dict.fromkeys(zip(i6.tolist(), j6.tolist()), p6))
     P = np.zeros((N, N), dtype=np.float64)
     P[i4, j4] = float(p4)
     P[i6, j6] = float(p6)
@@ -328,11 +339,42 @@ def exact_transition_matrix(
     return ExactKernel(
         states=states,
         matrix=P,
-        rational_offdiag=offdiag,
         chain_kind=chain_kind,
         p_c4=p4,
         p_c6=p6,
+        c4_pairs=(i4, j4),
+        c6_pairs=(i6, j6),
     )
+
+
+def _components(size: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[bool, int]:
+    """(connected, component count) of the graph on ``range(size)`` whose
+    edges are the given ``(i, j)`` index arrays, each edge in both directions.
+
+    Every vertex starts as its own label.  Each round lowers the label of
+    every edge's source root to the edge's target label, then jumps
+    pointers until each label is a root (``label[r] == r``).  Labels only
+    fall and always name a vertex of the same component, so once a round
+    changes nothing every component carries one root label.
+    """
+    if size == 0:
+        return False, 0
+    src = np.concatenate([i for i, _ in pairs])
+    dst = np.concatenate([j for _, j in pairs])
+    label = np.arange(size)
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, label[src], label[dst])
+        while True:
+            jumped = lowered[lowered]
+            if np.array_equal(jumped, lowered):
+                break
+            lowered = jumped
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    components = int(np.count_nonzero(label == np.arange(size)))
+    return components == 1, components
 
 
 def swap_graph_connected(
@@ -351,36 +393,52 @@ def swap_graph_connected(
     if moves not in ("c4", "c4+c6"):
         raise ValueError("moves must be 'c4' or 'c4+c6'")
     states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
-    N = len(states)
-    if N == 0:
-        return False, 0
-    (i4, j4), (i6, j6) = _neighbor_pairs(states, moves == "c4+c6")
-    src = np.concatenate([i4, i6])
+    return _components(len(states), *_neighbor_pairs(states, moves == "c4+c6"))
+
+
+def _square_blocks(kernel: ExactKernel, rows: int, out: np.ndarray | None):
+    """Row blocks of ``P @ P``, ``rows`` rows each, from the sparse ``P``.
+
+    ``P``'s nonzeros -- the neighbour pairs and the diagonal, valued from
+    ``kernel.matrix`` -- are sorted into CSR-style row arrays.  Each block
+    pairs every nonzero ``P[r, k]`` of its rows with every nonzero
+    ``P[k, c]`` of row ``k`` and sums the products into a dense block with
+    ``np.bincount``.  Each block is also copied into ``out`` when given.
+    """
+    P, N = kernel.matrix, kernel.size
+    diagonal = np.arange(N)
+    src = np.concatenate([kernel.c4_pairs[0], kernel.c6_pairs[0], diagonal])
+    dst = np.concatenate([kernel.c4_pairs[1], kernel.c6_pairs[1], diagonal])
     order = np.argsort(src, kind="stable")
-    adj = np.concatenate([j4, j6])[order].tolist()
-    start = [0, *np.cumsum(np.bincount(src, minlength=N)).tolist()]
-    seen = [False] * N
-    components = 0
-    for s in range(N):
-        if seen[s]:
-            continue
-        components += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[start[x] : start[x + 1]]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return components == 1, components
+    src, dst = src[order], dst[order]
+    value = P[src, dst]
+    start = np.zeros(N + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=N), out=start[1:])
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        a, b = start[lo], start[hi]
+        mid = dst[a:b]
+        lengths = start[mid + 1] - start[mid]
+        # CSR position of each product's second factor
+        second = np.arange(int(lengths.sum())) + np.repeat(
+            start[mid] - (np.cumsum(lengths) - lengths), lengths
+        )
+        cell = np.repeat((src[a:b] - lo) * N, lengths) + dst[second]
+        weight = np.repeat(value[a:b], lengths) * value[second]
+        block = np.bincount(cell, weights=weight, minlength=(hi - lo) * N).reshape(hi - lo, N)
+        if out is not None:
+            out[lo:hi] = block
+        yield block
 
 
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
 
     Each ``0.5 * |dist - 1/N|`` row sum is reduced over blocks of rows, so
-    no N x N temporary beyond the power of ``P`` itself is built.
+    no N x N temporary beyond the power of ``P`` itself is built.  ``P^2``
+    is a sparse product of ``P`` with itself, reduced block by block and
+    kept whole only when ``horizon > 2``; P is sparse but its cube is not,
+    so every later power is a dense ``dist @ P``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -388,15 +446,23 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     N = kernel.size
     uniform = 1.0 / N
     rows = max(1, _TV_BLOCK // N)
-    curve = []
-    for t in range(horizon + 1):
-        if t:
-            dist = P if t == 1 else dist @ P
-        worst = 0.0
-        for lo in range(0, N, rows):
-            block = np.eye(min(rows, N - lo), N, lo) if t == 0 else dist[lo : lo + rows]
-            worst = max(worst, float(0.5 * np.abs(block - uniform).sum(axis=1).max()))
-        curve.append(worst)
+    starts = range(0, N, rows)
+
+    def worst(blocks) -> float:
+        tv = 0.0
+        for block in blocks:
+            tv = max(tv, float(0.5 * np.abs(block - uniform).sum(axis=1).max()))
+        return tv
+
+    curve = [worst(np.eye(min(rows, N - lo), N, lo) for lo in starts)]
+    if horizon >= 1:
+        curve.append(worst(P[lo : lo + rows] for lo in starts))
+    if horizon >= 2:
+        dist = np.empty((N, N)) if horizon > 2 else None
+        curve.append(worst(_square_blocks(kernel, rows, dist)))
+    for _ in range(3, horizon + 1):
+        dist = dist @ P
+        curve.append(worst(dist[lo : lo + rows] for lo in starts))
     return curve
 
 

@@ -197,9 +197,14 @@ class BipartiteRealization:
 
     def copy(self) -> "BipartiteRealization":
         """A new state with its own matrix; the immutable parts are shared."""
+        return self._with_matrix(self.matrix.copy())
+
+    def _with_matrix(self, matrix: np.ndarray) -> "BipartiteRealization":
+        """A state holding ``matrix`` itself, unvalidated, that shares
+        ``seq``, ``forbidden`` and ``_fu`` with this one."""
         out = BipartiteRealization.__new__(BipartiteRealization)
         out.seq, out.forbidden, out._fu = self.seq, self.forbidden, self._fu
-        out.matrix = self.matrix.copy()
+        out.matrix = matrix
         return out
 
     def __eq__(self, other) -> bool:

@@ -188,6 +188,27 @@ def test_enumerate_budget_exit(capsys, tmp_path):
     assert err.startswith("error: budget:")
 
 
+def test_diagnose_enumerates_once(capsys, monkeypatch, tmp_path):
+    import swapmc.oracle
+
+    p = tmp_path / "dse.deg"
+    p.write_text("out: 2 2 2 2 1 1\nin: 2 2 1 2 2 1\n")
+    calls = []
+    enumerate_realizations = swapmc.oracle.enumerate_realizations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_realizations(*args, **kwargs)
+
+    monkeypatch.setattr(swapmc.oracle, "enumerate_realizations", counted)
+    code, out, _ = run(capsys, "diagnose", str(p), "--horizon", "3")
+    assert code == 0
+    assert len(calls) == 1
+    assert "states: 1519" in out
+    assert "connected-c4: yes components=1" in out
+    assert "connected-f-swaps: yes components=1" in out
+
+
 def test_diagnose_triangle(capsys, triangle_file):
     code, out, _ = run(capsys, "diagnose", triangle_file, "--horizon", "3")
     assert code == 0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from swapmc import (
     BipartiteDegreeSequence,
+    BipartiteRealization,
     BudgetExceededError,
     count_realizations,
     enumerate_realizations,
@@ -21,7 +22,7 @@ from swapmc import (
     tv_curve,
     tv_from_kernel,
 )
-from swapmc.oracle import _neighbor_pairs, _state_codes
+from swapmc.oracle import _components, _neighbor_pairs, _state_codes
 from swapmc.realization import partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
@@ -92,6 +93,30 @@ def test_enumerate_canonical_order_and_determinism():
 
     pats = [row_patterns(r) for r in a]
     assert pats == sorted(pats)
+
+
+def test_enumerated_states_are_clones_of_one_template():
+    cases = [
+        (BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), ((0, 3), (2, 1))),
+        (BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), ()),
+        (TRI, DIAG3),
+    ]
+    for seq, forbidden in cases:
+        states = enumerate_realizations(seq, forbidden)
+        assert len(states) > 1
+        first = states[0]
+        for r in states:
+            assert r.seq is first.seq
+            assert r.forbidden is first.forbidden
+            assert r._fu is first._fu
+            assert r == BipartiteRealization(seq, r.matrix, forbidden)
+        before = [r.matrix.copy() for r in states]
+        for i, r in enumerate(states):
+            r.matrix[:] = 7
+            for j, other in enumerate(states):
+                if j != i:
+                    assert np.array_equal(other.matrix, before[j])
+            r.matrix[:] = before[i]
 
 
 def test_enumerate_budget():
@@ -208,6 +233,33 @@ def test_tv_from_kernel_matches_matrix_powers():
         else:
             assert abs(tv - expected) <= 1e-12
     assert tv_from_kernel(k, 0) == curve[:1] == [1.0 - 1.0 / k.size]
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, kind",
+    [
+        (TRI, DIAG3, "directed"),
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), "bipartite"),  # N = 90
+        (BipartiteDegreeSequence((2, 2, 1, 1, 2), (2, 1, 2, 2, 1)), (), "bipartite"),  # N = 453
+    ],
+    ids=["triangle", "4x4-2-regular", "5x5-453"],
+)
+def test_sparse_square_matches_matrix_powers(seq, forbidden, kind):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    uniform = 1.0 / k.size
+    for horizon in (2, 5):
+        curve = tv_from_kernel(k, horizon)
+        assert len(curve) == horizon + 1
+        for t, tv in enumerate(curve):
+            dist = np.linalg.matrix_power(k.matrix, t)
+            expected = float(0.5 * np.abs(dist - uniform).sum(axis=1).max())
+            if t <= 1:
+                assert tv == expected
+            else:
+                assert abs(tv - expected) <= 1e-12
+    # t = 2 alone reduces the sparse square's blocks; a longer horizon
+    # also keeps them as the dense square that P^3 starts from.
+    assert tv_from_kernel(k, 2) == tv_from_kernel(k, 5)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +444,37 @@ def test_rational_diagonal_is_complement_of_row():
             assert k.rational_entry(i, i) == 1 - row
             assert k.matrix[i, i] == float(1 - row)
         assert k.rational_entry(0, k.size) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80)
+    )
+))
+@example((1, []))
+@example((200, [(i, i + 1) for i in range(199)][::-1]))  # a long path, reversed
+def test_components_match_depth_first_search(graph):
+    n, edges = graph
+    src = np.array([a for a, b in edges] + [b for a, b in edges], dtype=np.intp)
+    dst = np.array([b for a, b in edges] + [a for a, b in edges], dtype=np.intp)
+    adj = [[] for _ in range(n)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        adj[a].append(b)
+    seen, components = [False] * n, 0
+    for s in range(n):
+        if not seen[s]:
+            components += 1
+            seen[s], stack = True, [s]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = True
+                        stack.append(y)
+    half = len(edges)
+    pairs = ((src[:half], dst[:half]), (src[half:], dst[half:]))
+    assert _components(n, *pairs) == (components == 1, components)
+    assert _components(0) == (False, 0)
 
 
 def test_connectivity_on_8x8_permutations_in_bounded_memory():
