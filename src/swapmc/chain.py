@@ -35,8 +35,13 @@ streams with ``numpy.random.SeedSequence(seed).spawn``.
 
 :func:`sample` consumes this same stream.  When its generator is a
 ``numpy.random.Generator`` on ``PCG64``, the burn-in runs through a block
-core that draws raw 64-bit words in blocks, rebuilds numpy's ``random()``
-and ``integers(0, k)`` from them, and then rewinds the generator past the
+core that draws raw 64-bit words in blocks and decodes each block with
+numpy.  ``random()`` reads one word, and ``integers(0, k)`` is Lemire's
+bounded-integer method on a 32-bit half (Lemire, "Fast random integer
+generation in an interval", ACM TOMACS 2019), a multiply and a compare
+that run as well on a whole array of halves.  Python then walks the
+block's branch words to class each step, and checks and applies the
+proposals in step order.  Finally the core rewinds the generator past the
 words it used.  States, statistics and the generator's final state are
 bit-identical to the per-step functions, which stay as the reference.
 Other generators take the per-step path.
@@ -221,71 +226,276 @@ def step_directed(
     return _step(r, rng, lazy, inplace, c6=True)
 
 
-_BLOCK = 2048  # most raw words drawn at once by the block core
+_BLOCK = 2048  # most raw words the block core holds at once
 _LOW = 0xFFFFFFFF
 
 
-def _raw_draws(bg, budget: int):
+class _Words:
     """numpy's scalar draws on a ``PCG64`` bit generator, rebuilt from raw words.
 
-    Returns ``(word, below, close)``.  ``word()`` is the fresh 64-bit word
-    that ``Generator.random()`` consumes; that call returns
-    ``(word() >> 11) * 2**-53``.  ``below(k)`` equals
+    ``words[pos:]`` are the raw words drawn from ``bg`` and not used yet,
+    and ``has`` and ``half`` mirror PCG64's one-half buffer.  ``word()`` is
+    the fresh 64-bit word that ``Generator.random()`` consumes; that call
+    returns ``(word() >> 11) * 2**-53``.  ``below(k)`` equals
     ``Generator.integers(0, k)`` for ``1 <= k <= 2**32``: 0 without a draw
     when ``k == 1``, otherwise Lemire's method on 32-bit halves taken
-    through PCG64's one-half buffer, the low half first and the high half
-    kept for the next call.  Words come from ``random_raw`` in blocks of at
-    most ``_BLOCK``, sized to the ``budget`` of words the caller expects to
-    use.  ``close()`` rewinds ``bg`` past the words actually used and
-    restores the half buffer, so its ``state`` is what the scalar calls
-    would have left; call it once, in a ``finally``.
+    through the buffer, the low half first and the high half kept for the
+    next call.  When no word is left, ``word()`` draws a block of at most
+    ``_BLOCK``, sized to the ``budget`` of words the caller expects to use.
+    ``close()`` rewinds ``bg`` past the words actually used and restores the
+    half buffer, so its ``state`` is what the scalar calls would have left;
+    call it once, in a ``finally``.
     """
-    snap = bg.state
-    has, half = snap["has_uint32"], snap["uinteger"]
-    words: list[int] = []
-    pos = drawn = 0
 
-    def refill() -> None:
-        nonlocal words, pos, drawn
-        size = min(_BLOCK, max(budget - drawn, 8))
-        words = bg.random_raw(size).tolist()
-        drawn += size
-        pos = 0
+    def __init__(self, bg, budget: int):
+        self.bg, self.budget, self.snap = bg, budget, bg.state
+        self.has, self.half = self.snap["has_uint32"], self.snap["uinteger"]
+        self.words = np.empty(0, np.uint64)
+        self.pos = self.drawn = 0
 
-    def word() -> int:
-        nonlocal pos
-        if pos == len(words):
-            refill()
-        pos += 1
-        return words[pos - 1]
+    def refill(self, size: int) -> None:
+        """Draw ``size`` more words and keep them after the unused ones."""
+        self.words = np.concatenate((self.words[self.pos :], self.bg.random_raw(size)))
+        self.drawn += size
+        self.pos = 0
 
-    def below(k: int) -> int:
-        nonlocal has, half, pos
+    def word(self) -> int:
+        if self.pos == len(self.words):
+            self.refill(min(_BLOCK, max(self.budget - self.drawn, 8)))
+        self.pos += 1
+        return int(self.words[self.pos - 1])
+
+    def below(self, k: int) -> int:
         if k == 1:
             return 0
         while True:
-            if has:
-                has = 0
-                p = half * k
+            if self.has:
+                self.has = 0
+                p = self.half * k
             else:
-                if pos == len(words):  # word(), inlined on the hot path
-                    refill()
-                w = words[pos]
-                pos += 1
-                half, has = w >> 32, 1
+                w = self.word()
+                self.half, self.has = w >> 32, 1
                 p = (w & _LOW) * k
             # numpy computes the rejection bound only when the low word is below k
             if (p & _LOW) >= k or (p & _LOW) >= (0x100000000 - k) % k:
                 return p >> 32
 
-    def close() -> None:
-        bg.state = snap
-        bg.advance(drawn - len(words) + pos)
+    def close(self) -> None:
+        bg = self.bg
+        bg.state = self.snap
+        bg.advance(self.drawn - len(self.words) + self.pos)
         state = bg.state
-        state["has_uint32"], state["uinteger"] = has, half
+        state["has_uint32"], state["uinteger"] = self.has, self.half
         bg.state = state
 
-    return word, below, close
+
+def _raw_draws(bg, budget: int):
+    """The scalar draws ``(word, below, close)`` of a :class:`_Words` on ``bg``."""
+    src = _Words(bg, budget)
+    return src.word, src.below, src.close
+
+
+def _triples(d):
+    """Each row of three draws as ``_draw_triple`` turns them into a triple."""
+    x, y, z = d.T
+    y = y + (y >= x)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    z = z + (z >= lo)
+    return x, y, z + (z >= hi)
+
+
+class _Decoder:
+    """Decodes blocks of raw words into whole kernel steps on one state.
+
+    A step's class is 0 when it holds, 1 when it proposes a c4-swap, 2 when
+    it proposes a c6-swap, and 3 when it takes the c6 branch with fewer than
+    three vertices in a class, which draws nothing and rejects.  ``ks[c]``
+    are the bounds of class ``c``'s ``integers(0, k)`` draws, in stream
+    order.  A draw with ``k == 1`` takes no half, so with two or three
+    vertices in a class a proposal takes an odd number of halves and the
+    half buffer flips.
+    """
+
+    def __init__(self, r: BipartiteRealization, lazy: bool, c6: bool):
+        n, m = r.n, r.m
+        self.m, self.c6 = m, c6
+        self.branch = b = int(lazy or c6)
+        # The branch uniform (w >> 11) * 2**-53 is below 0.5 exactly when
+        # w < 2**63, and below 0.75 exactly when w < 3 * 2**62.
+        self.hold = 1 << 63 if lazy else 0
+        self.c4_below = (3 << 62 if lazy else 1 << 63) if c6 else None
+        self.c6_class = 2 if n >= 3 and m >= 3 else 3
+        self.ks = ((), (n, n - 1, m, m - 1), (n, n - 1, n - 2, m, m - 1, m - 2), ())
+        # Per class and draw column: the bound (0 where no half is taken),
+        # the offset of its half among the proposal's, and numpy's Lemire
+        # rejection threshold (2**32 - k) % k.  A zero bound decodes to 0
+        # and never rejects.
+        bound = np.zeros((4, 6), np.int64)
+        for c, ks in enumerate(self.ks):
+            bound[c, : len(ks)] = [k if k > 1 else 0 for k in ks]
+        drawn = bound > 0
+        self.bound = bound.astype(np.uint64)
+        self.offset = np.maximum(np.cumsum(drawn, axis=1) - 1, 0)
+        self.thr = np.where(drawn, (2**32 - bound) % np.maximum(bound, 1), 0).astype(np.uint64)
+        self.halves = drawn.sum(axis=1)
+        # A step of a class with h halves, from half-buffer flag f, uses b
+        # branch words (none when every step proposes) and (h - f + 1) // 2
+        # more, and leaves the flag (h - f) % 2.  The walk's state is
+        # 2 * word position + flag.
+        step = [
+            [(b + (h - f + 1) // 2, (h - f) % 2) if h else (b, f) for f in (0, 1)]
+            for h in self.halves.tolist()
+        ]
+        self.inc = np.array([[2 * w + g - f for f, (w, g) in enumerate(row)] for row in step])
+        possible = ([0] if lazy else []) + [1] + ([self.c6_class] if c6 else [])
+        self.most = max(step[c][f][0] for c in possible for f in (0, 1))
+        # (i, i2, j, j2) -> flat cells (i,j), (i2,j2) twice, (i,j2), (i2,j) twice
+        self.c4_cells = np.array(
+            [[m, 0, 0, m, 0, 0], [0, m, m, 0, m, m], [1, 0, 0, 0, 1, 1], [0, 1, 1, 1, 0, 0]]
+        )
+        self.fu = np.array(r._fu)
+        self.forbidden = np.zeros(n * m, bool)
+        for u, v in r.forbidden:
+            self.forbidden[u * m + v] = True
+
+    def classes(self, words):
+        """The class of the step that reads each of ``words`` as its branch word."""
+        cls = (words >= np.uint64(self.hold)).astype(np.intp)
+        if self.c4_below is not None:
+            cls[words >= np.uint64(self.c4_below)] = self.c6_class
+        return cls
+
+    def decode(self, words, has: int, half: int, steps: int):
+        """The draws of up to ``steps`` whole steps read from ``words``.
+
+        ``has`` and ``half`` are the half buffer before the first word.  The
+        steps decoded are the first ``min(steps, len(words) // most)``, which
+        fit in ``words`` whatever their classes, up to the first step whose
+        draws meet a Lemire rejection.  Returns ``(steps, used, has, half,
+        kinds, draws)``: the steps decoded, the words they used, the half
+        buffer after them, each step's class, and one row of ``below(k)``
+        values per proposal in step order, zero-padded to six.
+        """
+        todo = min(steps, len(words) // self.most)
+        cls = self.classes(words) if self.branch else np.ones(len(words), np.intp)
+        inc = self.inc.take(cls, axis=0).ravel().tolist()
+        s = has  # see __init__
+        states = np.fromiter([has] + [s := s + inc[s] for _ in range(todo)], np.intp, todo + 1)
+        first = states[:-1] >> 1  # each step's first word
+        kinds = cls[first]
+        used, end = int(states[-1]) >> 1, int(states[-1]) & 1
+        ints = words[:used]
+        if self.branch:
+            keep = np.ones(used, bool)
+            keep[first] = False
+            ints = ints[keep]
+        # Every half the integer draws take, in order, from the buffered one on
+        S = np.empty(has + 2 * len(ints), np.uint64)
+        S[:has] = half
+        S[has:] = ints.astype("<u8", copy=False).view("<u4")  # low half first
+        pk = kinds[(kinds == 1) | (kinds == 2)]
+        hk = self.halves[pk]
+        starts = np.cumsum(hk) - hk
+        p = S[starts[:, None] + self.offset.take(pk, axis=0)] * self.bound.take(pk, axis=0)
+        taken = len(S)
+        bad = (p & _LOW) < self.thr.take(pk, axis=0)
+        if bad.any():  # stop before the first step whose draws meet a rejection
+            j = int(bad.any(axis=1).argmax())
+            todo = int(np.flatnonzero((kinds == 1) | (kinds == 2))[j])
+            used, end = int(states[todo]) >> 1, int(states[todo]) & 1
+            kinds, p = kinds[:todo], p[:j]
+            taken = int(starts[j]) + end
+        # numpy keeps the last high half drawn even once it is used
+        half = int(S[taken - 1]) if taken else half
+        return todo, used, end, half, kinds, (p >> 32).astype(np.intp)
+
+    def scalar_step(self, src: _Words):
+        """One step's class and draw row from the scalar draws of ``src``."""
+        c = int(self.classes(np.array([src.word()], np.uint64))[0]) if self.branch else 1
+        row = [src.below(k) for k in self.ks[c]]
+        draws = np.zeros((1 if row else 0, 6), np.intp)
+        draws[:, : len(row)] = row
+        return np.array([c]), draws
+
+    def moves(self, pk, draws):
+        """The proposals as rows ``(x0, x1, x2, y0, y1, y2, tag)``, in step order.
+
+        ``pk`` holds the proposals' classes.  A move is legal when the flat
+        cells ``x`` agree, the cells ``y`` agree and differ from them, and no
+        cell that would become an edge is forbidden: bit 0 of ``tag`` marks
+        a forbidden cell among ``x``, bit 1 one among ``y``, and bit 2 a c6
+        move.  A c4 move repeats its second cell of each kind.  A c6
+        proposal whose row triple does not pair with its column triple
+        through forbidden cells has no row.
+        """
+        items = np.zeros((len(pk), 7), np.intp)
+        c4 = pk == 1
+        d = draws[c4, :4]
+        d[:, 1::2] += d[:, 1::2] >= d[:, ::2]  # the second of each pair skips the first
+        items[c4, :6] = d @ self.c4_cells
+        if not self.c6:
+            return items
+        x, y, z = _triples(draws[~c4, :3])
+        vs = np.column_stack(_triples(draws[~c4, 3:]))
+        px, py, pz = self.fu[x], self.fu[y], self.fu[z]
+        # Distinct rows have distinct partners, so the triples pair when every
+        # partner is a drawn column; a missing partner, -1, never is
+        partners = np.column_stack((px, py, pz))
+        paired = (partners[:, :, None] == vs[:, None, :]).any(axis=2).all(axis=1)
+        # Hexagon x, pz, y, px, z, py: it alternates when the cells
+        # (x,pz), (y,px), (z,py) agree and the other three hold the
+        # opposite value.  Reordering x, y, z at most swaps the two
+        # triples, so the drawn order serves as well as the sorted.
+        m = self.m
+        X, Y, Z = x * m, y * m, z * m
+        items[~c4, :6] = np.column_stack((X + pz, Y + px, Z + py, Y + pz, Z + px, X + py))
+        items[~c4, 6] = 4
+        keep = c4.copy()
+        keep[~c4] = paired
+        items = items[keep]
+        f = self.forbidden[items[:, :6]]
+        items[:, 6] |= f[:, :3].any(axis=1) | f[:, 3:].any(axis=1) << 1
+        return items
+
+
+_ALTERNATING = np.array([0, 0, 0, 1, 1, 1], np.uint8)
+
+
+def _play(M, flat, dec: _Decoder, kinds, draws, tally: list) -> None:
+    """Decoded steps on the state bytes ``M``, in step order; counts into ``tally``.
+
+    ``flat`` is a numpy view of the same bytes.  A proposal can move the
+    state only if it is legal on the state as the block found it, or shares
+    a cell with a proposal that can; every other one is illegal, so only
+    these run the check and update in step order.
+    """
+    items = dec.moves(kinds[(kinds == 1) | (kinds == 2)], draws)
+    cells = items[:, :6]
+    v = flat[cells]
+    live = ((v ^ v[:, :1]) == _ALTERNATING).all(axis=1) & ((items[:, 6] >> v[:, 0]) & 1 == 0)
+    if live.any():
+        near = np.zeros(len(flat), bool)
+        while True:
+            near[cells[live]] = True
+            grown = near[cells].any(axis=1)
+            if (grown == live).all():
+                break
+            live = grown
+    c4 = c6 = 0
+    for x0, x1, x2, y0, y1, y2, tag in items[live].tolist():
+        a, b = M[x0], M[y0]
+        if a == M[x1] == M[x2] != b == M[y1] == M[y2] and not (tag >> a) & 1:
+            M[x0] = M[x1] = M[x2] = b
+            M[y0] = M[y1] = M[y2] = a
+            if tag & 4:
+                c6 += 1
+            else:
+                c4 += 1
+    held = int(np.count_nonzero(kinds == 0))
+    tally[0] += held
+    tally[1] += len(kinds) - held - c4 - c6
+    tally[2] += c4
+    tally[3] += c6
 
 
 def _run(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
@@ -294,85 +504,47 @@ def _run(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) 
     It consumes exactly the documented stream of ``rng``, a
     ``numpy.random.Generator`` on ``PCG64``, so ``r``, ``stats`` and the
     generator's state end as ``steps`` calls of :func:`_step` leave them.
-    The state is the matrix's own bytes and the forbidden partners a tuple;
-    outcomes are counted in local ints, and no move object is built.
+    Each pass tops the unused raw words up to at most ``_BLOCK`` and runs
+    three stages.  A Python walk over the branch words classes every step
+    and finds where its integer draws start; one set of numpy Lemire steps
+    turns the halves of the other words into every proposal's cells; and
+    the legality check and update run on the matrix's own bytes, in step
+    order, for the proposals that can move the state (see :func:`_play`).
+    Words a pass leaves unused start the next one, so a step never spans
+    two passes.  A step whose draws meet a Lemire rejection, with odds
+    below ``k / 2**32`` per draw, takes the scalar draws of :class:`_Words`.
     """
     if not steps:
         return
     _check_kernel(r, c6)
-    n, m = r.n, r.m
-    fu = r._fu  # forbidden partner column of each row, -1 if none
-    branch = lazy or c6
-    # Words per step: the branch word, then two for a c4 proposal's four
-    # 32-bit draws or three for a c6 proposal's six.
-    word, below, close = _raw_draws(rng.bit_generator, steps * (2 + branch + c6))
-    # The branch uniform (w >> 11) * 2**-53 is below 0.5 exactly when
-    # w < 2**63, and below 0.75 exactly when w < 3 * 2**62.
-    hold = 1 << 63 if lazy else 0
-    c4_below = (3 << 62 if lazy else 1 << 63) if c6 else 1 << 64
-    no_c6 = n < 3 or m < 3
-
-    def triple(k):
-        i = below(k)
-        j = below(k - 1)
-        j += j >= i
-        lo, hi = (i, j) if i < j else (j, i)
-        x = below(k - 2)
-        x += x >= lo
-        return i, j, x + (x >= hi)
-
-    held = illegal = c4 = c6_moves = 0
+    dec = _Decoder(r, lazy, c6)
+    src = _Words(rng.bit_generator, steps * dec.most)
+    tally = [0, 0, 0, 0]  # held, illegal, applied c4, applied c6
+    left = steps
     try:
+        flat = r.matrix.reshape(-1)
         with memoryview(r.matrix).cast("B") as M:
-            for _ in range(steps):
-                w = word() if branch else 0
-                if w < hold:
-                    held += 1
-                elif w < c4_below:
-                    i = below(n)
-                    i2 = below(n - 1)
-                    i2 += i2 >= i
-                    j = below(m)
-                    j2 = below(m - 1)
-                    j2 += j2 >= j
-                    p, q = i * m, i2 * m
-                    a, b, c, d = M[p + j], M[q + j2], M[p + j2], M[q + j]
-                    if a != b or c != d or a == c:
-                        illegal += 1  # not alternating
-                    elif fu[i] == (j2 if a else j) or fu[i2] == (j if a else j2):
-                        illegal += 1  # an inserted edge would be forbidden
-                    else:
-                        M[p + j] = M[q + j2] = c
-                        M[p + j2] = M[q + j] = a
-                        c4 += 1
-                elif no_c6:
-                    illegal += 1
-                else:
-                    x, y, z = triple(n)
-                    vs = triple(m)
-                    px, py, pz = fu[x], fu[y], fu[z]
-                    if px < 0 or py < 0 or pz < 0 or {px, py, pz} != set(vs):
-                        illegal += 1
-                        continue
-                    # Hexagon x, pz, y, px, z, py: it alternates when the cells
-                    # (x,pz), (y,px), (z,py) agree and the other three hold the
-                    # opposite value.  Reordering x, y, z at most swaps the two
-                    # triples, so the drawn order serves as well as the sorted.
-                    X, Y, Z = x * m, y * m, z * m
-                    a, b = M[X + pz], M[Y + pz]
-                    if a == M[Y + px] == M[Z + py] != b == M[Z + px] == M[X + py]:
-                        M[X + pz] = M[Y + px] = M[Z + py] = b
-                        M[Y + pz] = M[Z + px] = M[X + py] = a
-                        c6_moves += 1
-                    else:
-                        illegal += 1
+            while left:
+                want = min(left * dec.most, _BLOCK)
+                if len(src.words) - src.pos < want:
+                    src.refill(want - len(src.words) + src.pos)
+                todo = min(left, (len(src.words) - src.pos) // dec.most)
+                done, used, src.has, src.half, kinds, draws = dec.decode(
+                    src.words[src.pos :], src.has, src.half, todo
+                )
+                src.pos += used
+                _play(M, flat, dec, kinds, draws, tally)
+                left -= done
+                if done < todo:  # the next step meets a Lemire rejection
+                    _play(M, flat, dec, *dec.scalar_step(src), tally)
+                    left -= 1
     finally:
-        close()
-        stats.lazy += held
-        stats.illegal += illegal
-        stats.applied_c4 += c4
-        stats.applied_c6 += c6_moves
-        stats.steps += held + illegal + c4 + c6_moves
+        src.close()
+        stats.lazy += tally[0]
+        stats.illegal += tally[1]
+        stats.applied_c4 += tally[2]
+        stats.applied_c6 += tally[3]
+        stats.steps += sum(tally)
 
 
 def _loop(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
@@ -414,8 +586,9 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
     With a ``numpy.random.Generator`` on ``PCG64`` the burn-in runs through
-    the block core :func:`_run`; thinning gaps, and every step under any
-    other generator, run the per-step loop.  Both consume the same stream.
+    the block core :func:`_run`, which decodes blocks of raw words with
+    numpy; thinning gaps, and every step under any other generator, run the
+    per-step loop.  Both consume the same stream and give the same states.
     """
     if config is None:
         raise ValueError("a ChainConfig is required")
@@ -429,10 +602,11 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
     (_run if block else _loop)(r, rng, burn, config.lazy, c6, stats)
     result.realizations.append(r.copy())
-    # A block-core call costs about three steps of set-up, so a gap of 1
-    # (the default) would be slower through it.  Longer gaps would gain, but
-    # on the benchmark's short-gap workload the faster emit rate reads as
-    # peak-RSS growth (ROADMAP item 1), so they stay here for now.
+    # Thinning gaps still run the per-step loop because of the dir-small-emit
+    # RSS defect in ROADMAP item 1: that benchmark workload keeps every
+    # emitted key until its run ends, so a faster emit rate reads as peak-RSS
+    # growth.  A block-core call also costs about 20 per-step steps of
+    # set-up, so one call per gap would slow the default gap of 1.
     for _ in range(config.samples - 1):
         _loop(r, rng, config.thinning, config.lazy, c6, stats)
         result.realizations.append(r.copy())

@@ -212,6 +212,9 @@ def cmd_diagnose(args) -> int:
     kernel = exact_transition_matrix(bip, forbidden, kind, state_budget=args.budget)
     N = kernel.size
     print(f"states: {N}")
+    if not N:
+        _err("infeasible", "sequence admits no simple realization")
+        return 1
     ok4, comp4 = _components(N, kernel.c4_pairs)
     print(f"connected-c4: {'yes' if ok4 else 'no'} components={comp4}")
     if directed:
@@ -220,7 +223,7 @@ def cmd_diagnose(args) -> int:
     P = kernel.matrix
     sym = float(np.abs(P - P.T).max())
     rows = float(np.abs(P.sum(axis=1) - 1.0).max())
-    uni = float(np.abs(np.full(N, 1.0 / N) @ P - 1.0 / N).max()) if N else 0.0
+    uni = float(np.abs(np.full(N, 1.0 / N) @ P - 1.0 / N).max())
     print(f"symmetry-residual: {_fmt(sym)}")
     print(f"row-sum-residual: {_fmt(rows)}")
     print(f"uniform-residual: {_fmt(uni)}")

@@ -438,10 +438,13 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     no N x N temporary beyond the power of ``P`` itself is built.  ``P^2``
     is a sparse product of ``P`` with itself, reduced block by block and
     kept whole only when ``horizon > 2``; P is sparse but its cube is not,
-    so every later power is a dense ``dist @ P``.
+    so every later power is a dense ``dist @ P``.  A kernel with no states
+    has no distance to uniform, and raises ``ValueError``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if not kernel.size:
+        raise ValueError("the kernel has no states")
     P = kernel.matrix
     N = kernel.size
     uniform = 1.0 / N

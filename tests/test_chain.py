@@ -416,3 +416,234 @@ def test_sample_block_core_memory_matches_per_step_loop():
     core = peak(lambda: sample(seq, (), cfg))
     loop = peak(lambda: _per_step_sample(seq, cfg, np.random.default_rng(5)))
     assert core <= loop + 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "seq, cfg, pre",
+    [
+        (  # n = m = 2: below(1) draws nothing, so each proposal flips the half buffer
+            BipartiteDegreeSequence((1, 1), (1, 1)),
+            ChainConfig(seed=4, samples=5, burn_in=3000, thinning=7),
+            1,
+        ),
+        (
+            BipartiteDegreeSequence((3, 2), (1, 1, 1, 1, 1)),
+            ChainConfig(seed=5, samples=5, burn_in=3000, thinning=7, lazy=False),
+            0,
+        ),
+        (  # c6 triples at n = m = 3 end in a below(1)
+            DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+            ChainConfig(seed=6, samples=5, burn_in=3000, thinning=7, chain_kind="directed"),
+            1,
+        ),
+        (
+            DirectedDegreeBiSequence((2, 1, 1), (1, 1, 2)),
+            ChainConfig(seed=7, samples=5, burn_in=2999, chain_kind="directed", lazy=False),
+            3,
+        ),
+    ],
+    ids=["bipartite-2x2", "bipartite-2x5", "directed-3x3", "directed-3x3-busy"],
+)
+def test_sample_block_core_matches_per_step_kernel_on_small_classes(seq, cfg, pre):
+    rng_core, rng_ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    for rng in (rng_core, rng_ref):
+        rng.integers(0, 5, size=pre)
+    res = sample(seq, (), cfg, rng=rng_core)
+    keys, stats = _per_step_sample(seq, cfg, rng_ref)
+    assert [r.key() for r in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+    assert rng_core.bit_generator.state == rng_ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The block decoder on constructed words, checked against the scalar draws
+# ---------------------------------------------------------------------------
+
+
+class _Served:
+    """A bit generator stand-in that serves given raw words, in order."""
+
+    def __init__(self, words, has=0, half=0):
+        self.words = np.asarray(words, np.uint64)
+        self._state = {"pos": 0, "has_uint32": has, "uinteger": half}
+
+    @property
+    def state(self):
+        return dict(self._state)
+
+    @state.setter
+    def state(self, value):
+        self._state = dict(value)
+
+    def random_raw(self, size):
+        pos = self._state["pos"]
+        assert pos + size <= len(self.words), "the test served too few words"
+        self._state["pos"] = pos + size
+        return self.words[pos : pos + size].copy()
+
+    def advance(self, delta):
+        self._state["pos"] += delta
+
+
+class _Generator:
+    """Just enough of ``numpy.random.Generator`` for the block core."""
+
+    def __init__(self, bg):
+        self.bit_generator = bg
+
+
+class _ScalarDraws:
+    """``random()`` and ``integers(0, k)`` through ``chain._raw_draws``."""
+
+    def __init__(self, bg, budget):
+        self.word, self.below, self.close = chain._raw_draws(bg, budget)
+
+    def random(self):
+        return (self.word() >> 11) * 2**-53
+
+    def integers(self, low, high):
+        return low + self.below(high - low)
+
+
+def _constructed_words(seed, size, zeros=0.02):
+    """Random words with some halves set to zero; a zero half is a Lemire
+    rejection for every bound that is not a power of two."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False)
+    words[rng.random(size) < zeros] &= np.uint64(0xFFFFFFFF00000000)
+    words[rng.random(size) < zeros] &= np.uint64(0x00000000FFFFFFFF)
+    return words
+
+
+# (n, m, kind): 2 and 3 per class give k = 1 draws, 6 and 7 bounds that reject
+DECODE_CASES = [
+    ((1, 1), (1, 1), "bipartite"),
+    ((3, 2), (1, 1, 1, 1, 1), "bipartite"),
+    ((2, 2, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1, 0), "bipartite"),
+    ((1, 1), (1, 1), "directed"),
+    ((1, 1, 1), (1, 1, 1), "directed"),
+    ((2, 2, 2, 1, 1, 1), (1, 2, 2, 2, 1, 1), "directed"),
+]
+
+
+def _decode_instance(rows, cols, kind):
+    if kind == "directed":
+        r = to_bipartite_representation(construct_directed(DirectedDegreeBiSequence(rows, cols)))
+    else:
+        r = construct_bipartite(BipartiteDegreeSequence(rows, cols))
+    return r, kind == "directed"
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("has", [0, 1])
+@pytest.mark.parametrize("rows, cols, kind", DECODE_CASES)
+def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has, lazy):
+    r, c6 = _decode_instance(rows, cols, kind)
+    n, m = r.n, r.m
+    dec = chain._Decoder(r, lazy, c6)
+    rejected = False
+    for seed, steps in [(0, 0), (1, 1), (2, 10_000), (3, 37)]:
+        words = _constructed_words(seed, 300, zeros=0.1)
+        half = 0xDEADBEEF
+        done, used, has_out, half_out, kinds, draws = dec.decode(words, has, half, steps)
+        planned = min(steps, len(words) // dec.most)
+        assert done <= planned and len(kinds) == done
+        rejected |= 0 < done < planned  # stopped in the middle of the block
+        bg = _Served(words, has, half)
+        word, below, close = chain._raw_draws(bg, len(words))
+        rows_seen = []
+        for t in range(done):
+            x = (word() >> 11) * 2**-53 if lazy or c6 else 1.0
+            if lazy and x < 0.5:
+                kind_t, ks = 0, ()
+            elif not c6 or x < (0.75 if lazy else 0.5):
+                kind_t, ks = 1, (n, n - 1, m, m - 1)
+            elif n < 3 or m < 3:
+                kind_t, ks = 3, ()
+            else:
+                kind_t, ks = 2, (n, n - 1, n - 2, m, m - 1, m - 2)
+            assert kinds[t] == kind_t
+            if ks:
+                rows_seen.append([below(k) for k in ks] + [0] * (6 - len(ks)))
+        assert draws.tolist() == rows_seen
+        close()
+        assert bg.state == {"pos": used, "has_uint32": has_out, "uinteger": half_out}
+    if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
+        assert rejected, "no Lemire rejection stopped a block"
+
+
+@pytest.mark.parametrize("block", [7, 64, 2048])
+@pytest.mark.parametrize("has", [0, 1])
+@pytest.mark.parametrize("rows, cols, kind", DECODE_CASES)
+def test_block_core_matches_scalar_draws_on_constructed_words(
+    rows, cols, kind, has, block, monkeypatch
+):
+    # small blocks make proposals span two blocks; zero halves make Lemire
+    # rejections in the middle of blocks
+    monkeypatch.setattr(chain, "_BLOCK", block)
+    r, c6 = _decode_instance(rows, cols, kind)
+    for lazy in (True, False):
+        for steps in (0, 1, 2, 500):
+            words = _constructed_words(steps + block, 2500, zeros=0.05)
+            core, ref = r.copy(), r.copy()
+            bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
+            stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
+            chain._run(core, _Generator(bg_core), steps, lazy, c6, stats_core)
+            draws = _ScalarDraws(bg_ref, len(words))
+            try:
+                chain._loop(ref, draws, steps, lazy, c6, stats_ref)
+            finally:
+                draws.close()
+            assert core.key() == ref.key()
+            assert stats_core.as_dict() == stats_ref.as_dict()
+            assert bg_core.state == bg_ref.state
+
+
+# ---------------------------------------------------------------------------
+# The reference kernel's one-step law against the exact kernel, every state
+# ---------------------------------------------------------------------------
+
+
+def _chi2_quantile(df, z):
+    """Wilson-Hilferty approximation of the chi-square quantile at normal score z."""
+    a = 2.0 / (9.0 * df)
+    return df * (1.0 - a + z * a**0.5) ** 3
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, kind, size",
+    [
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), "bipartite", 90),
+        (
+            BipartiteDegreeSequence((2, 1, 1, 1, 1), (1, 2, 1, 1, 1)),
+            tuple((i, i) for i in range(5)),
+            "directed",
+            48,
+        ),
+    ],
+    ids=["bipartite-4x4-2-regular", "directed-5"],
+)
+def test_one_step_law_chi_square_from_every_state(seq, forbidden, kind, size):
+    from swapmc import exact_transition_matrix
+
+    kernel = exact_transition_matrix(seq, forbidden, kind)
+    assert kernel.size == size
+    index = {s.key(): i for i, s in enumerate(kernel.states)}
+    step = step_directed if kind == "directed" else step_bipartite
+    rng = np.random.default_rng(2026)
+    trials = 2000
+    total = df_total = 0.0
+    for s0, start in enumerate(kernel.states):
+        counts = np.zeros(kernel.size)
+        for _ in range(trials):
+            counts[index[step(start, rng)[0].key()]] += 1
+        expected = trials * kernel.matrix[s0]
+        support = expected > 0
+        assert counts[~support].sum() == 0, "landed where the exact kernel cannot go"
+        assert expected[support].min() >= 5  # the chi-square approximation holds
+        stat = float((((counts - expected) ** 2)[support] / expected[support]).sum())
+        df = int(support.sum()) - 1
+        assert stat <= _chi2_quantile(df, 4.75), (s0, stat, df)  # about 1e-6 each
+        total += stat
+        df_total += df
+    assert total <= _chi2_quantile(df_total, 3.72)  # about 1e-4 pooled

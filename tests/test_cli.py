@@ -220,6 +220,15 @@ def test_diagnose_triangle(capsys, triangle_file):
     assert "0,0.5" in out and "1,0.25" in out
 
 
+def test_diagnose_infeasible_exit_code(capsys, tmp_path):
+    p = tmp_path / "bad.deg"
+    p.write_text("out: 2 2 0\nin: 0 2 2\n")
+    code, out, err = run(capsys, "diagnose", str(p))
+    assert code == 1
+    assert out == "states: 0\n"
+    assert err == "error: infeasible: sequence admits no simple realization\n"
+
+
 def test_path_triangle(capsys, tmp_path):
     a = tmp_path / "a.graph"
     b = tmp_path / "b.graph"

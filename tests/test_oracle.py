@@ -218,6 +218,17 @@ def test_tv_from_kernel_matches_tv_curve():
     assert tv_from_kernel(k, 5) == tv_curve(TRI, DIAG3, "directed", horizon=5)
 
 
+def test_tv_from_kernel_refuses_a_kernel_without_states():
+    # the bipartite form of out 2 2 0 / in 0 2 2 with the diagonal forbidden
+    seq = BipartiteDegreeSequence((2, 2, 0), (0, 2, 2))
+    k = exact_transition_matrix(seq, DIAG3, "directed")
+    assert k.size == 0
+    with pytest.raises(ValueError, match="no states"):
+        tv_from_kernel(k, 3)
+    with pytest.raises(ValueError, match="no states"):
+        tv_from_kernel(k, 0)
+
+
 def test_tv_from_kernel_matches_matrix_powers():
     k = exact_transition_matrix(
         BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), (), "bipartite"
