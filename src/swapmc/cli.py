@@ -104,10 +104,7 @@ def cmd_check(args) -> int:
         p = seq.edge_count / (seq.n * seq.m)
     if 0.0 < p < 1.0:
         er = erdos_renyi_window(
-            "directed" if directed else "bipartite",
-            seq.n,
-            p,
-            m=None if directed else seq.m,
+            "directed" if directed else "bipartite", seq.n, p, m=None if directed else seq.m
         )
         wtxt = " ".join(
             f"window{k + 1}=[{_fmt(lo)},{_fmt(hi)}]:{'inside' if ok else 'outside'}"
@@ -152,9 +149,7 @@ def cmd_sample(args) -> int:
     try:
         if args.chains < 1:
             raise ValueError("chains must be >= 1")
-        seeds = (
-            [args.seed] if args.chains == 1 else derive_chain_seeds(args.seed, args.chains)
-        )
+        seeds = [args.seed] if args.chains == 1 else derive_chain_seeds(args.seed, args.chains)
         configs = [
             ChainConfig(
                 seed=s,
@@ -323,13 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all realizations exhaustively")
     p.add_argument("seqfile")
-    p.add_argument("--budget", type=int, default=POSITION_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=POSITION_BUDGET, help="most grid positions n*m (default 36)"
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("diagnose", help="exact kernel diagnostics and TV curve")
     p.add_argument("seqfile")
     p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--budget", type=int, default=STATE_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=STATE_BUDGET, help="most realizations (default 5000)"
+    )
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("path", help="canonical path between two realizations")

@@ -61,7 +61,10 @@ def bipartite_spread_condition(b: DegreeBounds) -> ConditionReport:
     """Check ``(c2-c1-1)(d2-d1-1) <= max{c1(m-d2), d1(n-c2)}``.
 
     Applicability window: ``0 < c1 <= c2 < n`` and ``0 < d1 <= d2 < m``,
-    with [c1,c2] bounding the V-degrees and [d1,d2] the U-degrees.
+    with [c1,c2] bounding the V-degrees and [d1,d2] the U-degrees.  The
+    second branch is read as ``d1(n-c2)`` with ``n = |U|``, the U<->V mirror
+    of ``c1(m-d2)``, so swapping U and V keeps every verdict; the abstract
+    prints it as ``d1(|V|-c2)``.
     """
     c1, c2, d1, d2, n, m = b.c1, b.c2, b.d1, b.d2, b.n, b.m
     lhs_factors = (c2 - c1 - 1, d2 - d1 - 1)

@@ -1,20 +1,23 @@
 """Ground truth for small instances.
 
 Everything here is exhaustive or exact and intentionally independent of the
-sampler's proposal code: realizations are enumerated by backtracking (and
-recounted by a separate column-recursive counter), and kernel neighbours are
-found from *state codes* -- each state's matrix read as one big-endian bit
-string.  Two valid realizations are c4 neighbours exactly when their codes
-differ in the four cells of a rectangle, and c6 neighbours exactly when they
-differ in the six cells of a 3x3 block whose other three cells are
-forbidden; so flipping each such mask in every code and looking the result
-up among the sorted codes finds every neighbour without ever invoking the
-chain's move-proposal logic.
+sampler's proposal code.  A :class:`StateSpace` enumerates realizations by
+backtracking straight into sorted *state codes* -- each state's matrix read
+as one big-endian bit string -- and builds realization objects only when
+asked (a separate column-recursive counter recounts them).  Two valid
+realizations are c4 neighbours exactly when their codes differ in the four
+cells of a rectangle, and c6 neighbours exactly when they differ in the six
+cells of a 3x3 block whose other three cells are forbidden; so flipping
+each such mask in every code and looking the result up among the sorted
+codes finds every neighbour without ever invoking the chain's
+move-proposal logic.
 
-The kernel keeps those neighbour pairs as index arrays, and everything
-else is derived from them: the exact rationals (on first use), move-graph
-components (vectorised label propagation), and ``P^2`` for the TV curve
-(a sparse product; later powers are dense because ``P^3`` already is).
+The kernel, connectivity and the TV curve never build a realization: the
+kernel keeps the neighbour pairs as index arrays and derives the rest from
+them -- the exact rationals (on first use), move-graph components
+(vectorised label propagation), and ``P^2`` for the TV curve (a sparse
+product; later powers are dense because ``P^3`` already is).  Connectivity
+of the 40 320 permutation matrices of an 8x8 grid peaks at about 85 MiB.
 """
 
 from __future__ import annotations
@@ -22,22 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import numpy as np
 
 from .degrees import BipartiteDegreeSequence
 from .errors import BudgetExceededError
-from .realization import (
-    BipartiteRealization,
-    canonical_forbidden,
-    partner_arrays,
-)
+from .realization import BipartiteRealization, canonical_forbidden, partner_arrays
 
 __all__ = [
     "POSITION_BUDGET",
     "STATE_BUDGET",
+    "StateSpace",
     "enumerate_realizations",
     "count_realizations",
     "ExactKernel",
@@ -52,8 +52,122 @@ _TV_BLOCK = 1 << 20  # matrix entries per row block of the TV reduction
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# State space and enumeration
 # ---------------------------------------------------------------------------
+
+
+class StateSpace:
+    """Every realization of ``seq`` avoiding ``forbidden``, held as codes.
+
+    A state's code is its matrix read as one big-endian bit string, row 0
+    first: ``np.uint64`` up to 64 cells, exact Python ints in an object
+    array above.  The row recursion backtracks with margin pruning and
+    writes each code as ``code << m | row``; ``codes`` is sorted, which is
+    the canonical order (lexicographic on the rows read as big-endian
+    binary).  ``states`` builds the realization objects on first use only.
+    Raises ``BudgetExceededError`` if ``n*m`` exceeds ``position_budget``.
+    """
+
+    def __init__(self, seq, forbidden=(), *, position_budget: int = POSITION_BUDGET):
+        n, m = seq.n, seq.m
+        if n * m > position_budget:
+            raise BudgetExceededError(
+                f"{n}x{m} grid exceeds the enumeration budget of {position_budget} positions"
+            )
+        self.seq = seq
+        self.forbidden = canonical_forbidden(forbidden, n, m)
+        fu, _ = partner_arrays(self.forbidden, n, m)
+        caps = list(seq.v_degrees)
+        udeg = seq.u_degrees
+        bit = [1 << (m - 1 - j) for j in range(m)]
+        max_udeg_suffix = list(accumulate(reversed(udeg), max))[::-1] + [0]
+        found: list[int] = []
+
+        def recurse(i: int, code: int) -> None:
+            if i == n:
+                if not any(caps):
+                    found.append(code)
+                return
+            d = udeg[i]
+            allowed = [j for j in range(m) if caps[j] > 0 and fu[i] != j]
+            if len(allowed) < d:
+                return
+            rows_left = n - i - 1
+            for chosen in combinations(allowed, d):
+                for j in chosen:
+                    caps[j] -= 1
+                ok = max(caps) <= rows_left
+                if ok and rows_left:
+                    # caps never go negative, so the others are positive
+                    ok = m - caps.count(0) >= max_udeg_suffix[i + 1]
+                if ok:
+                    recurse(i + 1, code << m | sum(bit[j] for j in chosen))
+                for j in chosen:
+                    caps[j] += 1
+
+        if seq.fits_class_sizes:
+            recurse(0, 0)
+        del recurse  # its closure holds itself: free `found` now, not at a later gc
+        self.codes = np.array(sorted(found), dtype=np.uint64 if n * m <= 64 else object)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def states(self) -> list[BipartiteRealization]:
+        """One validated state; the others are shallow clones of it, as
+        copy() makes them, each with its own matrix."""
+        if not len(self):
+            return []
+        n, m = self.seq.n, self.seq.m
+        width = (n * m + 7) // 8
+        raw = b"".join(code.to_bytes(width, "big") for code in self.codes.tolist())
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1)
+        block = bits[:, 8 * width - n * m :].reshape(-1, n, m)
+        template = BipartiteRealization(self.seq, block[0], self.forbidden)
+        return [template] + [template._with_matrix(M.copy()) for M in block[1:]]
+
+    def pairs(self, c6: bool):
+        """Ordered neighbour pairs as index arrays ``(i4, j4), (i6, j6)``.
+
+        c4 masks are the C(n,2) C(m,2) rectangles.  c6 masks are looked for
+        only when ``c6`` is set: the forbidden set is a matching, so each
+        3-subset of it spans one 3x3 block, and the hexagon is that block's
+        other six cells.
+        """
+        n, m = self.seq.n, self.seq.m
+        rectangles = [
+            [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
+            for r1, r2 in combinations(range(n), 2)
+            for c1, c2 in combinations(range(m), 2)
+        ]
+        hexagons = []
+        if c6:
+            for trio in combinations(self.forbidden, 3):
+                block = product([u for u, _ in trio], [v for _, v in trio])
+                hexagons.append([cell for cell in block if cell not in trio])
+        codes = self.codes
+        return _flip_lookup(codes, rectangles, n, m), _flip_lookup(codes, hexagons, n, m)
+
+
+def _flip_lookup(codes: np.ndarray, masks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j) whose codes differ in exactly one mask's cells.
+
+    Each mask, a list of (row, column) cells of the n x m grid, is XORed
+    into every code and the results are looked up among the sorted codes.
+    A hit is a valid state, so no margin or forbidden-cell test is needed.
+    """
+    top = n * m - 1
+    values = [sum(1 << (top - i * m - j) for i, j in mask) for mask in masks]
+    last = len(codes) - 1
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for mask in np.array(values, dtype=codes.dtype):
+        flipped = codes ^ mask
+        j = np.minimum(np.searchsorted(codes, flipped), last)
+        hit = np.flatnonzero(codes[j] == flipped)
+        src.append(hit)
+        dst.append(j[hit])
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def enumerate_realizations(
@@ -62,70 +176,9 @@ def enumerate_realizations(
     *,
     position_budget: int = POSITION_BUDGET,
 ) -> list[BipartiteRealization]:
-    """All realizations, duplicate-free, in canonical order.
-
-    Backtracks row by row with margin pruning.  The canonical order is
-    lexicographic on the row bit patterns (rows read as big-endian binary).
-
-    Raises
-    ------
-    BudgetExceededError
-        If ``n*m`` exceeds ``position_budget``.
-    """
-    n, m = seq.n, seq.m
-    if n * m > position_budget:
-        raise BudgetExceededError(
-            f"{n}x{m} grid exceeds the enumeration budget of {position_budget} positions"
-        )
-    forb = canonical_forbidden(forbidden, n, m)
-    if not seq.fits_class_sizes:
-        return []
-    fu, _ = partner_arrays(forb, n, m)
-    caps = list(seq.v_degrees)
-    udeg = seq.u_degrees
-    bit = [1 << (m - 1 - j) for j in range(m)]
-    rows: list[int] = []  # each chosen row as its big-endian bit pattern
-    found: list[tuple[int, ...]] = []
-
-    max_udeg_suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        max_udeg_suffix[i] = max(udeg[i], max_udeg_suffix[i + 1])
-
-    def recurse(i: int) -> None:
-        if i == n:
-            if not any(caps):
-                found.append(tuple(rows))
-            return
-        d = udeg[i]
-        allowed = [j for j in range(m) if caps[j] > 0 and fu[i] != j]
-        if len(allowed) < d:
-            return
-        rows_left = n - i - 1
-        for chosen in combinations(allowed, d):
-            for j in chosen:
-                caps[j] -= 1
-            ok = max(caps) <= rows_left
-            if ok and rows_left:
-                # caps never go negative, so the others are positive
-                ok = m - caps.count(0) >= max_udeg_suffix[i + 1]
-            if ok:
-                rows.append(sum(bit[j] for j in chosen))
-                recurse(i + 1)
-                rows.pop()
-            for j in chosen:
-                caps[j] += 1
-
-    recurse(0)
-    if not found:
-        return []
-    found.sort()
-    dtype = np.uint64 if m <= 64 else object
-    patterns = np.array(found, dtype=dtype)[:, :, None]
-    block = ((patterns & np.array(bit, dtype=dtype)) != 0).astype(np.uint8)
-    # One validated state; the others are shallow clones of it, as copy()
-    # makes them, each with its own matrix.
-    template = BipartiteRealization(seq, block[0], forb)
-    return [template] + [template._with_matrix(M.copy()) for M in block[1:]]
+    """All realizations, duplicate-free, in canonical order: the states of
+    a :class:`StateSpace`, which raises if ``n*m`` exceeds ``position_budget``."""
+    return StateSpace(seq, forbidden, position_budget=position_budget).states
 
 
 def count_realizations(
@@ -145,15 +198,13 @@ def count_realizations(
         raise BudgetExceededError(
             f"{n}x{m} grid exceeds the counting budget of {position_budget} positions"
         )
+    forb = canonical_forbidden(forbidden, n, m)
     if not seq.fits_class_sizes:
         return 0
-    forb = canonical_forbidden(forbidden, n, m)
     _, fv = partner_arrays(forb, n, m)
     vdeg = seq.v_degrees
 
-    max_vdeg_suffix = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        max_vdeg_suffix[j] = max(vdeg[j], max_vdeg_suffix[j + 1])
+    max_vdeg_suffix = list(accumulate(reversed(vdeg), max))[::-1] + [0]
 
     @lru_cache(maxsize=None)
     def recurse(j: int, caps: tuple[int, ...]) -> int:
@@ -179,7 +230,7 @@ def count_realizations(
         return total
 
     result = recurse(0, tuple(seq.u_degrees))
-    recurse.cache_clear()
+    del recurse  # as in StateSpace; this frees the cache
     return result
 
 
@@ -192,9 +243,11 @@ def count_realizations(
 class ExactKernel:
     """Exact transition matrix of a kernel over the full realization set.
 
-    ``c4_pairs`` and ``c6_pairs`` are the ordered neighbour pairs ``(i, j)``
-    of each move kind as two index arrays; every pair is listed in both
-    directions and the c6 arrays are empty unless the kernel has c6 moves.
+    ``space`` is that set as codes, and ``states`` its realization objects,
+    built on first read.  ``c4_pairs`` and ``c6_pairs`` are the ordered
+    neighbour pairs ``(i, j)`` of each move kind as two index arrays; every
+    pair is listed in both directions and the c6 arrays are empty unless
+    the kernel has c6 moves.
     ``matrix`` holds the float64 probabilities: ``p_c4`` / ``p_c6`` at those
     pairs (zero when the move kind cannot fire, e.g. c6 in the bipartite
     kernel or with fewer than three vertices per class) and the exact
@@ -202,7 +255,7 @@ class ExactKernel:
     rationals, ``rational_offdiag``, are built from the pairs on first use.
     """
 
-    states: list[BipartiteRealization]
+    space: StateSpace
     matrix: np.ndarray
     chain_kind: str
     p_c4: Fraction
@@ -212,7 +265,11 @@ class ExactKernel:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.space)
+
+    @property
+    def states(self) -> list[BipartiteRealization]:
+        return self.space.states
 
     @cached_property
     def rational_offdiag(self) -> dict[tuple[int, int], Fraction]:
@@ -234,66 +291,6 @@ class ExactKernel:
         return self.rational_offdiag.get((i, j), Fraction(0))
 
 
-def _state_codes(states: list[BipartiteRealization]) -> np.ndarray:
-    """Each state's matrix as one big-endian bit string, row 0 first.
-
-    ``np.uint64`` up to 64 cells, exact Python ints in an object array
-    above.  Canonical enumeration order makes the codes strictly increasing.
-    """
-    dtype = np.uint64 if states[0].matrix.size <= 64 else object
-    flat = np.stack([r.matrix.reshape(-1) for r in states]).astype(dtype)
-    codes = np.zeros(len(states), dtype=dtype)
-    for column in flat.T:
-        codes = (codes << 1) | column
-    return codes
-
-
-def _flip_lookup(codes: np.ndarray, masks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs (i, j) whose codes differ in exactly one mask's cells.
-
-    Each mask, a list of (row, column) cells of the n x m grid, is XORed
-    into every code and the results are looked up among the sorted codes.
-    A hit is a valid state, so no margin or forbidden-cell test is needed.
-    """
-    top = n * m - 1
-    values = [sum(1 << (top - i * m - j) for i, j in mask) for mask in masks]
-    last = len(codes) - 1
-    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for mask in np.array(values, dtype=codes.dtype):
-        flipped = codes ^ mask
-        j = np.minimum(np.searchsorted(codes, flipped), last)
-        hit = np.flatnonzero(codes[j] == flipped)
-        src.append(hit)
-        dst.append(j[hit])
-    return np.concatenate(src), np.concatenate(dst)
-
-
-def _neighbor_pairs(states: list[BipartiteRealization], c6: bool):
-    """Ordered neighbour pairs as index arrays ``(i4, j4), (i6, j6)``.
-
-    c4 masks are the C(n,2) C(m,2) rectangles.  c6 masks are looked for only
-    when ``c6`` is set: the forbidden set is a matching, so each 3-subset of
-    it spans one 3x3 block, and the hexagon is that block's other six cells.
-    """
-    if not states:
-        empty = np.empty(0, dtype=np.intp)
-        return (empty, empty), (empty, empty)
-    ref = states[0]
-    n, m = ref.n, ref.m
-    rectangles = [
-        [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
-        for r1, r2 in combinations(range(n), 2)
-        for c1, c2 in combinations(range(m), 2)
-    ]
-    hexagons = []
-    if c6:
-        for trio in combinations(ref.forbidden, 3):
-            block = product([u for u, _ in trio], [v for _, v in trio])
-            hexagons.append([cell for cell in block if cell not in trio])
-    codes = _state_codes(states)
-    return _flip_lookup(codes, rectangles, n, m), _flip_lookup(codes, hexagons, n, m)
-
-
 def exact_transition_matrix(
     seq: BipartiteDegreeSequence,
     forbidden=(),
@@ -313,8 +310,8 @@ def exact_transition_matrix(
         raise ValueError("chain_kind must be 'bipartite' or 'directed'")
     if chain_kind == "bipartite" and tuple(forbidden):
         raise ValueError("the bipartite kernel has no forbidden positions")
-    states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
-    N = len(states)
+    space = StateSpace(seq, forbidden, position_budget=position_budget)
+    N = len(space)
     if N > state_budget:
         raise BudgetExceededError(f"{N} states exceed the budget of {state_budget}")
     n, m = seq.n, seq.m
@@ -326,7 +323,7 @@ def exact_transition_matrix(
     else:
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
-    (i4, j4), (i6, j6) = _neighbor_pairs(states, chain_kind == "directed")
+    (i4, j4), (i6, j6) = space.pairs(chain_kind == "directed")
     P = np.zeros((N, N), dtype=np.float64)
     P[i4, j4] = float(p4)
     P[i6, j6] = float(p6)
@@ -337,7 +334,7 @@ def exact_transition_matrix(
     holding = [float(1 - int(k4) * p4 - int(k6) * p6) for k4, k6 in distinct]
     np.fill_diagonal(P, np.array(holding, dtype=np.float64)[which.reshape(-1)])
     return ExactKernel(
-        states=states,
+        space=space,
         matrix=P,
         chain_kind=chain_kind,
         p_c4=p4,
@@ -392,8 +389,8 @@ def swap_graph_connected(
     """
     if moves not in ("c4", "c4+c6"):
         raise ValueError("moves must be 'c4' or 'c4+c6'")
-    states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
-    return _components(len(states), *_neighbor_pairs(states, moves == "c4+c6"))
+    space = StateSpace(seq, forbidden, position_budget=position_budget)
+    return _components(len(space), *space.pairs(moves == "c4+c6"))
 
 
 def _square_blocks(kernel: ExactKernel, rows: int, out: np.ndarray | None):

@@ -194,13 +194,13 @@ def test_diagnose_enumerates_once(capsys, monkeypatch, tmp_path):
     p = tmp_path / "dse.deg"
     p.write_text("out: 2 2 2 2 1 1\nin: 2 2 1 2 2 1\n")
     calls = []
-    enumerate_realizations = swapmc.oracle.enumerate_realizations
+    StateSpace = swapmc.oracle.StateSpace
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_realizations(*args, **kwargs)
+        return StateSpace(*args, **kwargs)
 
-    monkeypatch.setattr(swapmc.oracle, "enumerate_realizations", counted)
+    monkeypatch.setattr(swapmc.oracle, "StateSpace", counted)
     code, out, _ = run(capsys, "diagnose", str(p), "--horizon", "3")
     assert code == 0
     assert len(calls) == 1
@@ -218,6 +218,13 @@ def test_diagnose_triangle(capsys, triangle_file):
     assert "symmetry-residual: 0" in out
     assert "step,tv" in out
     assert "0,0.5" in out and "1,0.25" in out
+
+
+def test_diagnose_state_budget_exit(capsys, triangle_file):
+    code, out, err = run(capsys, "diagnose", triangle_file, "--budget", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: budget: 2 states exceed the budget of 1\n"
 
 
 def test_diagnose_infeasible_exit_code(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from swapmc import (
     DegreeBounds,
@@ -23,6 +25,30 @@ def test_bipartite_condition_worked_examples():
     # almost-half-regular: c2 = c1 + 1 forces lhs = 0 <= rhs
     rep = bipartite_spread_condition(DegreeBounds(c1=2, c2=3, d1=1, d2=3, n=6, m=6))
     assert rep.lhs == 0 and rep.holds
+
+
+@st.composite
+def _bipartite_bounds(draw):
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    c1, c2 = sorted(draw(st.lists(st.integers(0, n + 1), min_size=2, max_size=2)))
+    d1, d2 = sorted(draw(st.lists(st.integers(0, m + 1), min_size=2, max_size=2)))
+    return DegreeBounds(c1=c1, c2=c2, d1=d1, d2=d2, n=n, m=m)
+
+
+@given(_bipartite_bounds())
+@example(DegreeBounds(c1=1, c2=3, d1=2, d2=4, n=5, m=6))  # candidates (2, 4)
+def test_bipartite_condition_invariant_under_swapping_u_and_v(b):
+    rep = bipartite_spread_condition(b)
+    mirror = bipartite_spread_condition(
+        DegreeBounds(c1=b.d1, c2=b.d2, d1=b.c1, d2=b.c2, n=b.m, m=b.n)
+    )
+    assert mirror.applicable == rep.applicable
+    assert mirror.holds == rep.holds
+    assert mirror.lhs == rep.lhs and mirror.rhs == rep.rhs
+    if rep.applicable:
+        assert mirror.rhs_candidates == rep.rhs_candidates[::-1]
+    else:
+        assert mirror.rhs_candidates is rep.rhs_candidates is None
 
 
 def test_bipartite_condition_window():

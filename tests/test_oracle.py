@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import pathlib
@@ -22,7 +23,7 @@ from swapmc import (
     tv_curve,
     tv_from_kernel,
 )
-from swapmc.oracle import _components, _neighbor_pairs, _state_codes
+from swapmc.oracle import StateSpace, _components
 from swapmc.realization import partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
@@ -117,6 +118,15 @@ def test_enumerated_states_are_clones_of_one_template():
                 if j != i:
                     assert np.array_equal(other.matrix, before[j])
             r.matrix[:] = before[i]
+
+
+def test_out_of_grid_forbidden_raises_when_degrees_overflow():
+    seq = BipartiteDegreeSequence((3, 1), (2, 2))
+    assert not seq.fits_class_sizes
+    for oracle in (enumerate_realizations, count_realizations):
+        with pytest.raises(ValueError, match="outside"):
+            oracle(seq, [(5, 5)])
+        assert oracle(seq) in ([], 0)
 
 
 def test_enumerate_budget():
@@ -358,8 +368,8 @@ def _ref_connected(states, c6):
     return components == 1, components
 
 
-def _mask_pairs(states, c6):
-    (i4, j4), (i6, j6) = _neighbor_pairs(states, c6)
+def _mask_pairs(space, c6):
+    (i4, j4), (i6, j6) = space.pairs(c6)
     listed = [(i, j, "c4") for i, j in zip(i4.tolist(), j4.tolist())]
     listed += [(i, j, "c6") for i, j in zip(i6.tolist(), j6.tolist())]
     assert len(set(listed)) == len(listed)
@@ -370,13 +380,15 @@ def _assert_matches_reference(seq, forbidden, position_budget=36):
     kinds = ("directed",) if forbidden else ("bipartite", "directed")
     for kind in kinds:
         k = exact_transition_matrix(seq, forbidden, kind, position_budget=position_budget)
-        assert _mask_pairs(k.states, kind == "directed") == set(
+        assert _mask_pairs(k.space, kind == "directed") == set(
             _ref_classify_neighbors(k.states, kind == "directed")
         )
         P, offdiag = _ref_kernel(k.states, seq.n, seq.m, kind)
         assert k.matrix.tobytes() == P.tobytes()
         assert k.rational_offdiag == offdiag
     states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
+    # the states decoded from the codes are the valid realizations
+    assert all(r == BipartiteRealization(seq, r.matrix, forbidden) for r in states)
     for moves in ("c4", "c4+c6"):
         got = swap_graph_connected(seq, forbidden, moves, position_budget=position_budget)
         assert got == _ref_connected(states, moves == "c4+c6")
@@ -427,20 +439,71 @@ def test_mask_neighbors_match_state_difference_reference(instance):
 )
 def test_mask_neighbors_above_64_cells(seq, forbidden):
     states = _assert_matches_reference(seq, forbidden, position_budget=72)
-    assert _state_codes(states).dtype == object
-    codes = _state_codes(states).tolist()
+    space = StateSpace(seq, forbidden, position_budget=72)
+    assert space.codes.dtype == object
+    codes = space.codes.tolist()
     assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    assert codes == [int("".join(str(b) for b in r.matrix.reshape(-1)), 2) for r in states]
     if forbidden:
-        _, (i6, _) = _neighbor_pairs(states, True)
+        _, (i6, _) = space.pairs(True)
         assert len(i6) > 0
 
 
 def test_state_codes_read_rows_big_endian():
-    states = enumerate_realizations(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)))
-    codes = _state_codes(states)
+    seq = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
+    states = enumerate_realizations(seq)
+    codes = StateSpace(seq).codes
     assert codes.dtype == np.uint64
     expect = [int("".join(str(b) for b in r.matrix.reshape(-1)), 2) for r in states]
     assert codes.tolist() == expect == sorted(expect)
+
+
+def test_kernel_connectivity_and_tv_leave_states_unbuilt(monkeypatch):
+    import swapmc.oracle
+
+    spaces = []
+
+    class Recorded(StateSpace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spaces.append(self)
+
+    monkeypatch.setattr(swapmc.oracle, "StateSpace", Recorded)
+    seq = BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1))
+    forbidden = ((0, 3), (2, 1))
+    kernel = exact_transition_matrix(seq, forbidden, "directed")
+    tv_from_kernel(kernel, 3)
+    for moves in ("c4", "c4+c6"):
+        swap_graph_connected(seq, forbidden, moves)
+    assert len(spaces) == 3 and spaces[0] is kernel.space
+    assert kernel.size == len(kernel.space) > 1
+    for space in spaces:
+        assert "states" not in space.__dict__
+    assert kernel.states == enumerate_realizations(seq, forbidden)
+    assert "states" in kernel.space.__dict__
+
+
+def test_oracle_calls_leave_no_cyclic_garbage():
+    # Everything an oracle call allocates is freed by reference counting on
+    # return, so its memory use does not hinge on when the cyclic gc runs.
+    seq = BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1))
+    forbidden = ((0, 3), (2, 1))
+    calls = [
+        lambda: tv_from_kernel(exact_transition_matrix(seq, forbidden, "directed"), 3),
+        lambda: swap_graph_connected(seq, forbidden, "c4+c6"),
+        lambda: enumerate_realizations(seq, forbidden),
+        lambda: count_realizations(seq, forbidden),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rational_diagonal_is_complement_of_row():
