@@ -34,17 +34,20 @@ Any generator with ``random`` / ``integers`` works; the package uses
 streams with ``numpy.random.SeedSequence(seed).spawn``.
 
 :func:`sample` consumes this same stream.  When its generator is a
-``numpy.random.Generator`` on ``PCG64``, the burn-in runs through a block
-core that draws raw 64-bit words in blocks and decodes each block with
-numpy.  ``random()`` reads one word, and ``integers(0, k)`` is Lemire's
-bounded-integer method on a 32-bit half (Lemire, "Fast random integer
-generation in an interval", ACM TOMACS 2019), a multiply and a compare
-that run as well on a whole array of halves.  Python then walks the
-block's branch words to class each step, and checks and applies the
-proposals in step order.  Finally the core rewinds the generator past the
-words it used.  States, statistics and the generator's final state are
-bit-identical to the per-step functions, which stay as the reference.
-Other generators take the per-step path.
+``numpy.random.Generator`` on ``PCG64``, the burn-in and the thinning gaps
+run as segments of one block-core session, which draws raw 64-bit words
+in blocks and decodes each block with numpy.  ``random()`` reads one
+word, and ``integers(0, k)`` is Lemire's bounded-integer method on a
+32-bit half (Lemire, "Fast random integer generation in an interval", ACM
+TOMACS 2019), a multiply and a compare that run as well on a whole array
+of halves.  Python then walks the block's branch words to class each
+step, and checks and applies the proposals in step order.  Words a
+segment leaves unused start the next one, and closing the session rewinds
+the generator past the words it used.  Segments shorter than
+``_CROSSOVER`` steps, where a session's fixed costs outweigh the saving,
+run the per-step functions instead.  States, statistics and the
+generator's final state are bit-identical to the per-step functions,
+which stay as the reference.  Other generators take the per-step path.
 """
 
 from __future__ import annotations
@@ -227,6 +230,11 @@ def step_directed(
 
 
 _BLOCK = 2048  # most raw words the block core holds at once
+# sample() runs segments of fewer steps on the per-step loop.  A session's
+# set-up, or a pass's fixed numpy cost in an open one, matched about 16-20
+# per-step steps of the bipartite kernel and 28-32 of the restricted one
+# (200x200 10-regular and a 6-vertex digraph, 2-core x86-64).
+_CROSSOVER = 24
 _LOW = 0xFFFFFFFF
 
 
@@ -287,12 +295,6 @@ class _Words:
         state = bg.state
         state["has_uint32"], state["uinteger"] = self.has, self.half
         bg.state = state
-
-
-def _raw_draws(bg, budget: int):
-    """The scalar draws ``(word, below, close)`` of a :class:`_Words` on ``bg``."""
-    src = _Words(bg, budget)
-    return src.word, src.below, src.close
 
 
 def _triples(d):
@@ -498,57 +500,80 @@ def _play(M, flat, dec: _Decoder, kinds, draws, tally: list) -> None:
     tally[3] += c6
 
 
-def _run(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
-    """``steps`` kernel steps on ``r`` in place: the block core of :func:`sample`.
+class _Session:
+    """Kernel steps on ``r`` in place, in segments: the block core of :func:`sample`.
 
     It consumes exactly the documented stream of ``rng``, a
-    ``numpy.random.Generator`` on ``PCG64``, so ``r``, ``stats`` and the
-    generator's state end as ``steps`` calls of :func:`_step` leave them.
-    Each pass tops the unused raw words up to at most ``_BLOCK`` and runs
-    three stages.  A Python walk over the branch words classes every step
-    and finds where its integer draws start; one set of numpy Lemire steps
-    turns the halves of the other words into every proposal's cells; and
-    the legality check and update run on the matrix's own bytes, in step
-    order, for the proposals that can move the state (see :func:`_play`).
-    Words a pass leaves unused start the next one, so a step never spans
-    two passes.  A step whose draws meet a Lemire rejection, with odds
-    below ``k / 2**32`` per draw, takes the scalar draws of :class:`_Words`.
+    ``numpy.random.Generator`` on ``PCG64``, so after any segments ``r``,
+    ``stats`` and, once the session is closed, the generator's state are
+    what as many calls of :func:`_step` leave.  The session builds one
+    :class:`_Decoder`, one :class:`_Words` and one ``memoryview`` of the
+    matrix, and :meth:`run` takes each segment from the same stream, so the
+    caller may read or copy ``r`` between segments.  ``steps`` is the
+    number of steps the session expects to run in all; it sizes the raw
+    words drawn, which stay at most ``_BLOCK``.  :meth:`close` rewinds the
+    generator past the words actually used; call it once, in a ``finally``.
     """
-    if not steps:
-        return
-    _check_kernel(r, c6)
-    dec = _Decoder(r, lazy, c6)
-    src = _Words(rng.bit_generator, steps * dec.most)
-    tally = [0, 0, 0, 0]  # held, illegal, applied c4, applied c6
-    left = steps
-    try:
-        flat = r.matrix.reshape(-1)
-        with memoryview(r.matrix).cast("B") as M:
-            while left:
-                want = min(left * dec.most, _BLOCK)
+
+    def __init__(self, r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats):
+        _check_kernel(r, c6)
+        self.dec = _Decoder(r, lazy, c6)
+        self.src = _Words(rng.bit_generator, steps * self.dec.most)
+        self.left, self.stats = steps, stats
+        self.flat = r.matrix.reshape(-1)
+        self.M = memoryview(r.matrix).cast("B")
+
+    def run(self, steps: int) -> None:
+        """The next ``steps`` kernel steps.
+
+        Each pass tops the unused raw words up to at most ``_BLOCK``, enough
+        for the steps the session still expects, and runs three stages.  A
+        Python walk over the branch words classes every step and finds
+        where its integer draws start; one set of numpy Lemire steps turns
+        the halves of the other words into every proposal's cells; and the
+        legality check and update run on the matrix's own bytes, in step
+        order, for the proposals that can move the state (see :func:`_play`).
+        A pass ends at the segment's end, and the words it leaves unused
+        start the next pass, in this segment or the next, so a step never
+        spans two passes.  A step whose draws meet a Lemire rejection, with
+        odds below ``k / 2**32`` per draw, takes the scalar draws of
+        :class:`_Words`.
+        """
+        dec, src, M, flat = self.dec, self.src, self.M, self.flat
+        tally = [0, 0, 0, 0]  # held, illegal, applied c4, applied c6
+        try:
+            while steps:
+                want = min(max(self.left, steps) * dec.most, _BLOCK)
                 if len(src.words) - src.pos < want:
                     src.refill(want - len(src.words) + src.pos)
-                todo = min(left, (len(src.words) - src.pos) // dec.most)
+                todo = min(steps, (len(src.words) - src.pos) // dec.most)
                 done, used, src.has, src.half, kinds, draws = dec.decode(
                     src.words[src.pos :], src.has, src.half, todo
                 )
                 src.pos += used
                 _play(M, flat, dec, kinds, draws, tally)
-                left -= done
                 if done < todo:  # the next step meets a Lemire rejection
                     _play(M, flat, dec, *dec.scalar_step(src), tally)
-                    left -= 1
-    finally:
-        src.close()
-        stats.lazy += tally[0]
-        stats.illegal += tally[1]
-        stats.applied_c4 += tally[2]
-        stats.applied_c6 += tally[3]
-        stats.steps += sum(tally)
+                    done += 1
+                steps -= done
+                self.left -= done
+        finally:
+            stats = self.stats
+            stats.lazy += tally[0]
+            stats.illegal += tally[1]
+            stats.applied_c4 += tally[2]
+            stats.applied_c6 += tally[3]
+            stats.steps += sum(tally)
+
+    def close(self) -> None:
+        try:
+            self.src.close()
+        finally:
+            self.M.release()
 
 
 def _loop(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
-    """The per-step reference for :func:`_run`, for any generator."""
+    """The per-step reference for :class:`_Session`, for any generator."""
     for _ in range(steps):
         _, out = _step(r, rng, lazy, True, c6)
         stats.record(out)
@@ -585,10 +610,13 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     ``burn_in=0`` emits the deterministic initial realization first.
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
-    With a ``numpy.random.Generator`` on ``PCG64`` the burn-in runs through
-    the block core :func:`_run`, which decodes blocks of raw words with
-    numpy; thinning gaps, and every step under any other generator, run the
-    per-step loop.  Both consume the same stream and give the same states.
+    With a ``numpy.random.Generator`` on ``PCG64``, the burn-in and the
+    thinning gaps of at least ``_CROSSOVER`` steps run through the block
+    core, one :class:`_Session` for each run of such segments, so a call
+    whose burn-in and gaps are all long opens one session and copies the
+    state at each gap's end.  Shorter segments, and every step under any
+    other generator, run the per-step loop.  Both consume the same stream
+    and give the same states.
     """
     if config is None:
         raise ValueError("a ChainConfig is required")
@@ -600,16 +628,31 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     stats = ChainStats()
     result = SampleResult(stats=stats)
     burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
-    (_run if block else _loop)(r, rng, burn, config.lazy, c6, stats)
-    result.realizations.append(r.copy())
-    # Thinning gaps still run the per-step loop because of the dir-small-emit
-    # RSS defect in ROADMAP item 1: that benchmark workload keeps every
-    # emitted key until its run ends, so a faster emit rate reads as peak-RSS
-    # growth.  A block-core call also costs about 20 per-step steps of
-    # set-up, so one call per gap would slow the default gap of 1.
-    for _ in range(config.samples - 1):
-        _loop(r, rng, config.thinning, config.lazy, c6, stats)
-        result.realizations.append(r.copy())
+    segments = [burn] + [config.thinning] * (config.samples - 1)
+    # Several short gaps could share one decoded block as well, which would
+    # speed up the benchmark's dir-small-emit (gaps of 10 steps).  That waits
+    # for the fix of ROADMAP item 1: the workload keeps every emitted key
+    # until its run ends (perfbench/workloads.py, DirSmallEmit.check), about
+    # 0.034 MiB per op, so a faster op reads as peak_rss_mb growth against
+    # its 5 % bound.
+    core = None
+    try:
+        for i, steps in enumerate(segments):
+            if block and steps >= _CROSSOVER:
+                if core is None:
+                    # the long segments from here on follow each other
+                    left = sum(s for s in segments[i:] if s >= _CROSSOVER)
+                    core = _Session(r, rng, left, config.lazy, c6, stats)
+                core.run(steps)
+            else:
+                if core is not None:
+                    core.close()
+                    core = None
+                _loop(r, rng, steps, config.lazy, c6, stats)
+            result.realizations.append(r.copy())
+    finally:
+        if core is not None:
+            core.close()
     return result
 
 

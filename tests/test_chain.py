@@ -317,11 +317,12 @@ def chain_runs(draw):
         seq = DirectedDegreeBiSequence(tuple(M.sum(axis=1)), tuple(M.sum(axis=0)))
     else:
         seq = BipartiteDegreeSequence(tuple(M.sum(axis=1)), tuple(M.sum(axis=0)))
+    x = chain._CROSSOVER  # burn-ins and gaps on both sides of it
     cfg = ChainConfig(
         seed=draw(st.integers(0, 2**32)),
         samples=draw(st.integers(1, 8)),
-        burn_in=draw(st.integers(0, 300)),
-        thinning=draw(st.integers(1, 20)),
+        burn_in=draw(st.one_of(st.integers(0, 2 * x), st.integers(0, 600))),
+        thinning=draw(st.integers(1, 4 * x)),
         chain_kind=kind,
         lazy=draw(st.booleans()),
     )
@@ -343,6 +344,26 @@ def chain_runs(draw):
         DirectedDegreeBiSequence((2, 2, 2, 2, 1, 1), (2, 2, 1, 2, 2, 1)),
         ChainConfig(seed=2, samples=6, thinning=10, chain_kind="directed", lazy=False),
         0,
+    )
+)
+@example(  # a per-step burn-in, then gaps in the block core
+    (
+        BipartiteDegreeSequence((3, 2, 2, 1, 1), (2, 2, 2, 2, 1)),
+        ChainConfig(seed=3, samples=5, burn_in=chain._CROSSOVER - 1, thinning=chain._CROSSOVER),
+        1,
+    )
+)
+@example(  # a burn-in in the block core, then per-step gaps
+    (
+        DirectedDegreeBiSequence((2, 2, 1, 1), (1, 1, 2, 2)),
+        ChainConfig(
+            seed=4,
+            samples=5,
+            burn_in=chain._CROSSOVER,
+            thinning=chain._CROSSOVER - 1,
+            chain_kind="directed",
+        ),
+        1,
     )
 )
 def test_sample_block_core_matches_per_step_kernel(case):
@@ -367,16 +388,16 @@ def test_raw_draws_match_numpy_call_for_call(budget, pre):
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     rng.integers(0, 9, size=pre)
     ref.integers(0, 9, size=pre)
-    word, below, close = chain._raw_draws(rng.bit_generator, budget)
+    src = chain._Words(rng.bit_generator, budget)
     try:
         for c in schedule:
             k = ks[c]
             if k is None:
-                assert (word() >> 11) * 2**-53 == ref.random()
+                assert (src.word() >> 11) * 2**-53 == ref.random()
             else:
-                assert below(k) == ref.integers(0, k)
+                assert src.below(k) == ref.integers(0, k)
     finally:
-        close()
+        src.close()
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random() and rng.integers(0, 7) == ref.integers(0, 7)
 
@@ -385,7 +406,7 @@ def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
     def no_block_core(*args):
         raise AssertionError("the block core needs PCG64")
 
-    monkeypatch.setattr(chain, "_run", no_block_core)
+    monkeypatch.setattr(chain, "_Session", no_block_core)
     d = DirectedDegreeBiSequence((2, 1, 1, 1), (1, 2, 1, 1))
     cfg = ChainConfig(seed=3, samples=5, burn_in=200, thinning=13, chain_kind="directed")
     res = sample(d, (), cfg, rng=np.random.Generator(np.random.MT19937(3)))
@@ -395,12 +416,55 @@ def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
     assert res.stats.as_dict() == stats
 
 
-def test_sample_block_core_memory_matches_per_step_loop():
-    # drawing the whole run's random words at once would show here
+@pytest.mark.parametrize(
+    "burn_in, thinning, opened",
+    [
+        (1, 1, 0),  # no session's set-up for a one-step burn-in
+        (chain._CROSSOVER - 1, chain._CROSSOVER - 1, 0),
+        (chain._CROSSOVER, chain._CROSSOVER - 1, 1),  # the burn-in only
+        (chain._CROSSOVER - 1, chain._CROSSOVER, 1),  # the gaps only
+        (chain._CROSSOVER, chain._CROSSOVER, 1),
+        (1000, 500, 1),
+    ],
+)
+def test_sample_opens_one_session_per_run_of_long_segments(
+    burn_in, thinning, opened, monkeypatch
+):
+    sessions = []
+
+    class Counted(chain._Session):
+        def __init__(self, *args):
+            sessions.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(chain, "_Session", Counted)
+    seq = BipartiteDegreeSequence((3, 2, 2, 1, 1), (2, 2, 2, 2, 1))
+    cfg = ChainConfig(seed=6, samples=4, burn_in=burn_in, thinning=thinning)
+    for calls in (1, 2):
+        res = sample(seq, (), cfg)
+        assert len(sessions) == calls * opened
+    keys, stats = _per_step_sample(seq, cfg, np.random.default_rng(6))
+    assert [r.key() for r in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+    # a session's word budget is the steps of its own segments
+    long = [s for s in [burn_in] + [thinning] * 3 if s >= chain._CROSSOVER]
+    assert sessions[-1:] == ([sum(long)] if opened else [])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ChainConfig(seed=5, samples=1, burn_in=20_000),
+        ChainConfig(seed=5, samples=5, burn_in=2000, thinning=3000),
+    ],
+    ids=["burn-in", "gaps"],
+)
+def test_sample_block_core_memory_matches_per_step_loop(cfg):
+    # drawing the whole run's random words at once, or keeping each gap's
+    # words, would show here
     import tracemalloc
 
     seq = BipartiteDegreeSequence((10,) * 200, (10,) * 200)
-    cfg = ChainConfig(seed=5, samples=1, burn_in=20_000)
 
     def peak(run):
         tracemalloc.start()
@@ -441,8 +505,25 @@ def test_sample_block_core_memory_matches_per_step_loop():
             ChainConfig(seed=7, samples=5, burn_in=2999, chain_kind="directed", lazy=False),
             3,
         ),
+        (  # long gaps: one session from the burn-in to the last sample
+            DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+            ChainConfig(seed=8, samples=6, burn_in=3000, thinning=701, chain_kind="directed"),
+            1,
+        ),
+        (
+            BipartiteDegreeSequence((1, 1), (1, 1)),
+            ChainConfig(seed=9, samples=6, burn_in=3000, thinning=700, lazy=False),
+            0,
+        ),
     ],
-    ids=["bipartite-2x2", "bipartite-2x5", "directed-3x3", "directed-3x3-busy"],
+    ids=[
+        "bipartite-2x2",
+        "bipartite-2x5",
+        "directed-3x3",
+        "directed-3x3-busy",
+        "directed-3x3-gaps",
+        "bipartite-2x2-gaps",
+    ],
 )
 def test_sample_block_core_matches_per_step_kernel_on_small_classes(seq, cfg, pre):
     rng_core, rng_ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
@@ -492,11 +573,8 @@ class _Generator:
         self.bit_generator = bg
 
 
-class _ScalarDraws:
-    """``random()`` and ``integers(0, k)`` through ``chain._raw_draws``."""
-
-    def __init__(self, bg, budget):
-        self.word, self.below, self.close = chain._raw_draws(bg, budget)
+class _ScalarDraws(chain._Words):
+    """``random()`` and ``integers(0, k)`` through the scalar draws of ``chain._Words``."""
 
     def random(self):
         return (self.word() >> 11) * 2**-53
@@ -550,7 +628,8 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
         assert done <= planned and len(kinds) == done
         rejected |= 0 < done < planned  # stopped in the middle of the block
         bg = _Served(words, has, half)
-        word, below, close = chain._raw_draws(bg, len(words))
+        src = chain._Words(bg, len(words))
+        word, below = src.word, src.below
         rows_seen = []
         for t in range(done):
             x = (word() >> 11) * 2**-53 if lazy or c6 else 1.0
@@ -566,10 +645,49 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
             if ks:
                 rows_seen.append([below(k) for k in ks] + [0] * (6 - len(ks)))
         assert draws.tolist() == rows_seen
-        close()
+        src.close()
         assert bg.state == {"pos": used, "has_uint32": has_out, "uinteger": half_out}
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
         assert rejected, "no Lemire rejection stopped a block"
+
+
+def _session_against_loop(r, c6, lazy, segments, words, has):
+    """Runs ``segments`` in one session on ``words`` and through ``_loop`` over
+    their scalar draws, comparing the states and statistics at every
+    segment's end and the bit generators after closing.  Returns whether a
+    segment left words for the next one, and the steps whose draws met a
+    Lemire rejection."""
+    core, ref = r.copy(), r.copy()
+    bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
+    stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
+    rejected = set()
+
+    class Counting(_ScalarDraws):
+        def halves(self):
+            return 2 * (self.drawn - len(self.words) + self.pos) - self.has
+
+        def below(self, k):
+            before = self.halves()
+            value = super().below(k)
+            if self.halves() - before > 1:
+                rejected.add(stats_ref.steps)
+            return value
+
+    draws = Counting(bg_ref, len(words))
+    session = chain._Session(core, _Generator(bg_core), sum(segments), lazy, c6, stats_core)
+    carried = False
+    try:
+        for i, steps in enumerate(segments):
+            session.run(steps)
+            chain._loop(ref, draws, steps, lazy, c6, stats_ref)
+            assert core.key() == ref.key()
+            assert stats_core.as_dict() == stats_ref.as_dict()
+            carried |= i + 1 < len(segments) and session.src.pos < len(session.src.words)
+    finally:
+        session.close()
+        draws.close()
+    assert bg_core.state == bg_ref.state
+    return carried, rejected
 
 
 @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -585,18 +703,31 @@ def test_block_core_matches_scalar_draws_on_constructed_words(
     for lazy in (True, False):
         for steps in (0, 1, 2, 500):
             words = _constructed_words(steps + block, 2500, zeros=0.05)
-            core, ref = r.copy(), r.copy()
-            bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
-            stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
-            chain._run(core, _Generator(bg_core), steps, lazy, c6, stats_core)
-            draws = _ScalarDraws(bg_ref, len(words))
-            try:
-                chain._loop(ref, draws, steps, lazy, c6, stats_ref)
-            finally:
-                draws.close()
-            assert core.key() == ref.key()
-            assert stats_core.as_dict() == stats_ref.as_dict()
-            assert bg_core.state == bg_ref.state
+            _session_against_loop(r, c6, lazy, [steps], words, has)
+
+
+@pytest.mark.parametrize("block", [7, 64, 2048])
+@pytest.mark.parametrize("has", [0, 1])
+@pytest.mark.parametrize("rows, cols, kind", DECODE_CASES)
+def test_block_core_segments_match_scalar_draws_on_constructed_words(
+    rows, cols, kind, has, block, monkeypatch
+):
+    # one session runs a burn-in and four gaps, as sample() does
+    monkeypatch.setattr(chain, "_BLOCK", block)
+    r, c6 = _decode_instance(rows, cols, kind)
+    n, m = r.n, r.m
+    carried = rejected_at_boundary = False
+    for lazy in (True, False):
+        for gap in (1, 2, 150):
+            segments = [500] + [gap] * 4
+            words = _constructed_words(gap + block + has, 6000, zeros=0.1)
+            left, rejected = _session_against_loop(r, c6, lazy, segments, words, has)
+            carried |= left
+            # a segment's first step, which may start on carried words
+            rejected_at_boundary |= bool(rejected & set(np.cumsum(segments[:-1]).tolist()))
+    assert carried, "no segment left words for the next one"
+    if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
+        assert rejected_at_boundary, "no Lemire rejection at a segment's first step"
 
 
 # ---------------------------------------------------------------------------
