@@ -116,9 +116,15 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
     xonly = (x.matrix == 1) & (y.matrix == 0)
     yonly = (y.matrix == 1) & (x.matrix == 0)
     # Sorted adjacency with consumption pointers; X-chords leave rows,
-    # Y-chords leave columns.
-    x_adj = [list(np.nonzero(xonly[i])[0]) for i in range(x.n)]
-    y_adj = [list(np.nonzero(yonly[:, j])[0]) for j in range(x.m)]
+    # Y-chords leave columns.  One row-major scan of the X-only chords and
+    # one column-major scan of the Y-only chords list each vertex's chords
+    # in ascending order.
+    x_adj: list[list[int]] = [[] for _ in range(x.n)]
+    for u, v in zip(*(a.tolist() for a in np.nonzero(xonly))):
+        x_adj[u].append(v)
+    y_adj: list[list[int]] = [[] for _ in range(x.m)]
+    for v, u in zip(*(a.tolist() for a in np.nonzero(yonly.T))):
+        y_adj[v].append(u)
     x_ptr = [0] * x.n
     y_ptr = [0] * x.m
 
@@ -130,11 +136,11 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
             labels: list[str] = []
             u = start
             while True:
-                v = int(x_adj[u][x_ptr[u]])
+                v = x_adj[u][x_ptr[u]]
                 x_ptr[u] += 1
                 verts.append(("v", v))
                 labels.append("X")
-                u2 = int(y_adj[v][y_ptr[v]])
+                u2 = y_adj[v][y_ptr[v]]
                 y_ptr[v] += 1
                 labels.append("Y")
                 if u2 == start and x_ptr[start] == len(x_adj[start]):
@@ -275,12 +281,10 @@ def auxiliary_matrix(
     """``M_X + M_Y - M_Z`` over common degrees and forbidden matching."""
     _check_compatible(x, y)
     _check_compatible(x, z)
-    M = (
-        x.matrix.astype(np.int16)
-        + y.matrix.astype(np.int16)
-        - z.matrix.astype(np.int16)
-    )
-    return AuxiliaryMatrix(x.seq, M, x.forbidden, validate=False)
+    aux = AuxiliaryMatrix.__new__(AuxiliaryMatrix)
+    aux.seq, aux.forbidden, aux._fu = x.seq, x.forbidden, x._fu
+    aux.matrix = x.matrix.astype(np.int16) + y.matrix - z.matrix
+    return aux
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +529,37 @@ def build_canonical_path(
 
 
 # ---------------------------------------------------------------------------
+# Stacked auxiliary matrices
+# ---------------------------------------------------------------------------
+
+# States per audit block.  Each block also carries the next block's first
+# state, so a double-step intermediate and its completion state always share
+# a block, and an audit holds one block whatever the path's length.
+_BLOCK = 16
+
+
+def _aux_blocks(
+    path: CanonicalPath, x: BipartiteRealization, y: BipartiteRealization
+):
+    """Yield ``(start, A)`` with ``A[k] = M_X + M_Y - M_Z`` (int16) for the
+    path states ``Z = G_{start+k}``, ``k`` up to ``_BLOCK`` inclusive.
+
+    Every block is written into the same buffer, so ``A`` is valid only
+    until the next block is drawn."""
+    _check_compatible(x, y)
+    base = x.matrix.astype(np.int16) + y.matrix
+    buf = np.empty((_BLOCK + 1, *base.shape), dtype=np.int16)
+    states = path.states
+    for start in range(0, len(states), _BLOCK):
+        chunk = states[start : start + _BLOCK + 1]
+        for k, z in enumerate(chunk):
+            if k < _BLOCK:
+                _check_compatible(x, z)
+            np.subtract(base, z.matrix, out=buf[k])
+        yield start, buf[: len(chunk)]
+
+
+# ---------------------------------------------------------------------------
 # Bad-entry auditing
 # ---------------------------------------------------------------------------
 
@@ -553,26 +588,23 @@ def verify_bad_positions(
     path: CanonicalPath, x: BipartiteRealization, y: BipartiteRealization
 ) -> BadPositionReport:
     """Audit every path state's auxiliary matrix against the bad-entry bound."""
-    report = BadPositionReport()
-    counts = []
-    for z in path.states:
-        twos, ones = auxiliary_matrix(x, y, z).bad_positions()
-        counts.append((len(twos), len(ones)))
-    for idx, (n2, n1) in enumerate(counts):
-        if path.intermediate[idx]:
-            report.max_twos_intermediate = max(report.max_twos_intermediate, n2)
-            report.max_minus_ones_intermediate = max(
-                report.max_minus_ones_intermediate, n1
-            )
-            nxt2, nxt1 = counts[idx + 1]
-            if not (n2 <= 2 and n1 <= 1) and not (nxt2 <= 2 and nxt1 <= 1):
-                report.violations.append(idx)
-        else:
-            report.max_twos_direct = max(report.max_twos_direct, n2)
-            report.max_minus_ones_direct = max(report.max_minus_ones_direct, n1)
-            if not (n2 <= 2 and n1 <= 1):
-                report.violations.append(idx)
-    return report
+    twos, minus = [], []
+    for _, A in _aux_blocks(path, x, y):
+        A = A[:_BLOCK]
+        twos.append((A == 2).sum(axis=(1, 2)))
+        minus.append((A == -1).sum(axis=(1, 2)))
+    n2, n1 = np.concatenate(twos), np.concatenate(minus)
+    inter = np.array(path.intermediate, dtype=bool)
+    within = (n2 <= 2) & (n1 <= 1)
+    # An intermediate is excused when its completion state is within budget.
+    completed = inter & np.append(within[1:], False)
+    return BadPositionReport(
+        max_twos_direct=int(n2[~inter].max(initial=0)),
+        max_minus_ones_direct=int(n1[~inter].max(initial=0)),
+        max_twos_intermediate=int(n2[inter].max(initial=0)),
+        max_minus_ones_intermediate=int(n1[inter].max(initial=0)),
+        violations=np.flatnonzero(~within & ~completed).tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,62 +644,86 @@ def repair_to_realization(
         echoed in the message).
     """
     M = aux.matrix.astype(np.int16)
-    star = np.zeros(M.shape, dtype=bool)
-    for u, v in aux.forbidden:
+    template = BipartiteRealization(
+        aux.seq, np.zeros(M.shape, dtype=np.uint8), aux.forbidden, validate=False
+    )
+    realization, switches = _repair(
+        M,
+        _star_mask(aux.forbidden, M.shape),
+        template,
+        cycle_rows,
+        cycle_cols,
+        corner,
+        bounds,
+    )
+    return RepairResult(realization, switches, hamming_distance(aux, realization))
+
+
+def _star_mask(forbidden, shape) -> np.ndarray:
+    star = np.zeros(shape, dtype=bool)
+    for u, v in forbidden:
         star[u, v] = True
+    return star
+
+
+def _first_hit(hit: np.ndarray) -> tuple[int, int] | None:
+    """Row-major index pair of the first True of a 2-D mask, or None."""
+    flat = np.flatnonzero(hit)
+    return divmod(int(flat[0]), hit.shape[1]) if flat.size else None
+
+
+def _repair(M, star, template, rows, cols, corner, bounds):
+    """The switch repair of ``repair_to_realization`` on the int16 matrix
+    ``M``, in place; ``star`` masks the forbidden cells.  Returns the
+    validated realization ``template._with_matrix(...)`` and the switches."""
+    m = M.shape[1]
     switches: list[SwapMove] = []
 
-    twos = [(int(u), int(v)) for u, v in zip(*np.nonzero(M == 2))]
-    if twos and corner is None:
-        raise ValueError("2-entries present: cycle context and cornerstone required")
-    for u1, vj in sorted(twos, key=lambda p: (p[1], p[0])):
+    twos = sorted(
+        (divmod(c, m) for c in np.flatnonzero(M == 2).tolist()),
+        key=lambda p: (p[1], p[0]),
+    )
+    if twos:
+        if corner is None:
+            raise ValueError("2-entries present: cycle context and cornerstone required")
+        R = np.array(sorted(set(rows)), dtype=np.intp)
+        C = np.array(sorted(set(cols)), dtype=np.intp)
+    for u1, vj in twos:
         if u1 != corner:
             raise RepairError(
                 f"2-entry at ({u1},{vj}) outside the cornerstone row {corner}"
             )
-        found = None
-        for uk in sorted(set(cycle_rows)):
-            if uk == u1 or star[uk, vj] or M[uk, vj] != 0:
-                continue
-            for vl in sorted(set(cycle_cols)):
-                if star[uk, vl] or star[u1, vl]:
-                    continue
-                if M[uk, vl] > M[u1, vl]:
-                    found = (uk, vl)
-                    break
-            if found:
-                break
+        # Donor rows u_k hold an unstarred 0 under the 2; in a donor row the
+        # first unstarred column v_l where u_k exceeds u1 completes the switch.
+        donor = (R != u1) & ~star[R, vj] & (M[R, vj] == 0)
+        found = _first_hit(
+            donor[:, None]
+            & ~star[R[:, None], C]
+            & ~star[u1, C]
+            & (M[R[:, None], C] > M[u1, C])
+        )
         if found is None:
             raise RepairError(_repair_message("2-entry", (u1, vj), bounds))
-        uk, vl = found
-        mv = SwapMove.switch((u1, uk), (vj, vl), sign=-1)
+        mv = SwapMove.switch((u1, R[found[0]]), (vj, C[found[1]]), sign=-1)
         apply_switch(M, mv)
         switches.append(mv)
 
-    minus = [(int(u), int(v)) for u, v in zip(*np.nonzero(M == -1))]
+    minus = np.flatnonzero(M == -1).tolist()
     if len(minus) > 1:
         raise RepairError("more than one -1-entry: input exceeds the bad-entry budget")
     if minus:
-        u0, v0 = minus[0]
-        n, m = M.shape
-        u_prime = [u for u in range(n) if not star[u, v0] and M[u, v0] == 1]
-        v_prime = [v for v in range(m) if not star[u0, v] and M[u0, v] == 1]
-        direct = next(
-            (
-                (u, v)
-                for u in u_prime
-                for v in v_prime
-                if not star[u, v] and M[u, v] == 0
-            ),
-            None,
-        )
+        u0, v0 = divmod(minus[0], m)
+        u_prime = np.flatnonzero(~star[:, v0] & (M[:, v0] == 1))
+        v_prime = np.flatnonzero(~star[u0] & (M[u0] == 1))
+        sub = (u_prime[:, None], v_prime)
+        direct = _first_hit(~star[sub] & (M[sub] == 0))
         if direct is not None:
-            u, v = direct
+            u, v = u_prime[direct[0]], v_prime[direct[1]]
             mv = SwapMove.switch((u0, u), (v0, v), sign=1)
             apply_switch(M, mv)
             switches.append(mv)
         else:
-            quad = _find_detour(M, star, u0, v0, u_prime, v_prime)
+            quad = _find_detour(M, star, u0, v0, u_prime.tolist(), v_prime.tolist())
             if quad is None:
                 raise RepairError(_repair_message("-1-entry", (u0, v0), bounds))
             u1_, v1_, u2, v2 = quad
@@ -678,12 +734,9 @@ def repair_to_realization(
             apply_switch(M, mv2)
             switches.append(mv2)
 
-    realization = BipartiteRealization(aux.seq, M.astype(np.uint8), aux.forbidden)
-    return RepairResult(
-        realization=realization,
-        switches=switches,
-        distance=hamming_distance(aux, realization),
-    )
+    realization = template._with_matrix(M.astype(np.uint8))
+    realization.validate()
+    return realization, switches
 
 
 def _find_detour(M, star, u0, v0, u_prime, v_prime):
@@ -755,27 +808,50 @@ def verify_repairs(
     Double-step intermediates are repaired through their completion state
     (distance measured from the intermediate's own auxiliary matrix, so the
     20-bound applies); all other states must repair within distance 16.
+    The states are read block by block, and only a target holding a bad
+    entry runs the switch repair: a clean one is a realization already,
+    reached with no switch.
     """
     report = RepairReport()
-    for idx, z in enumerate(path.states):
-        seg = path.segment_of(idx)
-        rows = seg.norm_us if seg else ()
-        cols = seg.norm_vs if seg else ()
-        corner = seg.corner if seg else None
-        aux = auxiliary_matrix(x, y, z)
-        mid = path.intermediate[idx]
-        target = auxiliary_matrix(x, y, path.states[idx + 1]) if mid else aux
-        try:
-            res = repair_to_realization(target, rows, cols, corner, bounds)
-        except RepairError:
-            report.failures.append(idx)
-            continue
-        report.max_switches = max(report.max_switches, len(res.switches))
-        if mid:
-            dist = hamming_distance(aux, res.realization)
-            report.max_distance_intermediate = max(
-                report.max_distance_intermediate, dist
-            )
-        else:
-            report.max_distance_direct = max(report.max_distance_direct, res.distance)
+    star = _star_mask(x.forbidden, x.matrix.shape)
+    u_deg, v_deg = np.array(x.seq.u_degrees), np.array(x.seq.v_degrees)
+    inter = path.intermediate
+    for start, A in _aux_blocks(path, x, y):
+        # The realization check of every clean target, once per block.
+        if (
+            (A.sum(axis=2) != u_deg).any()
+            or (A.sum(axis=1) != v_deg).any()
+            or A[:, star].any()
+        ):
+            raise ValueError("auxiliary margins or starred cells differ from X's")
+        # Entries lie in {-1, 0, 1, 2}; read as uint16, -1 and 2 exceed 1.
+        bad = (A.view(np.uint16) > 1).any(axis=(1, 2)).tolist()
+        for k in range(min(_BLOCK, len(A))):
+            idx = start + k
+            mid = inter[idx]
+            t = k + 1 if mid else k
+            if bad[t]:
+                seg = path.segment_of(idx)
+                rows = seg.norm_us if seg else ()
+                cols = seg.norm_vs if seg else ()
+                corner = seg.corner if seg else None
+                try:
+                    realization, switches = _repair(
+                        A[t].copy(), star, x, rows, cols, corner, bounds
+                    )
+                except RepairError:
+                    report.failures.append(idx)
+                    continue
+                report.max_switches = max(report.max_switches, len(switches))
+                dist = int(np.count_nonzero(A[k] != realization.matrix))
+            elif mid:
+                dist = int(np.count_nonzero(A[k] != A[t]))
+            else:
+                continue  # a clean direct state is its own repair
+            if mid:
+                report.max_distance_intermediate = max(
+                    report.max_distance_intermediate, dist
+                )
+            else:
+                report.max_distance_direct = max(report.max_distance_direct, dist)
     return report

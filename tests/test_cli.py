@@ -273,6 +273,61 @@ def test_path_reproducible(capsys, tmp_path):
     assert "move 1: C4" in out1
 
 
+SIX = "out: 2 3 2 3 2 2\nin: 2 3 2 3 2 2\n"
+
+
+def _arcs(text):
+    return "".join(arc.replace("->", " -> ") + "\n" for arc in text.split())
+
+
+def test_path_report_bytes_multi_cycle_directed(capsys, tmp_path):
+    from swapmc import build_canonical_path, load_realization, to_bipartite_representation
+
+    a = tmp_path / "a.graph"
+    b = tmp_path / "b.graph"
+    a.write_text(SIX + _arcs("1->4 1->6 2->4 2->5 2->6 3->1 3->2 4->2 4->3 4->5 5->1 5->3 6->2 6->4"))
+    b.write_text(SIX + _arcs("1->3 1->5 2->1 2->3 2->4 3->4 3->6 4->1 4->2 4->5 5->2 5->6 6->2 6->4"))
+    x, y = (to_bipartite_representation(load_realization(str(p))) for p in (a, b))
+    path = build_canonical_path(x, y)
+    assert len(path.segments) == 3 and sum(path.intermediate) == 2  # double-steps
+    code, out, err = run(capsys, "path", str(a), str(b))
+    assert code == 0 and err == ""
+    assert out == (
+        "move 1: C4 2 3 5 1\n"
+        "move 2: C4 1 3 4 5\n"
+        "move 3: C4 1 3 6 2\n"
+        "move 4: C4 1 5 2 3\n"
+        "move 5: C4 4 5 3 1\n"
+        "move 6: C4 2 5 6 3\n"
+        "milestones: 0 2 5 6\n"
+        "cycle 1: ell=3 moves=2\n"
+        "cycle 2: ell=4 moves=3\n"
+        "cycle 3: ell=2 moves=1\n"
+        "max-two-count: 0\n"
+        "max-minus-one-count: 1\n"
+        "max-repair-switches: 1\n"
+        "max-repair-distance: 4\n"
+        "verdict: ok\n"
+    )
+
+
+def test_path_failed_repair_exit_code(capsys, tmp_path):
+    # the sequence fails the directed spread condition, and the -1 of the
+    # path's state 2 admits neither the direct exchange nor the detour
+    header = "out: 3 3 2 2 1\nin: 3 3 2 1 2\n"
+    a = tmp_path / "a.graph"
+    b = tmp_path / "b.graph"
+    a.write_text(header + _arcs("1->2 1->4 1->5 2->1 2->3 2->5 3->1 3->2 4->2 4->3 5->1"))
+    b.write_text(header + _arcs("1->2 1->3 1->5 2->1 2->3 2->4 3->1 3->5 4->1 4->2 5->2"))
+    code, out, err = run(capsys, "path", str(a), str(b))
+    assert code == 1
+    assert out.endswith("max-repair-switches: 1\nmax-repair-distance: 4\nverdict: failed\n")
+    assert err == (
+        "error: verdict: verification failed "
+        "(bad-entry violations=[], repair failures=[2])\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample"])  # missing positional and --seed

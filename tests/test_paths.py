@@ -5,12 +5,16 @@ import pytest
 
 from swapmc import (
     AuxiliaryMatrix,
+    BadPositionReport,
     BipartiteDegreeSequence,
     BipartiteRealization,
+    DirectedDegreeBiSequence,
     RepairReport,
     auxiliary_matrix,
     bounds_of,
     build_canonical_path,
+    construct_bipartite,
+    construct_directed,
     cornerstone,
     decompose,
     enumerate_realizations,
@@ -20,10 +24,12 @@ from swapmc import (
     step_bipartite,
     step_directed,
     sweep,
+    to_bipartite_representation,
     verify_bad_positions,
     verify_repairs,
 )
 from swapmc.errors import RepairError
+from swapmc.paths import _BLOCK
 
 DIAG3 = tuple((i, i) for i in range(3))
 DIAG = lambda n: tuple((i, i) for i in range(n))
@@ -44,8 +50,6 @@ def _triangle_reps():
 
 
 def _randomized_pair(seq, forbidden, seed, steps=300):
-    from swapmc import construct_bipartite
-
     rng = np.random.default_rng(seed)
     step = step_directed if forbidden else step_bipartite
     x = construct_bipartite(seq, forbidden)
@@ -697,3 +701,150 @@ def test_milestones_and_move_counts_are_derived_from_states():
         assert path.milestone_indices == anchors
         assert [path.states[i] for i in anchors] == miles
         assert sum(seg.move_count for seg in path.segments) == len(path.moves)
+
+
+# ---------------------------------------------------------------------------
+# block audits against per-state references
+# ---------------------------------------------------------------------------
+
+
+def _verify_bad_positions_per_state(path, x, y):
+    """Reference audit that builds one auxiliary matrix per state."""
+    report = BadPositionReport()
+    counts = []
+    for z in path.states:
+        twos, ones = auxiliary_matrix(x, y, z).bad_positions()
+        counts.append((len(twos), len(ones)))
+    for idx, (n2, n1) in enumerate(counts):
+        if path.intermediate[idx]:
+            report.max_twos_intermediate = max(report.max_twos_intermediate, n2)
+            report.max_minus_ones_intermediate = max(
+                report.max_minus_ones_intermediate, n1
+            )
+            nxt2, nxt1 = counts[idx + 1]
+            if not (n2 <= 2 and n1 <= 1) and not (nxt2 <= 2 and nxt1 <= 1):
+                report.violations.append(idx)
+        else:
+            report.max_twos_direct = max(report.max_twos_direct, n2)
+            report.max_minus_ones_direct = max(report.max_minus_ones_direct, n1)
+            if not (n2 <= 2 and n1 <= 1):
+                report.violations.append(idx)
+    return report
+
+
+def _audits_match_references(path, x, y):
+    """Both block audits equal their per-state references; returns them."""
+    bounds = bounds_of(x.seq)
+    bad = verify_bad_positions(path, x, y)
+    rep = verify_repairs(path, x, y, bounds)
+    assert bad == _verify_bad_positions_per_state(path, x, y)
+    assert rep == _verify_repairs_two_pass(path, x, y, bounds)
+    return bad, rep
+
+
+def _repaired_states(path, x, y):
+    """Indices whose own auxiliary matrix holds a bad entry."""
+    return [
+        i
+        for i, z in enumerate(path.states)
+        if any(auxiliary_matrix(x, y, z).bad_positions())
+    ]
+
+
+def _permuted_directed_pair(n, d, perm):
+    seq = DirectedDegreeBiSequence((d,) * n, (d,) * n)
+    x = to_bipartite_representation(construct_directed(seq))
+    y = BipartiteRealization(x.seq, x.matrix[np.ix_(perm, perm)], x.forbidden)
+    return x, y
+
+
+def _regular_60x60_pair():
+    seq = BipartiteDegreeSequence((10,) * 60, (10,) * 60)
+    x = construct_bipartite(seq)
+    rows = [(7 * i + 3) % 60 for i in range(60)]
+    cols = [(13 * i + 5) % 60 for i in range(60)]
+    return x, BipartiteRealization(seq, x.matrix[np.ix_(rows, cols)])
+
+
+def test_block_audits_match_references_on_random_pairs():
+    repaired = {False: 0, True: 0}
+    intermediates = 0
+    for x, y, path in _random_paths():
+        _audits_match_references(path, x, y)
+        repaired[bool(x.forbidden)] += len(_repaired_states(path, x, y))
+        intermediates += sum(path.intermediate)
+    assert repaired[False] > 0 and repaired[True] > 0
+    assert intermediates > 0
+
+
+def test_block_audits_match_references_across_the_block_overlap():
+    # 16-vertex 3-regular digraph against a relabelling of itself: 33 states,
+    # and the intermediate at index 15 completes at index 16, which its block
+    # holds only as the overlap state
+    perm = [3, 10, 6, 8, 1, 14, 0, 7, 4, 13, 15, 2, 12, 5, 9, 11]
+    x, y = _permuted_directed_pair(16, 3, perm)
+    path = build_canonical_path(x, y)
+    assert len(path.states) > _BLOCK + 1
+    at_overlap = [
+        i for i, mid in enumerate(path.intermediate) if mid and i % _BLOCK == _BLOCK - 1
+    ]
+    assert at_overlap == [_BLOCK - 1]
+    assert _BLOCK in _repaired_states(path, x, y)  # the completion needs a repair
+    _, rep = _audits_match_references(path, x, y)
+    assert rep.ok and rep.max_distance_intermediate > 0
+
+
+def _unrepairable_directed_pair():
+    # out (3, 3, 2, 2, 1), in (3, 3, 2, 1, 2) fails the directed spread
+    # condition, and state 2 of this pair's path has a -1 that neither the
+    # direct exchange nor the detour removes
+    seq = DirectedDegreeBiSequence((3, 3, 2, 2, 1), (3, 3, 2, 1, 2))
+    x = [[0, 1, 0, 1, 1], [1, 0, 1, 0, 1], [1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [1, 0, 0, 0, 0]]
+    y = [[0, 1, 1, 0, 1], [1, 0, 1, 1, 0], [1, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0, 1, 0, 0, 0]]
+    return seq, x, y
+
+
+def test_block_audits_match_references_outside_the_spread_condition():
+    from swapmc import DirectedRealization, directed_spread_condition
+
+    seq, xm, ym = _unrepairable_directed_pair()
+    assert directed_spread_condition(bounds_of(seq)).holds is False
+    x = to_bipartite_representation(DirectedRealization(seq, xm))
+    y = to_bipartite_representation(DirectedRealization(seq, ym))
+    path = build_canonical_path(x, y)
+    bad, rep = _audits_match_references(path, x, y)
+    assert bad.ok
+    assert rep.failures == [2]
+
+
+def test_block_audits_match_references_on_the_60x60_regular_shape():
+    x, y = _regular_60x60_pair()
+    path = build_canonical_path(x, y)
+    assert len(path.states) > 10 * _BLOCK
+    assert _repaired_states(path, x, y)
+    bad, rep = _audits_match_references(path, x, y)
+    assert bad.ok and rep.ok
+
+
+def test_block_audits_memory_stays_one_block():
+    # stacking the whole path (about 2.7 MiB of int16 here) instead of one
+    # block would show
+    import tracemalloc
+
+    x, y = _regular_60x60_pair()
+    path = build_canonical_path(x, y)
+    assert len(path.states) >= 300
+    bounds = bounds_of(x.seq)
+    audits = (
+        lambda: verify_bad_positions(path, x, y),
+        lambda: verify_repairs(path, x, y, bounds),
+    )
+    for audit in audits:
+        audit()  # one-time set-up stays out
+        tracemalloc.start()
+        try:
+            audit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
