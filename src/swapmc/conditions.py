@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .degrees import DegreeBounds
+from .degrees import DegreeBounds, DirectedDegreeBiSequence, bounds_of
 
 __all__ = [
     "ConditionReport",
@@ -26,6 +26,7 @@ __all__ = [
     "bipartite_spread_condition",
     "directed_spread_condition",
     "erdos_renyi_window",
+    "greenhill_sfragara_directed",
 ]
 
 
@@ -133,6 +134,34 @@ def directed_spread_condition(b: DegreeBounds) -> ConditionReport:
         lhs_factors=lhs_factors,
         rhs_candidates=candidates,
         active_branch=0 if candidates[0] >= candidates[1] else 1,
+    )
+
+
+def greenhill_sfragara_directed(seq: DirectedDegreeBiSequence) -> ConditionReport:
+    """Check Greenhill and Sfragara's ``1 <= d_max <= sqrt(m)/4`` as ``16 d_max^2 <= m``.
+
+    ``d_max`` is the largest in- or out-degree and ``m`` the arc count
+    (C. Greenhill and M. Sfragara, Theoretical Computer Science, 2018).  The
+    constant 1/4 is read from the abstract's remark that their result does
+    not apply once the average degree exceeds n/16: on a d-regular digraph
+    ``m = nd``, so the test holds exactly when ``16 d <= n``.  A digraph
+    without arcs falls outside the window ``1 <= d_max``.
+    """
+    b = bounds_of(seq)
+    d_max, m = max(b.c2, b.d2), seq.arc_count
+    lhs = 16 * d_max * d_max
+    applicable = d_max >= 1
+    return ConditionReport(
+        name="greenhill-sfragara",
+        bounds=b,
+        applicable=applicable,
+        holds=lhs <= m if applicable else None,
+        lhs=lhs,
+        rhs=m,
+        lhs_factors=(4 * d_max, 4 * d_max),
+        rhs_candidates=None,
+        active_branch=None,
+        reason="" if applicable else "window violated: need d_max >= 1",
     )
 
 

@@ -1,23 +1,22 @@
 """Ground truth for small instances.
 
 Everything here is exhaustive or exact and intentionally independent of the
-sampler's proposal code.  A :class:`StateSpace` enumerates realizations by
-backtracking straight into sorted *state codes* -- each state's matrix read
-as one big-endian bit string -- and builds realization objects only when
-asked (a separate column-recursive counter recounts them).  Two valid
-realizations are c4 neighbours exactly when their codes differ in the four
-cells of a rectangle, and c6 neighbours exactly when they differ in the six
-cells of a 3x3 block whose other three cells are forbidden; so flipping
-each such mask in every code and looking the result up among the sorted
-codes finds every neighbour without ever invoking the chain's
-move-proposal logic.
+sampler's proposal code.  A :class:`StateSpace` enumerates realizations row
+by row, over whole arrays of partial states, into sorted *state codes* --
+each state's matrix read as one big-endian bit string -- and builds
+realization objects only when asked (a separate column-recursive counter
+recounts them).  A valid realization has a c4 (c6) neighbour across a
+rectangle (a 3x3 block minus its three forbidden cells) exactly when its
+bits alternate around that cycle; a bitwise test over all codes finds the
+states that move and a sorted lookup finds where they land, without ever
+invoking the chain's move-proposal logic.
 
 The kernel, connectivity and the TV curve never build a realization: the
 kernel keeps the neighbour pairs as index arrays and derives the rest from
 them -- the exact rationals (on first use), move-graph components
 (vectorised label propagation), and ``P^2`` for the TV curve (a sparse
 product; later powers are dense because ``P^3`` already is).  Connectivity
-of the 40 320 permutation matrices of an 8x8 grid peaks at about 85 MiB.
+of the 40 320 permutation matrices of an 8x8 grid peaks at about 87 MiB.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
@@ -49,6 +48,8 @@ __all__ = [
 POSITION_BUDGET = 36  # n*m cap for exhaustive enumeration
 STATE_BUDGET = 5000  # |G| cap for exact transition matrices
 _TV_BLOCK = 1 << 20  # matrix entries per row block of the TV reduction
+_EXPAND_CELLS = 1 << 18  # candidate cells per expansion chunk of the enumeration
+_FLIP_CELLS = 1 << 17  # mask x state entries per chunk of the neighbour lookup
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +62,11 @@ class StateSpace:
 
     A state's code is its matrix read as one big-endian bit string, row 0
     first: ``np.uint64`` up to 64 cells, exact Python ints in an object
-    array above.  The row recursion backtracks with margin pruning and
-    writes each code as ``code << m | row``; ``codes`` is sorted, which is
-    the canonical order (lexicographic on the rows read as big-endian
-    binary).  ``states`` builds the realization objects on first use only.
-    Raises ``BudgetExceededError`` if ``n*m`` exceeds ``position_budget``.
+    array above.  Each row extends every margin-feasible partial state by
+    each column subset it may take (``code << m | row``), in chunks of about
+    ``_EXPAND_CELLS`` cells.  Sorted ``codes`` are the canonical order (rows
+    read as big-endian binary).  ``states`` builds the realization objects
+    on first use only.  Raises ``BudgetExceededError`` above ``position_budget`` cells.
     """
 
     def __init__(self, seq, forbidden=(), *, position_budget: int = POSITION_BUDGET):
@@ -77,41 +78,44 @@ class StateSpace:
         self.seq = seq
         self.forbidden = canonical_forbidden(forbidden, n, m)
         fu, _ = partner_arrays(self.forbidden, n, m)
-        caps = list(seq.v_degrees)
-        udeg = seq.u_degrees
-        bit = [1 << (m - 1 - j) for j in range(m)]
-        max_udeg_suffix = list(accumulate(reversed(udeg), max))[::-1] + [0]
-        found: list[int] = []
-
-        def recurse(i: int, code: int) -> None:
-            if i == n:
-                if not any(caps):
-                    found.append(code)
-                return
-            d = udeg[i]
-            allowed = [j for j in range(m) if caps[j] > 0 and fu[i] != j]
-            if len(allowed) < d:
-                return
-            rows_left = n - i - 1
-            for chosen in combinations(allowed, d):
-                for j in chosen:
-                    caps[j] -= 1
-                ok = max(caps) <= rows_left
-                if ok and rows_left:
-                    # caps never go negative, so the others are positive
-                    ok = m - caps.count(0) >= max_udeg_suffix[i + 1]
-                if ok:
-                    recurse(i + 1, code << m | sum(bit[j] for j in chosen))
-                for j in chosen:
-                    caps[j] += 1
-
-        if seq.fits_class_sizes:
-            recurse(0, 0)
-        del recurse  # its closure holds itself: free `found` now, not at a later gc
-        self.codes = np.array(sorted(found), dtype=np.uint64 if n * m <= 64 else object)
+        dtype = np.uint64 if n * m <= 64 else object
+        small = np.min_scalar_type(-n)
+        udeg, vdeg = seq.u_degrees, seq.v_degrees
+        suffix = list(accumulate(reversed(udeg), max))[::-1] + [0]
+        # the partial states after each row: their codes and column capacities
+        codes = np.zeros(1 if seq.fits_class_sizes else 0, dtype=dtype)
+        caps = np.array([vdeg] * len(codes), dtype=small).reshape(-1, m)
+        for i, d in enumerate(udeg):
+            sets = list(combinations([j for j in range(m) if vdeg[j] and fu[i] != j], d))
+            cand = np.array([[j in c for j in range(m)] for c in sets], dtype=small).reshape(-1, m)
+            bits = np.array([sum(1 << (m - 1 - j) for j in c) for c in sets], dtype=dtype)
+            step = max(1, _EXPAND_CELLS // max(1, len(sets) * m))
+            kept = [(codes[:0], caps[:0])]
+            for lo in range(0, len(codes), step):
+                left = caps[lo : lo + step, None, :] - cand
+                ok = (left.min(axis=2) >= 0) & (left.max(axis=2) <= n - i - 1)
+                if i < n - 1:
+                    ok &= np.count_nonzero(left, axis=2) >= suffix[i + 1]
+                state, row = np.nonzero(ok)
+                kept.append((codes[lo + state] << m | bits[row], left[state, row]))
+            codes, caps = (np.concatenate(part) for part in zip(*kept))
+        self.codes = np.sort(codes[~caps.any(axis=1)])
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    def index(self, state) -> int:
+        """Position of a realization's code in ``codes``, found with
+        ``np.searchsorted``; raises ``ValueError`` for a state outside the space."""
+        n, m = self.seq.n, self.seq.m
+        matrix = np.asarray(state.matrix)
+        if matrix.shape != (n, m):
+            raise ValueError(f"a {matrix.shape} matrix is not a state of the {n}x{m} space")
+        code = int.from_bytes(np.packbits(matrix.reshape(-1)).tobytes(), "big") >> (-n * m % 8)
+        i = int(np.searchsorted(self.codes, code))
+        if i == len(self) or self.codes[i] != code:
+            raise ValueError("the state is not in the space")
+        return i
 
     @cached_property
     def states(self) -> list[BipartiteRealization]:
@@ -130,44 +134,47 @@ class StateSpace:
     def pairs(self, c6: bool):
         """Ordered neighbour pairs as index arrays ``(i4, j4), (i6, j6)``.
 
-        c4 masks are the C(n,2) C(m,2) rectangles.  c6 masks are looked for
-        only when ``c6`` is set: the forbidden set is a matching, so each
-        3-subset of it spans one 3x3 block, and the hexagon is that block's
-        other six cells.
+        c4 moves flip the C(n,2) C(m,2) rectangles that miss every forbidden
+        cell.  c6 moves, looked for only when ``c6`` is set, flip the hexagon
+        that each 3-subset of the forbidden matching leaves in its 3x3 block.
         """
         n, m = self.seq.n, self.seq.m
+        forbidden = set(self.forbidden)
         rectangles = [
-            [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
+            cycle
             for r1, r2 in combinations(range(n), 2)
             for c1, c2 in combinations(range(m), 2)
+            if forbidden.isdisjoint(cycle := [(r1, c1), (r1, c2), (r2, c2), (r2, c1)])
         ]
-        hexagons = []
-        if c6:
-            for trio in combinations(self.forbidden, 3):
-                block = product([u for u, _ in trio], [v for _, v in trio])
-                hexagons.append([cell for cell in block if cell not in trio])
-        codes = self.codes
-        return _flip_lookup(codes, rectangles, n, m), _flip_lookup(codes, hexagons, n, m)
+        hexagons = [
+            [(u1, v2), (u1, v3), (u2, v3), (u2, v1), (u3, v1), (u3, v2)]
+            for (u1, v1), (u2, v2), (u3, v3) in (combinations(self.forbidden, 3) if c6 else ())
+        ]
+        return _flip_lookup(self.codes, rectangles, n, m), _flip_lookup(self.codes, hexagons, n, m)
 
 
-def _flip_lookup(codes: np.ndarray, masks, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs (i, j) whose codes differ in exactly one mask's cells.
-
-    Each mask, a list of (row, column) cells of the n x m grid, is XORed
-    into every code and the results are looked up among the sorted codes.
-    A hit is a valid state, so no margin or forbidden-cell test is needed.
+def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j) whose codes differ in exactly one cycle's cells,
+    cycle by cycle and ascending in i.  A cycle lists (row, column) cells,
+    none forbidden, each sharing a row or a column with the next; flipping
+    it keeps the margins exactly when the state's bits alternate around it,
+    so only those states are looked up among the sorted codes.
     """
-    top = n * m - 1
-    values = [sum(1 << (top - i * m - j) for i, j in mask) for mask in masks]
-    last = len(codes) - 1
-    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for mask in np.array(values, dtype=codes.dtype):
-        flipped = codes ^ mask
-        j = np.minimum(np.searchsorted(codes, flipped), last)
-        hit = np.flatnonzero(codes[j] == flipped)
-        src.append(hit)
-        dst.append(j[hit])
-    return np.concatenate(src), np.concatenate(dst)
+    bit = [[1 << (n * m - 1 - r * m - c) for r, c in cycle] for cycle in cycles]
+    even, odd = (np.array([sum(b[k::2]) for b in bit], dtype=codes.dtype) for k in (0, 1))
+    mask = even | odd
+    found = [(np.empty(0, dtype=np.intp),) * 2]
+    step = max(1, _FLIP_CELLS // max(1, len(codes)))
+    for lo in range(0, len(cycles), step):
+        held = codes & mask[lo : lo + step, None]
+        hit = (held == even[lo : lo + step, None]) | (held == odd[lo : lo + step, None])
+        which, i = np.divmod(np.flatnonzero(hit), len(codes))
+        flipped = codes[i] ^ mask[lo + which]
+        j = np.searchsorted(codes, flipped)
+        if not np.array_equal(codes.take(j, mode="clip"), flipped):
+            raise RuntimeError("a margin-preserving flip left the state space")
+        found.append((i, j))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def enumerate_realizations(
@@ -203,7 +210,6 @@ def count_realizations(
         return 0
     _, fv = partner_arrays(forb, n, m)
     vdeg = seq.v_degrees
-
     max_vdeg_suffix = list(accumulate(reversed(vdeg), max))[::-1] + [0]
 
     @lru_cache(maxsize=None)
@@ -230,7 +236,7 @@ def count_realizations(
         return total
 
     result = recurse(0, tuple(seq.u_degrees))
-    del recurse  # as in StateSpace; this frees the cache
+    del recurse  # its closure holds itself: free the cache now, not at a later gc
     return result
 
 
@@ -431,30 +437,37 @@ def _square_blocks(kernel: ExactKernel, rows: int, out: np.ndarray | None):
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
 
-    Each ``0.5 * |dist - 1/N|`` row sum is reduced over blocks of rows, so
-    no N x N temporary beyond the power of ``P`` itself is built.  ``P^2``
-    is a sparse product of ``P`` with itself, reduced block by block and
-    kept whole only when ``horizon > 2``; P is sparse but its cube is not,
-    so every later power is a dense ``dist @ P``.  A kernel with no states
-    has no distance to uniform, and raises ``ValueError``.
+    Each ``0.5 * |dist - 1/N|`` row sum is reduced over blocks of rows in one
+    reused buffer, so no N x N temporary beyond the power of ``P`` is built.
+    ``P^2`` is a sparse product, reduced block by block and kept whole only
+    when ``horizon > 2``; ``P^3`` is dense, so later powers are ``dist @ P``.
+    A kernel with no states has no distance to uniform: ``ValueError``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if not kernel.size:
         raise ValueError("the kernel has no states")
-    P = kernel.matrix
-    N = kernel.size
+    P, N = kernel.matrix, kernel.size
     uniform = 1.0 / N
     rows = max(1, _TV_BLOCK // N)
     starts = range(0, N, rows)
+    buf = np.empty((min(rows, N), N))
 
     def worst(blocks) -> float:
         tv = 0.0
         for block in blocks:
-            tv = max(tv, float(0.5 * np.abs(block - uniform).sum(axis=1).max()))
+            out = buf[: len(block)]
+            np.abs(np.subtract(block, uniform, out=out), out=out)
+            tv = max(tv, float(0.5 * out.sum(axis=1).max()))
         return tv
 
-    curve = [worst(np.eye(min(rows, N - lo), N, lo) for lo in starts)]
+    def identity():
+        for lo in starts:
+            buf.fill(0.0)
+            np.fill_diagonal(buf[:, lo:], 1.0)
+            yield buf[: N - lo]
+
+    curve = [worst(identity())]
     if horizon >= 1:
         curve.append(worst(P[lo : lo + rows] for lo in starts))
     if horizon >= 2:

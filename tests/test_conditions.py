@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from swapmc import (
     DegreeBounds,
+    DirectedDegreeBiSequence,
     bipartite_spread_condition,
     directed_spread_condition,
     erdos_renyi_window,
 )
+from swapmc.conditions import greenhill_sfragara_directed
 
 
 def test_bipartite_condition_worked_examples():
@@ -159,3 +161,27 @@ def test_er_window_validation():
         erdos_renyi_window("bipartite", 10, 0.0)
     with pytest.raises(ValueError):
         erdos_renyi_window("tripartite", 10, 0.5)
+
+
+def test_greenhill_sfragara_on_regular_digraphs_holds_iff_16d_le_n():
+    for n in range(2, 70):
+        for d in range(1, n):
+            rep = greenhill_sfragara_directed(DirectedDegreeBiSequence((d,) * n, (d,) * n))
+            assert rep.applicable
+            assert rep.holds == (16 * d <= n), (n, d)
+            assert rep.lhs == 16 * d * d and rep.rhs == n * d
+
+
+def test_greenhill_sfragara_uses_the_largest_in_or_out_degree():
+    rep = greenhill_sfragara_directed(DirectedDegreeBiSequence((1,) * 17, (1,) * 17))
+    assert rep.holds and rep.lhs == 16 and rep.rhs == 17
+    out_heavy = DirectedDegreeBiSequence((2,) + (1,) * 15 + (0,), (1,) * 17)
+    rep = greenhill_sfragara_directed(out_heavy)
+    assert rep.lhs == 64 and rep.rhs == 17 and rep.holds is False
+    in_heavy = DirectedDegreeBiSequence((1,) * 17, (2,) + (1,) * 15 + (0,))
+    assert greenhill_sfragara_directed(in_heavy).lhs == 64
+
+
+def test_greenhill_sfragara_window():
+    rep = greenhill_sfragara_directed(DirectedDegreeBiSequence((0, 0), (0, 0)))
+    assert not rep.applicable and rep.holds is None and rep.verdict == "not applicable"

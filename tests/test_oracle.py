@@ -4,7 +4,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, combinations, product
 from math import comb
 
 import numpy as np
@@ -24,7 +26,7 @@ from swapmc import (
     tv_from_kernel,
 )
 from swapmc.oracle import StateSpace, _components
-from swapmc.realization import partner_arrays
+from swapmc.realization import canonical_forbidden, partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
 TRI = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
@@ -569,3 +571,202 @@ def test_connectivity_on_8x8_permutations_in_bounded_memory():
     result, maxrss_kib = proc.stdout.split("\n")[:2]
     assert result == "(True, 1)"
     assert int(maxrss_kib) < 512 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Level-wise enumeration and alternation-filtered lookup against the
+# row recursion and full-mask lookup they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_recursive_codes(seq, forbidden=()):
+    """Sorted state codes from the backtracking row recursion."""
+    n, m = seq.n, seq.m
+    fu, _ = partner_arrays(canonical_forbidden(forbidden, n, m), n, m)
+    caps = list(seq.v_degrees)
+    udeg = seq.u_degrees
+    bit = [1 << (m - 1 - j) for j in range(m)]
+    max_udeg_suffix = list(accumulate(reversed(udeg), max))[::-1] + [0]
+    found = []
+
+    def recurse(i, code):
+        if i == n:
+            if not any(caps):
+                found.append(code)
+            return
+        d = udeg[i]
+        allowed = [j for j in range(m) if caps[j] > 0 and fu[i] != j]
+        if len(allowed) < d:
+            return
+        rows_left = n - i - 1
+        for chosen in combinations(allowed, d):
+            for j in chosen:
+                caps[j] -= 1
+            ok = max(caps) <= rows_left
+            if ok and rows_left:
+                ok = m - caps.count(0) >= max_udeg_suffix[i + 1]
+            if ok:
+                recurse(i + 1, code << m | sum(bit[j] for j in chosen))
+            for j in chosen:
+                caps[j] += 1
+
+    if seq.fits_class_sizes:
+        recurse(0, 0)
+    return np.array(sorted(found), dtype=np.uint64 if n * m <= 64 else object)
+
+
+def _ref_flip_lookup(codes, masks, n, m):
+    """Every mask XORed into every code, looked up among the sorted codes."""
+    top = n * m - 1
+    values = [sum(1 << (top - i * m - j) for i, j in mask) for mask in masks]
+    last = len(codes) - 1
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for mask in np.array(values, dtype=codes.dtype):
+        flipped = codes ^ mask
+        j = np.minimum(np.searchsorted(codes, flipped), last)
+        hit = np.flatnonzero(codes[j] == flipped)
+        src.append(hit)
+        dst.append(j[hit])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _ref_pairs(space, c6):
+    """Pairs from all C(n,2) C(m,2) rectangles and the hexagon masks."""
+    n, m = space.seq.n, space.seq.m
+    rectangles = [
+        [(r1, c1), (r1, c2), (r2, c1), (r2, c2)]
+        for r1, r2 in combinations(range(n), 2)
+        for c1, c2 in combinations(range(m), 2)
+    ]
+    hexagons = []
+    if c6:
+        for trio in combinations(space.forbidden, 3):
+            block = product([u for u, _ in trio], [v for _, v in trio])
+            hexagons.append([cell for cell in block if cell not in trio])
+    codes = space.codes
+    return _ref_flip_lookup(codes, rectangles, n, m), _ref_flip_lookup(codes, hexagons, n, m)
+
+
+def _assert_same_array(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
+@st.composite
+def _any_sequences(draw):
+    """Equal-sum degrees up to one above the class sizes, zeros included,
+    so some sequences fail ``fits_class_sizes`` or have no realization."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    u = draw(st.lists(st.integers(0, m + 1), min_size=n, max_size=n))
+    columns = draw(st.lists(st.integers(0, m - 1), min_size=sum(u), max_size=sum(u)))
+    v = [columns.count(j) for j in range(m)]
+    forbidden = ()
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(n, m)))
+        rows = draw(st.permutations(range(n)))[:k]
+        cols = draw(st.permutations(range(m)))[:k]
+        forbidden = tuple(zip(rows, cols))
+    return BipartiteDegreeSequence(tuple(u), tuple(v)), forbidden
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_instances(), _any_sequences()))
+@example((BipartiteDegreeSequence((3, 1), (2, 2)), ()))  # does not fit the classes
+@example((BipartiteDegreeSequence((0, 0), (0, 0, 0)), ()))  # one empty state
+@example((BipartiteDegreeSequence((0, 2, 0), (1, 0, 1)), ((1, 0),)))
+def test_level_wise_enumeration_matches_row_recursion(instance):
+    seq, forbidden = instance
+    _assert_same_array(StateSpace(seq, forbidden).codes, _ref_recursive_codes(seq, forbidden))
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, budget",
+    [
+        (BipartiteDegreeSequence((1,) * 8, (1,) * 8), (), 64),  # 40 320 uint64 codes
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            72,
+        ),  # object codes
+    ],
+    ids=["8x8-permutations", "derangements-72-cells"],
+)
+def test_level_wise_enumeration_matches_row_recursion_at_width(seq, forbidden, budget):
+    codes = StateSpace(seq, forbidden, position_budget=budget).codes
+    _assert_same_array(codes, _ref_recursive_codes(seq, forbidden))
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, budget",
+    [
+        # the bipartite forms of the benchmark's two oracle instances (seed 0)
+        (BipartiteDegreeSequence((2,) * 5, (2,) * 5), (), 36),
+        (
+            BipartiteDegreeSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
+            tuple((v, v) for v in range(6)),
+            36,
+        ),
+        (BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), ((0, 3), (2, 1)), 36),
+        (TRI, DIAG3, 36),
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            72,
+        ),
+    ],
+    ids=["oracle-bipartite", "oracle-directed", "general-matching", "triangle", "derangements"],
+)
+def test_pairs_match_full_mask_lookup_in_order(seq, forbidden, budget):
+    space = StateSpace(seq, forbidden, position_budget=budget)
+    for c6 in (False, True):
+        got, expected = space.pairs(c6), _ref_pairs(space, c6)
+        for got_pair, expected_pair in zip(got, expected):
+            for a, b in zip(got_pair, expected_pair):
+                _assert_same_array(a, b)
+    if len(forbidden) >= 3:
+        _, (i6, _) = space.pairs(True)
+        assert len(i6) > 0
+
+
+def test_state_space_memory_on_6x6_3_regular():
+    seq = BipartiteDegreeSequence((3,) * 6, (3,) * 6)
+    tracemalloc.start()
+    try:
+        space = StateSpace(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space) == 297_200
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, budget, foreign",
+    [
+        # N = 90; the foreign state has other margins
+        (
+            BipartiteDegreeSequence((2,) * 4, (2,) * 4),
+            (),
+            36,
+            [[1, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+        ),
+        # object codes; the foreign state has the same margins on forbidden cells
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            72,
+            np.pad(np.eye(5, dtype=np.uint8), ((0, 4), (0, 3))),
+        ),
+    ],
+    ids=["4x4-2-regular", "derangements-72-cells"],
+)
+def test_index_finds_every_state(seq, forbidden, budget, foreign):
+    space = StateSpace(seq, forbidden, position_budget=budget)
+    assert [space.index(r) for r in space.states] == list(range(len(space)))
+    M = np.array(foreign, dtype=np.uint8)
+    margins = BipartiteDegreeSequence(tuple(M.sum(axis=1).tolist()), tuple(M.sum(axis=0).tolist()))
+    with pytest.raises(ValueError, match="not in the space"):
+        space.index(BipartiteRealization(margins, M))
+    with pytest.raises(ValueError, match="not a state"):
+        space.index(BipartiteRealization(TRI, np.eye(3, dtype=np.uint8)))
