@@ -16,7 +16,7 @@ kernel keeps the neighbour pairs as index arrays and derives the rest from
 them -- the exact rationals (on first use), move-graph components
 (vectorised label propagation), and ``P^2`` for the TV curve (a sparse
 product; later powers are dense because ``P^3`` already is).  Connectivity
-of the 40 320 permutation matrices of an 8x8 grid peaks at about 87 MiB.
+of the 40 320 permutation matrices of an 8x8 grid peaks at about 84 MiB.
 """
 
 from __future__ import annotations
