@@ -27,6 +27,7 @@ from .conditions import (
     bipartite_spread_condition,
     directed_spread_condition,
     erdos_renyi_window,
+    greenhill_sfragara_directed,
 )
 from .degrees import (
     DirectedDegreeBiSequence,
@@ -99,6 +100,9 @@ def cmd_check(args) -> int:
     else:
         print(f"spread-condition: verdict=not-applicable ({rep.reason})")
     if directed:
+        gs = greenhill_sfragara_directed(seq)
+        verdict = gs.verdict.replace(" ", "-")
+        print(f"greenhill-sfragara: verdict={verdict} 16*d_max^2={gs.lhs} m={gs.rhs}")
         p = seq.arc_count / (seq.n * (seq.n - 1)) if seq.n > 1 else 0.0
     else:
         p = seq.edge_count / (seq.n * seq.m)

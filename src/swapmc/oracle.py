@@ -14,9 +14,10 @@ invoking the chain's move-proposal logic.
 The kernel, connectivity and the TV curve never build a realization: the
 kernel keeps the neighbour pairs as index arrays and derives the rest from
 them -- the exact rationals (on first use), move-graph components
-(vectorised label propagation), and ``P^2`` for the TV curve (a sparse
-product; later powers are dense because ``P^3`` already is).  Connectivity
-of the 40 320 permutation matrices of an 8x8 grid peaks at about 84 MiB.
+(vectorised label propagation), and the TV curve up to t = 2 (from ``P``'s
+sparse rows, its square a sparse product; later powers are dense because
+``P^3`` already is).  Connectivity of the 40 320 permutation matrices of an
+8x8 grid peaks at about 84 MiB.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 
 POSITION_BUDGET = 36  # n*m cap for exhaustive enumeration
 STATE_BUDGET = 5000  # |G| cap for exact transition matrices
-_TV_BLOCK = 1 << 20  # matrix entries per row block of the TV reduction
+_TV_BLOCK = 1 << 16  # matrix entries per row block of the TV reduction (512 KiB)
 _EXPAND_CELLS = 1 << 18  # candidate cells per expansion chunk of the enumeration
 _FLIP_CELLS = 1 << 17  # mask x state entries per chunk of the neighbour lookup
 
@@ -399,36 +400,44 @@ def swap_graph_connected(
     return _components(len(space), *space.pairs(moves == "c4+c6"))
 
 
-def _square_blocks(kernel: ExactKernel, rows: int, out: np.ndarray | None):
-    """Row blocks of ``P @ P``, ``rows`` rows each, from the sparse ``P``.
-
-    ``P``'s nonzeros -- the neighbour pairs and the diagonal, valued from
-    ``kernel.matrix`` -- are sorted into CSR-style row arrays.  Each block
-    pairs every nonzero ``P[r, k]`` of its rows with every nonzero
-    ``P[k, c]`` of row ``k`` and sums the products into a dense block with
-    ``np.bincount``.  Each block is also copied into ``out`` when given.
+def _sparse_rows(kernel: ExactKernel):
+    """``P``'s nonzeros as CSR rows ``(src, dst, value, start)``: the neighbour
+    pairs and the diagonal, sorted stably by source, row ``r`` at entries
+    ``start[r]:start[r + 1]``.  Off the diagonal the values are ``p_c4`` and
+    ``p_c6``; ``matrix`` is read on its diagonal only.
     """
-    P, N = kernel.matrix, kernel.size
-    diagonal = np.arange(N)
-    src = np.concatenate([kernel.c4_pairs[0], kernel.c6_pairs[0], diagonal])
-    dst = np.concatenate([kernel.c4_pairs[1], kernel.c6_pairs[1], diagonal])
+    N = kernel.size
+    (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
+    src, dst = np.concatenate([i4, i6, np.arange(N)]), np.concatenate([j4, j6, np.arange(N)])
+    p = np.repeat([float(kernel.p_c4), float(kernel.p_c6)], [len(i4), len(i6)])
+    value = np.concatenate([p, kernel.matrix.diagonal()])
     order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    value = P[src, dst]
     start = np.zeros(N + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=N), out=start[1:])
+    return src[order], dst[order], value[order], start
+
+
+def _square_blocks(N: int, csr, rows: int, out: np.ndarray | None):
+    """Row blocks of ``P @ P``, ``rows`` rows each, from ``P``'s CSR rows.
+
+    Each block pairs every nonzero ``P[r, k]`` of its rows with every
+    nonzero ``P[k, c]`` of row ``k`` and sums the products into a dense
+    block with ``np.bincount``, in CSR order.  Row ``k`` is read from
+    ``(N, width)`` copies of ``dst`` and ``value`` padded with column 0 and
+    the value 0.0; adding 0.0 leaves every nonnegative sum's bits as they
+    are.  Each block is also copied into ``out`` when given.
+    """
+    src, dst, value, start = csr
+    slot = np.arange(len(src)) - start[src]
+    cols = np.zeros((N, int(slot.max()) + 1), dtype=np.intp)
+    vals = np.zeros(cols.shape)
+    cols[src, slot], vals[src, slot] = dst, value
     for lo in range(0, N, rows):
         hi = min(lo + rows, N)
         a, b = start[lo], start[hi]
-        mid = dst[a:b]
-        lengths = start[mid + 1] - start[mid]
-        # CSR position of each product's second factor
-        second = np.arange(int(lengths.sum())) + np.repeat(
-            start[mid] - (np.cumsum(lengths) - lengths), lengths
-        )
-        cell = np.repeat((src[a:b] - lo) * N, lengths) + dst[second]
-        weight = np.repeat(value[a:b], lengths) * value[second]
-        block = np.bincount(cell, weights=weight, minlength=(hi - lo) * N).reshape(hi - lo, N)
+        cell = ((src[a:b] - lo) * N)[:, None] + cols[dst[a:b]]
+        weight = value[a:b, None] * vals[dst[a:b]]
+        block = np.bincount(cell.ravel(), weight.ravel(), (hi - lo) * N).reshape(hi - lo, N)
         if out is not None:
             out[lo:hi] = block
         yield block
@@ -437,10 +446,12 @@ def _square_blocks(kernel: ExactKernel, rows: int, out: np.ndarray | None):
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
 
-    Each ``0.5 * |dist - 1/N|`` row sum is reduced over blocks of rows in one
-    reused buffer, so no N x N temporary beyond the power of ``P`` is built.
-    ``P^2`` is a sparse product, reduced block by block and kept whole only
-    when ``horizon > 2``; ``P^3`` is dense, so later powers are ``dist @ P``.
+    Each ``0.5 * |dist - 1/N|`` row sum is reduced over cache-sized blocks
+    of rows in one reused buffer.  Up to t = 2 the blocks come from ``P``'s
+    sparse rows and ``matrix`` is read on its diagonal only: at t = 0 and
+    t = 1 a block is ``1/N`` with the gaps of the identity's or ``P``'s
+    nonzeros written in, and ``P^2`` is a sparse product, kept whole only
+    when ``horizon > 2``.  ``P^3`` is dense, so later powers are ``dist @ P``.
     A kernel with no states has no distance to uniform: ``ValueError``.
     """
     if horizon < 0:
@@ -451,31 +462,38 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     uniform = 1.0 / N
     rows = max(1, _TV_BLOCK // N)
     starts = range(0, N, rows)
-    buf = np.empty((min(rows, N), N))
+    buf = np.full((min(rows, N), N), uniform)
+    csr = src, dst, value, start = _sparse_rows(kernel)
 
     def worst(blocks) -> float:
-        tv = 0.0
+        return max(float(0.5 * block.sum(axis=1).max()) for block in blocks)
+
+    def gaps(blocks):
         for block in blocks:
             out = buf[: len(block)]
-            np.abs(np.subtract(block, uniform, out=out), out=out)
-            tv = max(tv, float(0.5 * out.sum(axis=1).max()))
-        return tv
+            yield np.abs(np.subtract(block, uniform, out=out), out=out)
 
-    def identity():
+    def near_uniform(row_start, cell, gap):
+        # |dist - 1/N| for a dist that is 0 off its CSR entries; buf is
+        # 1/N throughout before and after
         for lo in starts:
-            buf.fill(0.0)
-            np.fill_diagonal(buf[:, lo:], 1.0)
-            yield buf[: N - lo]
+            hi = min(lo + rows, N)
+            a, b = row_start[lo], row_start[hi]
+            at = cell[a:b] - lo * N
+            buf.reshape(-1)[at] = gap[a:b]
+            yield buf[: hi - lo]
+            buf.reshape(-1)[at] = uniform
 
-    curve = [worst(identity())]
+    diagonal = np.arange(N + 1)
+    curve = [worst(near_uniform(diagonal, diagonal * (N + 1), np.full(N, 1.0 - uniform)))]
     if horizon >= 1:
-        curve.append(worst(P[lo : lo + rows] for lo in starts))
+        curve.append(worst(near_uniform(start, src * N + dst, np.abs(value - uniform))))
     if horizon >= 2:
         dist = np.empty((N, N)) if horizon > 2 else None
-        curve.append(worst(_square_blocks(kernel, rows, dist)))
+        curve.append(worst(gaps(_square_blocks(N, csr, rows, dist))))
     for _ in range(3, horizon + 1):
         dist = dist @ P
-        curve.append(worst(dist[lo : lo + rows] for lo in starts))
+        curve.append(worst(gaps(dist[lo : lo + rows] for lo in starts)))
     return curve
 
 

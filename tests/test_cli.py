@@ -55,6 +55,25 @@ def test_check_failing_condition(capsys, tmp_path):
     assert "error: verdict:" in err
 
 
+@pytest.mark.parametrize("d, verdict", [(1, "holds"), (2, "fails")])
+def test_check_prints_greenhill_sfragara_verdict(capsys, tmp_path, d, verdict):
+    # d-regular on 16 vertices: 16 d_max^2 = 16 d^2 against m = 16 d
+    p = tmp_path / "regular.deg"
+    p.write_text(f"out: {' '.join([str(d)] * 16)}\nin: {' '.join([str(d)] * 16)}\n")
+    code, out, err = run(capsys, "check", str(p))
+    # the spread condition holds on every regular digraph and alone sets the exit code
+    assert code == 0 and err == ""
+    assert "spread-condition: verdict=holds" in out
+    line = f"greenhill-sfragara: verdict={verdict} 16*d_max^2={16 * d * d} m={16 * d}\n"
+    assert line in out
+    assert out.index("spread-condition:") < out.index(line) < out.index("er-window:")
+
+
+def test_check_prints_no_greenhill_sfragara_line_for_bipartite(capsys, k22_file):
+    code, out, err = run(capsys, "check", k22_file)
+    assert "greenhill-sfragara" not in out
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.deg"
     p.write_text("U: 2\nV: 1 1 1\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swapmc.oracle
 from swapmc import (
     BipartiteDegreeSequence,
     BipartiteRealization,
@@ -770,3 +772,112 @@ def test_index_finds_every_state(seq, forbidden, budget, foreign):
         space.index(BipartiteRealization(margins, M))
     with pytest.raises(ValueError, match="not a state"):
         space.index(BipartiteRealization(TRI, np.eye(3, dtype=np.uint8)))
+
+
+# ---------------------------------------------------------------------------
+# TV from the kernel's sparse rows against the dense-row reduction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_square_blocks(kernel, rows, out):
+    """Row blocks of ``P @ P`` from CSR rows valued from ``kernel.matrix``."""
+    P, N = kernel.matrix, kernel.size
+    diagonal = np.arange(N)
+    src = np.concatenate([kernel.c4_pairs[0], kernel.c6_pairs[0], diagonal])
+    dst = np.concatenate([kernel.c4_pairs[1], kernel.c6_pairs[1], diagonal])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    value = P[src, dst]
+    start = np.zeros(N + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=N), out=start[1:])
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        a, b = start[lo], start[hi]
+        mid = dst[a:b]
+        lengths = start[mid + 1] - start[mid]
+        second = np.arange(int(lengths.sum())) + np.repeat(
+            start[mid] - (np.cumsum(lengths) - lengths), lengths
+        )
+        cell = np.repeat((src[a:b] - lo) * N, lengths) + dst[second]
+        weight = np.repeat(value[a:b], lengths) * value[second]
+        block = np.bincount(cell, weights=weight, minlength=(hi - lo) * N).reshape(hi - lo, N)
+        if out is not None:
+            out[lo:hi] = block
+        yield block
+
+
+def _ref_tv_from_kernel(kernel, horizon):
+    """The TV curve from dense rows: the identity, ``P``'s own rows and the
+    sparse square, each reduced in 8 MiB row blocks."""
+    P, N = kernel.matrix, kernel.size
+    uniform = 1.0 / N
+    rows = max(1, (1 << 20) // N)
+    starts = range(0, N, rows)
+    buf = np.empty((min(rows, N), N))
+
+    def worst(blocks):
+        tv = 0.0
+        for block in blocks:
+            out = buf[: len(block)]
+            np.abs(np.subtract(block, uniform, out=out), out=out)
+            tv = max(tv, float(0.5 * out.sum(axis=1).max()))
+        return tv
+
+    def identity():
+        for lo in starts:
+            buf.fill(0.0)
+            np.fill_diagonal(buf[:, lo:], 1.0)
+            yield buf[: N - lo]
+
+    curve = [worst(identity())]
+    if horizon >= 1:
+        curve.append(worst(P[lo : lo + rows] for lo in starts))
+    if horizon >= 2:
+        dist = np.empty((N, N)) if horizon > 2 else None
+        curve.append(worst(_ref_square_blocks(kernel, rows, dist)))
+    for _ in range(3, horizon + 1):
+        dist = dist @ P
+        curve.append(worst(dist[lo : lo + rows] for lo in starts))
+    return curve
+
+
+_TV_INSTANCES = pytest.mark.parametrize(
+    "seq, forbidden, kind, size",
+    [
+        (TRI, DIAG3, "directed", 2),
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), "bipartite", 90),
+        (BipartiteDegreeSequence((2, 2, 1, 1, 2), (2, 1, 2, 2, 1)), (), "bipartite", 453),
+        # the benchmark's digraph (seed 0): p_c6 = 1/1600 lies below 1/N
+        (
+            BipartiteDegreeSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
+            tuple((v, v) for v in range(6)),
+            "directed",
+            1519,
+        ),
+    ],
+    ids=["triangle", "4x4-2-regular", "5x5-453", "oracle-digraph"],
+)
+
+
+@_TV_INSTANCES
+def test_tv_from_sparse_rows_matches_dense_rows_bit_for_bit(monkeypatch, seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    assert k.size == size
+    if kind == "directed" and size > 2:
+        assert 0 < k.p_c6 < Fraction(1, size) and len(k.c6_pairs[0])
+    expected = [_ref_tv_from_kernel(k, horizon) for horizon in range(6)]
+    # one row, seven rows (a partial last block) and the default block
+    for block in (1, 7 * size, swapmc.oracle._TV_BLOCK):
+        monkeypatch.setattr(swapmc.oracle, "_TV_BLOCK", block)
+        assert [tv_from_kernel(k, horizon) for horizon in range(6)] == expected
+
+
+@_TV_INSTANCES
+def test_tv_to_horizon_2_reads_the_matrix_on_its_diagonal_only(seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    poisoned = k.matrix.copy()
+    poisoned[(poisoned == 0) & ~np.eye(size, dtype=bool)] = np.nan
+    blind = dataclasses.replace(k, matrix=poisoned)
+    assert [tv_from_kernel(blind, horizon) for horizon in range(3)] == [
+        tv_from_kernel(k, horizon) for horizon in range(3)
+    ]
