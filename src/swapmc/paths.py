@@ -4,7 +4,8 @@ Given two realizations X and Y of the same degrees and forbidden matching,
 their symmetric difference decomposes into alternating cycles; toggling the
 cycles one at a time visits intermediate realizations ("milestones"), and a
 deterministic *sweep* turns each milestone into the next through legal c4/c6
-moves.  Along the way the auxiliary matrix ``Mhat = M_X + M_Y - M_Z`` stays
+moves; a canonical path sweeps one working realization in place, cycle by
+cycle.  Along the way the auxiliary matrix ``Mhat = M_X + M_Y - M_Z`` stays
 within strict bad-entry budgets (at most two entries of 2 and one of -1,
 possibly after finishing a two-move double-step), and a short sequence of at
 most four margin-preserving switches repairs any such matrix back into the
@@ -28,6 +29,7 @@ from .realization import (
     BipartiteRealization,
     SwapMove,
     apply_switch,
+    canonical_forbidden,
     hamming_distance,
     partner_arrays,
 )
@@ -67,7 +69,7 @@ class Cycle:
     ...; labels alternate strictly, so all "forward" chords (u_i, v_i) carry
     one label and all "backward" chords (u_{i+1}, v_i) the other.
     ``first_is_x`` records whether (u_1, v_1) is an X-chord (an edge of the
-    first realization of the decomposed pair).
+    first realization of the decomposed pair); ``decompose`` always sets it.
     """
 
     us: tuple[int, ...]
@@ -131,69 +133,49 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
     cycles: list[Cycle] = []
     for start in range(x.n):
         while x_ptr[start] < len(x_adj[start]):
-            # Walk one alternating closed circuit from `start`.
-            verts: list[tuple[str, int]] = [("u", start)]
-            labels: list[str] = []
+            # Walk one alternating closed circuit from `start`, rows at even positions.
+            walk = [start]
             u = start
             while True:
                 v = x_adj[u][x_ptr[u]]
                 x_ptr[u] += 1
-                verts.append(("v", v))
-                labels.append("X")
+                walk.append(v)
                 u2 = y_adj[v][y_ptr[v]]
                 y_ptr[v] += 1
-                labels.append("Y")
                 if u2 == start and x_ptr[start] == len(x_adj[start]):
                     break
-                verts.append(("u", u2))
+                walk.append(u2)
                 u = u2
-            cycles.extend(_split_circuit(verts, labels))
+            cycles.extend(_split_circuit(walk))
     return CycleDecomposition(tuple(cycles))
 
 
-def _split_circuit(verts, labels) -> list[Cycle]:
+def _split_circuit(walk: list[int]) -> list[Cycle]:
     """Split a closed alternating circuit into simple cycles.
 
-    ``verts`` is the closed walk w_0 .. w_{L-1} and ``labels[t]`` labels the
-    chord from w_t to w_{t+1 mod L}.  Popping at the first vertex revisit
-    keeps the stack duplicate-free, so every popped cycle is simple, and
-    even length (the walk is bipartite) keeps the splice alternating.
+    ``walk`` is the closed walk w_0 .. w_{L-1} with rows at even positions;
+    it leaves every row along an X-chord.  A vertex is keyed by its position
+    parity, which on the stack equals its side.  Popping at the first vertex
+    revisit keeps the stack duplicate-free, so every popped cycle is simple,
+    and even length (the walk is bipartite) keeps the splice alternating.
+    Each cycle is rotated to start at a row, so its first chord is an X-chord.
     """
     cycles: list[Cycle] = []
-    stack: list[tuple[str, int]] = [verts[0]]
-    in_labels: list[str | None] = [None]  # label of the chord into stack[i]
-    pos: dict[tuple[str, int], int] = {verts[0]: 0}
-    L = len(labels)
-    for t in range(L):
-        w = verts[(t + 1) % L]
-        lab = labels[t]
-        if w in pos:
-            s = pos[w]
-            cyc_verts = stack[s:]
-            cyc_labels = in_labels[s + 1 :] + [lab]
-            for vv in stack[s + 1 :]:
-                del pos[vv]
-            del stack[s + 1 :]
-            del in_labels[s + 1 :]
-            cycles.append(_make_cycle(cyc_verts, cyc_labels))
-        else:
+    stack: list[int] = []
+    pos: dict[tuple[int, int], int] = {}
+    for t, w in enumerate(walk + walk[:1]):
+        s = pos.get((t & 1, w))
+        if s is None:
+            pos[t & 1, w] = len(stack)
             stack.append(w)
-            in_labels.append(lab)
-            pos[w] = len(stack) - 1
+            continue
+        k = s + (s & 1)  # the popped cycle's first row
+        us, vs = stack[k::2], stack[k + 1 :: 2] + stack[s:k]
+        cycles.append(Cycle(us=tuple(us), vs=tuple(vs), first_is_x=True))
+        for i in range(s + 1, len(stack)):
+            del pos[i & 1, stack[i]]
+        del stack[s + 1 :]
     return cycles
-
-
-def _make_cycle(verts, labels) -> Cycle:
-    """Build a Cycle from an alternating vertex list and its edge labels.
-
-    ``labels[i]`` labels the chord between verts[i] and verts[i+1 mod len].
-    """
-    if verts[0][0] == "v":
-        verts = verts[1:] + verts[:1]
-        labels = labels[1:] + labels[:1]
-    us = tuple(idx for side, idx in verts[0::2])
-    vs = tuple(idx for side, idx in verts[1::2])
-    return Cycle(us=us, vs=vs, first_is_x=labels[0] == "X")
 
 
 def milestones(
@@ -232,7 +214,7 @@ class AuxiliaryMatrix:
     def __init__(self, seq, matrix, forbidden=(), *, validate=True):
         self.seq = seq
         self.matrix = np.array(matrix, dtype=np.int16, copy=True)
-        self.forbidden = tuple(forbidden)
+        self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
         self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
         if validate:
             self.validate()
@@ -354,15 +336,17 @@ def sweep(
     """Move sequence turning milestone ``g`` into ``g_next`` along ``cycle``.
 
     Iteratively finds the lowest diagonal edge (u1, v_i) of the cornerstone
-    u1, then sweeps it down towards the current end chord in single steps
-    (one c4 each); where the position below the start chord is forbidden, a
-    double-step covers two cycle positions with either one circular c6 (when
-    both remaining opposite pairs are forbidden) or two c4 moves through
-    whichever opposite chord exists, edge variant first.
+    u1 (by default ``cornerstone(g, cycle)``), then sweeps it down towards
+    the current end chord in single steps (one c4 each); where the position
+    below the start chord is forbidden, a double-step covers two cycle
+    positions with either one circular c6 (when both remaining opposite
+    pairs are forbidden) or two c4 moves through whichever opposite chord
+    exists, edge variant first.
 
     Without forbidden positions only single-steps occur and a cycle with
     ``2*ell`` chords costs exactly ``ell - 1`` moves; with a forbidden
-    matching the count is at most ``2*ell``.
+    matching the count is at most ``2*ell``.  The sweep runs on a copy of
+    ``g``, after checking that ``cycle`` is exactly the pair's difference.
     """
     _check_compatible(g, g_next)
     diff = {
@@ -372,19 +356,30 @@ def sweep(
         raise ValueError("cycle does not equal the symmetric difference of the pair")
     if corner is None:
         corner = cornerstone(g, cycle)
-    us, vs = _normalize_cycle(cycle, g, corner)
+    z = g.copy()
+    res = SweepResult(moves=[], states=[], intermediate=[], norm_us=(), norm_vs=())
+    res.norm_us, res.norm_vs = _sweep(z, cycle, corner, res)
+    if not np.array_equal(z.matrix, g_next.matrix):  # pragma: no cover - guard
+        raise IllegalMoveError("sweep did not reach the next milestone")
+    return res
+
+
+def _sweep(z: BipartiteRealization, cycle: Cycle, corner: int, out):
+    """Sweep ``cycle`` on ``z`` in place from ``corner`` (see ``sweep``).
+
+    Every move goes through ``apply_move``'s legality checks and is
+    appended with a copy of its post-move state and its double-step flag
+    to ``out.moves``, ``out.states`` and ``out.intermediate``.  Returns the
+    normalised rows and columns, cornerstone first."""
+    us, vs = _normalize_cycle(cycle, z, corner)
     ell = cycle.ell
     u1 = us[1]
-    z = g.copy()
-    moves: list[SwapMove] = []
-    states: list[BipartiteRealization] = []
-    inter: list[bool] = []
 
     def emit(mv: SwapMove, mid_double: bool) -> None:
         z.apply_move(mv, inplace=True)
-        moves.append(mv)
-        states.append(z.copy())
-        inter.append(mid_double)
+        out.moves.append(mv)
+        out.states.append(z.copy())
+        out.intermediate.append(mid_double)
 
     end = 1
     while True:
@@ -424,15 +419,7 @@ def sweep(
         end = start
         if end == ell:
             break
-    if not np.array_equal(z.matrix, g_next.matrix):  # pragma: no cover - guard
-        raise IllegalMoveError("sweep did not reach the next milestone")
-    return SweepResult(
-        moves=moves,
-        states=states,
-        intermediate=inter,
-        norm_us=tuple(us[1:]),
-        norm_vs=tuple(vs[1:]),
-    )
+    return tuple(us[1:]), tuple(vs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -490,42 +477,26 @@ def build_canonical_path(
 ) -> CanonicalPath:
     """Full canonical path from X to Y with cornerstone-anchored sweeps.
 
-    The cornerstone of each cycle is chosen by minimal row sum of the
-    auxiliary matrix ``M_X + M_Y - M_G`` (G the milestone being left)
-    restricted to the cycle's rows and columns.
+    One working copy of X is swept in place through the cycles of
+    ``decompose(x, y)`` in turn.  Before each sweep it is the milestone G
+    being left, and the cycle's cornerstone is chosen by minimal row sum of
+    the auxiliary matrix ``M_X + M_Y - M_G`` restricted to the cycle's rows
+    and columns.  Every state is reached through ``apply_move``'s legality
+    checks, so each is a valid realization without a separate validation.
     """
     _check_compatible(x, y)
-    dec = decompose(x, y)
-    miles = milestones(x, y, dec)
-    states = [x.copy()]
-    moves: list[SwapMove] = []
-    inter = [False]
-    segments: list[PathSegment] = []
-    for k, cyc in enumerate(dec.cycles):
-        g, g_next = miles[k], miles[k + 1]
-        aux = auxiliary_matrix(x, y, g)
-        corner = cornerstone(aux, cyc)
-        res = sweep(g, g_next, cyc, corner)
-        first = len(states) - 1
-        states.extend(res.states)
-        moves.extend(res.moves)
-        inter.extend(res.intermediate)
-        segments.append(
-            PathSegment(
-                cycle=cyc,
-                corner=corner,
-                norm_us=res.norm_us,
-                norm_vs=res.norm_vs,
-                first_state=first,
-                last_state=len(states) - 1,
-            )
+    z = x.copy()
+    path = CanonicalPath(states=[x.copy()], moves=[], intermediate=[False], segments=[])
+    for cyc in decompose(x, y).cycles:
+        corner = cornerstone(auxiliary_matrix(x, y, z), cyc)
+        first = len(path.states) - 1
+        norm_us, norm_vs = _sweep(z, cyc, corner, path)
+        path.segments.append(
+            PathSegment(cyc, corner, norm_us, norm_vs, first, len(path.states) - 1)
         )
-    return CanonicalPath(
-        states=states,
-        moves=moves,
-        intermediate=inter,
-        segments=segments,
-    )
+    if not np.array_equal(z.matrix, y.matrix):  # pragma: no cover - guard
+        raise IllegalMoveError("canonical path did not reach Y")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +516,11 @@ def _aux_blocks(
     path states ``Z = G_{start+k}``, ``k`` up to ``_BLOCK`` inclusive.
 
     Every block is written into the same buffer, so ``A`` is valid only
-    until the next block is drawn."""
+    until the next block is drawn.  Raises ``ValueError`` unless the path
+    joins X to Y."""
     _check_compatible(x, y)
+    if path.states[0] != x or path.states[-1] != y:
+        raise ValueError("the path does not join the audited pair")
     base = x.matrix.astype(np.int16) + y.matrix
     buf = np.empty((_BLOCK + 1, *base.shape), dtype=np.int16)
     states = path.states

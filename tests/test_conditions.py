@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapmc import (
     DegreeBounds,
     DirectedDegreeBiSequence,
+    bounds_of,
     bipartite_spread_condition,
     directed_spread_condition,
     erdos_renyi_window,
@@ -86,6 +87,26 @@ def test_directed_condition_worked_examples():
 
     rep = directed_spread_condition(DegreeBounds(c1=1, c2=6, d1=1, d2=6, n=8, m=8))
     assert rep.lhs == 25 and rep.rhs == 2 and not rep.holds
+
+
+@st.composite
+def _regular_digraph_shape(draw):
+    n = draw(st.integers(2, 10**6))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_regular_digraph_shape())
+@example((2, 1))
+@example((3, 2))
+@example((10**6, 1))
+@example((10**6, 10**6 - 1))
+def test_directed_condition_holds_on_every_regular_digraph(shape):
+    # d = n - 1 is the complete digraph, outside the worked examples' range
+    n, d = shape
+    rep = directed_spread_condition(bounds_of(DirectedDegreeBiSequence((d,) * n, (d,) * n)))
+    assert rep.applicable and rep.holds
+    assert rep.lhs == 0 and rep.rhs == 2 + d * (n - d - 1) + 2 * d - n
 
 
 def test_directed_condition_window():

@@ -8,6 +8,9 @@ from swapmc import (
     BadPositionReport,
     BipartiteDegreeSequence,
     BipartiteRealization,
+    CanonicalPath,
+    Cycle,
+    CycleDecomposition,
     DirectedDegreeBiSequence,
     RepairReport,
     auxiliary_matrix,
@@ -29,7 +32,7 @@ from swapmc import (
     verify_repairs,
 )
 from swapmc.errors import RepairError
-from swapmc.paths import _BLOCK
+from swapmc.paths import _BLOCK, PathSegment
 
 DIAG3 = tuple((i, i) for i in range(3))
 DIAG = lambda n: tuple((i, i) for i in range(n))
@@ -107,6 +110,7 @@ def test_decompose_partitions_difference_and_alternates():
             assert set(cyc.x_chords()) <= set(x.edges())
             assert set(cyc.y_chords()) <= set(y.edges())
             assert len(set(cyc.us)) == cyc.ell and len(set(cyc.vs)) == cyc.ell
+            assert cyc.first_is_x
 
 
 def test_decompose_deterministic():
@@ -848,3 +852,165 @@ def test_block_audits_memory_stays_one_block():
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the one-walk builder against the three-pass reference
+# ---------------------------------------------------------------------------
+
+
+def _decompose_with_labels(x, y):
+    """Reference decomposition: the circuit walk with explicit X/Y labels,
+    split by the labelled splitter below."""
+    x_adj = [[] for _ in range(x.n)]
+    for u, v in zip(*np.nonzero((x.matrix == 1) & (y.matrix == 0))):
+        x_adj[u].append(int(v))
+    y_adj = [[] for _ in range(x.m)]
+    for v, u in zip(*np.nonzero(((y.matrix == 1) & (x.matrix == 0)).T)):
+        y_adj[v].append(int(u))
+    x_ptr, y_ptr = [0] * x.n, [0] * x.m
+    cycles = []
+    for start in range(x.n):
+        while x_ptr[start] < len(x_adj[start]):
+            verts, labels = [("u", start)], []
+            u = start
+            while True:
+                v = x_adj[u][x_ptr[u]]
+                x_ptr[u] += 1
+                verts.append(("v", v))
+                labels.append("X")
+                u2 = y_adj[v][y_ptr[v]]
+                y_ptr[v] += 1
+                labels.append("Y")
+                if u2 == start and x_ptr[start] == len(x_adj[start]):
+                    break
+                verts.append(("u", u2))
+                u = u2
+            cycles.extend(_split_labelled_circuit(verts, labels))
+    return CycleDecomposition(tuple(cycles))
+
+
+def _split_labelled_circuit(verts, labels):
+    """Frozen copy of the labelled circuit splitter."""
+    cycles = []
+    stack = [verts[0]]
+    in_labels = [None]  # label of the chord into stack[i]
+    pos = {verts[0]: 0}
+    L = len(labels)
+    for t in range(L):
+        w = verts[(t + 1) % L]
+        lab = labels[t]
+        if w in pos:
+            s = pos[w]
+            cyc_verts = stack[s:]
+            cyc_labels = in_labels[s + 1 :] + [lab]
+            for vv in stack[s + 1 :]:
+                del pos[vv]
+            del stack[s + 1 :]
+            del in_labels[s + 1 :]
+            cycles.append(_make_labelled_cycle(cyc_verts, cyc_labels))
+        else:
+            stack.append(w)
+            in_labels.append(lab)
+            pos[w] = len(stack) - 1
+    return cycles
+
+
+def _make_labelled_cycle(verts, labels):
+    """Frozen copy: rotate to a row first, label from the first chord."""
+    if verts[0][0] == "v":
+        verts = verts[1:] + verts[:1]
+        labels = labels[1:] + labels[:1]
+    us = tuple(idx for side, idx in verts[0::2])
+    vs = tuple(idx for side, idx in verts[1::2])
+    return Cycle(us=us, vs=vs, first_is_x=labels[0] == "X")
+
+
+def _build_canonical_path_three_pass(x, y):
+    """Reference builder: every milestone first, then one public sweep per
+    milestone pair, anchored at the auxiliary matrix's cornerstone."""
+    dec = decompose(x, y)
+    miles = milestones(x, y, dec)
+    path = CanonicalPath(states=[x.copy()], moves=[], intermediate=[False], segments=[])
+    for k, cyc in enumerate(dec.cycles):
+        corner = cornerstone(auxiliary_matrix(x, y, miles[k]), cyc)
+        res = sweep(miles[k], miles[k + 1], cyc, corner)
+        first = len(path.states) - 1
+        path.states.extend(res.states)
+        path.moves.extend(res.moves)
+        path.intermediate.extend(res.intermediate)
+        path.segments.append(
+            PathSegment(cyc, corner, res.norm_us, res.norm_vs, first, len(path.states) - 1)
+        )
+    return path
+
+
+def _reference_instances():
+    seq6 = BipartiteDegreeSequence((2, 3, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2))
+    seq7 = BipartiteDegreeSequence((1,) * 7, (1,) * 7)
+    for seq, forbidden in ((seq6, ()), (seq6, DIAG(6)), (seq7, DIAG(7))):
+        for seed in range(16):
+            yield _randomized_pair(seq, forbidden, seed)
+
+
+def test_decompose_matches_the_labelled_reference():
+    cycles = 0
+    for x, y in _reference_instances():
+        dec = decompose(x, y)
+        assert dec == _decompose_with_labels(x, y)
+        cycles += len(dec.cycles)
+    assert cycles > 0
+
+
+def test_build_matches_the_three_pass_reference():
+    kinds = set()
+    intermediates = 0
+    for x, y in _reference_instances():
+        path = build_canonical_path(x, y)
+        ref = _build_canonical_path_three_pass(x, y)
+        assert [seg.cycle for seg in path.segments] == [seg.cycle for seg in ref.segments]
+        assert path.moves == ref.moves
+        assert path.intermediate == ref.intermediate
+        assert path.segments == ref.segments  # corners, norm_us/norm_vs, bounds
+        assert path.states == ref.states
+        kinds.update(mv.kind for mv in path.moves)
+        intermediates += sum(path.intermediate)
+    assert kinds == {"c4", "c6"}
+    assert intermediates > 0  # double-steps occur
+
+
+# ---------------------------------------------------------------------------
+# audits refuse a pair the path does not join
+# ---------------------------------------------------------------------------
+
+
+def test_audits_reject_a_path_built_on_another_pair():
+    seq = BipartiteDegreeSequence((2,) * 4, (2,) * 4)
+    x = BipartiteRealization(seq, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
+    y = BipartiteRealization(seq, [[0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]])
+    w = BipartiteRealization(seq, [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+    path = build_canonical_path(x, y)
+    assert verify_bad_positions(path, x, y).ok and verify_repairs(path, x, y).ok
+    with pytest.raises(ValueError, match="does not join"):
+        verify_bad_positions(path, x, w)
+    with pytest.raises(ValueError, match="does not join"):
+        verify_repairs(path, x, w)
+    with pytest.raises(ValueError, match="does not join"):
+        verify_repairs(path, w, y)
+
+
+# ---------------------------------------------------------------------------
+# auxiliary matrices take the forbidden set in any order
+# ---------------------------------------------------------------------------
+
+
+def test_auxiliary_matrix_sorts_an_unsorted_forbidden_set():
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    M = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    unsorted = AuxiliaryMatrix(seq, M, [(1, 1), (0, 0), (2, 2)])
+    ordered = AuxiliaryMatrix(seq, M, DIAG3)
+    assert unsorted.forbidden == ordered.forbidden == DIAG3
+    got, want = repair_to_realization(unsorted), repair_to_realization(ordered)
+    assert got.realization == want.realization
+    assert got.switches == want.switches == []
+    assert got.distance == want.distance == 0
