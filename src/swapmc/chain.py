@@ -43,7 +43,9 @@ TOMACS 2019), a multiply and a compare that run as well on a whole array
 of halves.  Python then walks the block's branch words to class each
 step, and checks and applies the proposals in step order.  Words a
 segment leaves unused start the next one, and closing the session rewinds
-the generator past the words it used.  Segments shorter than
+the generator past the words it used.  A step whose draws meet a Lemire
+rejection is rare; the session rewinds the generator to it and runs it
+through the per-step kernel on numpy's own draws.  Segments shorter than
 ``_CROSSOVER`` steps, where a session's fixed costs outweigh the saving,
 run the per-step functions instead.  States, statistics and the
 generator's final state are bit-identical to the per-step functions,
@@ -239,24 +241,18 @@ _LOW = 0xFFFFFFFF
 
 
 class _Words:
-    """numpy's scalar draws on a ``PCG64`` bit generator, rebuilt from raw words.
+    """Raw words drawn in blocks from a ``PCG64`` bit generator.
 
     ``words[pos:]`` are the raw words drawn from ``bg`` and not used yet,
-    and ``has`` and ``half`` mirror PCG64's one-half buffer.  ``word()`` is
-    the fresh 64-bit word that ``Generator.random()`` consumes; that call
-    returns ``(word() >> 11) * 2**-53``.  ``below(k)`` equals
-    ``Generator.integers(0, k)`` for ``1 <= k <= 2**32``: 0 without a draw
-    when ``k == 1``, otherwise Lemire's method on 32-bit halves taken
-    through the buffer, the low half first and the high half kept for the
-    next call.  When no word is left, ``word()`` draws a block of at most
-    ``_BLOCK``, sized to the ``budget`` of words the caller expects to use.
-    ``close()`` rewinds ``bg`` past the words actually used and restores the
-    half buffer, so its ``state`` is what the scalar calls would have left;
-    call it once, in a ``finally``.
+    and ``has`` and ``half`` mirror PCG64's one-half buffer, which
+    ``integers(0, k)`` fills with the high half of a word and empties
+    before it draws the next.  ``close()`` rewinds ``bg`` past the words
+    actually used and restores the half buffer, so its ``state`` is what
+    numpy's scalar draws of those words would have left; call it once.
     """
 
-    def __init__(self, bg, budget: int):
-        self.bg, self.budget, self.snap = bg, budget, bg.state
+    def __init__(self, bg):
+        self.bg, self.snap = bg, bg.state
         self.has, self.half = self.snap["has_uint32"], self.snap["uinteger"]
         self.words = np.empty(0, np.uint64)
         self.pos = self.drawn = 0
@@ -266,27 +262,6 @@ class _Words:
         self.words = np.concatenate((self.words[self.pos :], self.bg.random_raw(size)))
         self.drawn += size
         self.pos = 0
-
-    def word(self) -> int:
-        if self.pos == len(self.words):
-            self.refill(min(_BLOCK, max(self.budget - self.drawn, 8)))
-        self.pos += 1
-        return int(self.words[self.pos - 1])
-
-    def below(self, k: int) -> int:
-        if k == 1:
-            return 0
-        while True:
-            if self.has:
-                self.has = 0
-                p = self.half * k
-            else:
-                w = self.word()
-                self.half, self.has = w >> 32, 1
-                p = (w & _LOW) * k
-            # numpy computes the rejection bound only when the low word is below k
-            if (p & _LOW) >= k or (p & _LOW) >= (0x100000000 - k) % k:
-                return p >> 32
 
     def close(self) -> None:
         bg = self.bg
@@ -311,11 +286,9 @@ class _Decoder:
 
     A step's class is 0 when it holds, 1 when it proposes a c4-swap, 2 when
     it proposes a c6-swap, and 3 when it takes the c6 branch with fewer than
-    three vertices in a class, which draws nothing and rejects.  ``ks[c]``
-    are the bounds of class ``c``'s ``integers(0, k)`` draws, in stream
-    order.  A draw with ``k == 1`` takes no half, so with two or three
-    vertices in a class a proposal takes an odd number of halves and the
-    half buffer flips.
+    three vertices in a class, which draws nothing and rejects.  A draw
+    with ``k == 1`` takes no half, so with two or three vertices in a class
+    a proposal takes an odd number of halves and the half buffer flips.
     """
 
     def __init__(self, r: BipartiteRealization, lazy: bool, c6: bool):
@@ -327,14 +300,14 @@ class _Decoder:
         self.hold = 1 << 63 if lazy else 0
         self.c4_below = (3 << 62 if lazy else 1 << 63) if c6 else None
         self.c6_class = 2 if n >= 3 and m >= 3 else 3
-        self.ks = ((), (n, n - 1, m, m - 1), (n, n - 1, n - 2, m, m - 1, m - 2), ())
-        # Per class and draw column: the bound (0 where no half is taken),
-        # the offset of its half among the proposal's, and numpy's Lemire
-        # rejection threshold (2**32 - k) % k.  A zero bound decodes to 0
-        # and never rejects.
+        # Per class and draw column: the bound k of its integers(0, k) draw,
+        # in stream order (0 where no half is taken), the offset of its half
+        # among the proposal's, and numpy's Lemire rejection threshold
+        # (2**32 - k) % k.  A zero bound decodes to 0 and never rejects.
         bound = np.zeros((4, 6), np.int64)
-        for c, ks in enumerate(self.ks):
-            bound[c, : len(ks)] = [k if k > 1 else 0 for k in ks]
+        bound[1, :4] = n, n - 1, m, m - 1
+        bound[2] = n, n - 1, n - 2, m, m - 1, m - 2
+        bound[bound == 1] = 0
         drawn = bound > 0
         self.bound = bound.astype(np.uint64)
         self.offset = np.maximum(np.cumsum(drawn, axis=1) - 1, 0)
@@ -360,13 +333,6 @@ class _Decoder:
         for u, v in r.forbidden:
             self.forbidden[u * m + v] = True
 
-    def classes(self, words):
-        """The class of the step that reads each of ``words`` as its branch word."""
-        cls = (words >= np.uint64(self.hold)).astype(np.intp)
-        if self.c4_below is not None:
-            cls[words >= np.uint64(self.c4_below)] = self.c6_class
-        return cls
-
     def decode(self, words, has: int, half: int, steps: int):
         """The draws of up to ``steps`` whole steps read from ``words``.
 
@@ -375,11 +341,15 @@ class _Decoder:
         fit in ``words`` whatever their classes, up to the first step whose
         draws meet a Lemire rejection.  Returns ``(steps, used, has, half,
         kinds, draws)``: the steps decoded, the words they used, the half
-        buffer after them, each step's class, and one row of ``below(k)``
+        buffer after them, each step's class, and one row of ``integers(0, k)``
         values per proposal in step order, zero-padded to six.
         """
         todo = min(steps, len(words) // self.most)
-        cls = self.classes(words) if self.branch else np.ones(len(words), np.intp)
+        # The class of the step that would read each word as its branch
+        # word; all 1 when every step proposes a c4-swap (hold is then 0)
+        cls = (words >= np.uint64(self.hold)).astype(np.intp)
+        if self.c4_below is not None:
+            cls[words >= np.uint64(self.c4_below)] = self.c6_class
         inc = self.inc.take(cls, axis=0).ravel().tolist()
         s = has  # see __init__
         states = np.fromiter([has] + [s := s + inc[s] for _ in range(todo)], np.intp, todo + 1)
@@ -410,14 +380,6 @@ class _Decoder:
         # numpy keeps the last high half drawn even once it is used
         half = int(S[taken - 1]) if taken else half
         return todo, used, end, half, kinds, (p >> 32).astype(np.intp)
-
-    def scalar_step(self, src: _Words):
-        """One step's class and draw row from the scalar draws of ``src``."""
-        c = int(self.classes(np.array([src.word()], np.uint64))[0]) if self.branch else 1
-        row = [src.below(k) for k in self.ks[c]]
-        draws = np.zeros((1 if row else 0, 6), np.intp)
-        draws[:, : len(row)] = row
-        return np.array([c]), draws
 
     def moves(self, pk, draws):
         """The proposals as rows ``(x0, x1, x2, y0, y1, y2, tag)``, in step order.
@@ -517,8 +479,9 @@ class _Session:
 
     def __init__(self, r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats):
         _check_kernel(r, c6)
+        self.r, self.rng, self.lazy, self.c6 = r, rng, lazy, c6
         self.dec = _Decoder(r, lazy, c6)
-        self.src = _Words(rng.bit_generator, steps * self.dec.most)
+        self.src = _Words(rng.bit_generator)
         self.left, self.stats = steps, stats
         self.flat = r.matrix.reshape(-1)
         self.M = memoryview(r.matrix).cast("B")
@@ -536,8 +499,9 @@ class _Session:
         A pass ends at the segment's end, and the words it leaves unused
         start the next pass, in this segment or the next, so a step never
         spans two passes.  A step whose draws meet a Lemire rejection, with
-        odds below ``k / 2**32`` per draw, takes the scalar draws of
-        :class:`_Words`.
+        odds below ``k / 2**32`` per draw, ends the pass: the session closes
+        its words, which rewinds the generator to that step, runs the step
+        through :func:`_step` on numpy's own draws, and opens fresh words.
         """
         dec, src, M, flat = self.dec, self.src, self.M, self.flat
         tally = [0, 0, 0, 0]  # held, illegal, applied c4, applied c6
@@ -553,7 +517,9 @@ class _Session:
                 src.pos += used
                 _play(M, flat, dec, kinds, draws, tally)
                 if done < todo:  # the next step meets a Lemire rejection
-                    _play(M, flat, dec, *dec.scalar_step(src), tally)
+                    src.close()
+                    self.stats.record(_step(self.r, self.rng, self.lazy, True, self.c6)[1])
+                    self.src = src = _Words(self.rng.bit_generator)
                     done += 1
                 steps -= done
                 self.left -= done

@@ -204,6 +204,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.horizon < 0:
+        raise ValueError("horizon must be >= 0")
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
     bip, forbidden = _restricted_form(seq) if directed else (seq, ())

@@ -52,12 +52,18 @@ def _content_lines(text: str) -> list[str]:
 
 
 def _parse_int_list(name: str, raw) -> list[int]:
-    try:
-        if isinstance(raw, str):
+    """Integers from a whitespace-separated string, or from a JSON list whose
+    items are all integers; a float or a boolean item is an error, not a
+    truncated degree."""
+    error = FormatError(f"{name}: expected whitespace-separated integers")
+    if isinstance(raw, str):
+        try:
             return [int(tok) for tok in raw.split()]
-        return [int(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{name}: expected whitespace-separated integers") from exc
+        except ValueError as exc:
+            raise error from exc
+    if isinstance(raw, list) and all(type(v) is int for v in raw):
+        return raw
+    raise error
 
 
 def _header_fields(lines: list[str]) -> tuple[dict, int]:

@@ -378,26 +378,23 @@ def test_sample_block_core_matches_per_step_kernel(case):
     assert rng_core.bit_generator.state == rng_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("budget", [1, 40, 5000])
+@pytest.mark.parametrize("seed", [7, 8, 9])
 @pytest.mark.parametrize("pre", [0, 1])
-def test_raw_draws_match_numpy_call_for_call(budget, pre):
+def test_raw_draws_match_numpy_call_for_call(seed, pre):
     # 2**31 + 1 and 3 * 2**30 reject a quarter to a half of their first
     # Lemire draws; k == 1 draws nothing
     ks = [1, 2, 3, 200, 2**31 + 1, 3 * 2**30, None]  # None: random()
     schedule = np.random.default_rng(99).choice(len(ks), size=3000).tolist()
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     rng.integers(0, 9, size=pre)
     ref.integers(0, 9, size=pre)
-    src = chain._Words(rng.bit_generator, budget)
-    try:
-        for c in schedule:
-            k = ks[c]
-            if k is None:
-                assert (src.word() >> 11) * 2**-53 == ref.random()
-            else:
-                assert src.below(k) == ref.integers(0, k)
-    finally:
-        src.close()
+    draws = _ScalarDraws(rng.bit_generator)
+    for c in schedule:
+        k = ks[c]
+        if k is None:
+            assert draws.random() == ref.random()
+        else:
+            assert draws.integers(0, k) == ref.integers(0, k)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random() and rng.integers(0, 7) == ref.integers(0, 7)
 
@@ -446,7 +443,7 @@ def test_sample_opens_one_session_per_run_of_long_segments(
     keys, stats = _per_step_sample(seq, cfg, np.random.default_rng(6))
     assert [r.key() for r in res.realizations] == keys
     assert res.stats.as_dict() == stats
-    # a session's word budget is the steps of its own segments
+    # a session expects the steps of its own segments
     long = [s for s in [burn_in] + [thinning] * 3 if s >= chain._CROSSOVER]
     assert sessions[-1:] == ([sum(long)] if opened else [])
 
@@ -566,21 +563,49 @@ class _Served:
         self._state["pos"] += delta
 
 
-class _Generator:
-    """Just enough of ``numpy.random.Generator`` for the block core."""
+class _ScalarDraws:
+    """numpy's scalar ``random()`` and ``integers(0, k)`` on ``bit_generator``,
+    rebuilt from its raw words, one at a time, for ``1 <= k <= 2**32``.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` for a fresh word ``w``.
+    ``integers(0, k)`` is 0 without a draw when ``k == 1``, otherwise
+    Lemire's method on 32-bit halves: the buffered half of the bit
+    generator's ``state`` when it has one, else the low half of a fresh word,
+    whose high half it buffers.  Also the generator the block core falls
+    back to."""
 
     def __init__(self, bg):
         self.bit_generator = bg
 
+    def _word(self):
+        return int(self.bit_generator.random_raw(1)[0])
 
-class _ScalarDraws(chain._Words):
-    """``random()`` and ``integers(0, k)`` through the scalar draws of ``chain._Words``."""
+    def _half(self):
+        bg = self.bit_generator
+        state = bg.state
+        if state["has_uint32"]:
+            half = state["uinteger"]  # numpy leaves the used half in place
+            state["has_uint32"] = 0
+        else:
+            w = self._word()
+            state = bg.state
+            half = w & 0xFFFFFFFF
+            state["has_uint32"], state["uinteger"] = 1, w >> 32
+        bg.state = state
+        return half
 
     def random(self):
-        return (self.word() >> 11) * 2**-53
+        return (self._word() >> 11) * 2**-53
 
     def integers(self, low, high):
-        return low + self.below(high - low)
+        k = high - low
+        if k == 1:
+            return low
+        while True:
+            p = self._half() * k
+            # numpy computes the rejection bound only when the low word is below k
+            if (p & 0xFFFFFFFF) >= k or (p & 0xFFFFFFFF) >= (2**32 - k) % k:
+                return low + (p >> 32)
 
 
 def _constructed_words(seed, size, zeros=0.02):
@@ -628,11 +653,10 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
         assert done <= planned and len(kinds) == done
         rejected |= 0 < done < planned  # stopped in the middle of the block
         bg = _Served(words, has, half)
-        src = chain._Words(bg, len(words))
-        word, below = src.word, src.below
+        ref = _ScalarDraws(bg)
         rows_seen = []
         for t in range(done):
-            x = (word() >> 11) * 2**-53 if lazy or c6 else 1.0
+            x = ref.random() if lazy or c6 else 1.0
             if lazy and x < 0.5:
                 kind_t, ks = 0, ()
             elif not c6 or x < (0.75 if lazy else 0.5):
@@ -643,20 +667,19 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
                 kind_t, ks = 2, (n, n - 1, n - 2, m, m - 1, m - 2)
             assert kinds[t] == kind_t
             if ks:
-                rows_seen.append([below(k) for k in ks] + [0] * (6 - len(ks)))
+                rows_seen.append([ref.integers(0, k) for k in ks] + [0] * (6 - len(ks)))
         assert draws.tolist() == rows_seen
-        src.close()
         assert bg.state == {"pos": used, "has_uint32": has_out, "uinteger": half_out}
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
         assert rejected, "no Lemire rejection stopped a block"
 
 
-def _session_against_loop(r, c6, lazy, segments, words, has):
+def _session_against_loop(r, c6, lazy, segments, words, has, monkeypatch):
     """Runs ``segments`` in one session on ``words`` and through ``_loop`` over
     their scalar draws, comparing the states and statistics at every
     segment's end and the bit generators after closing.  Returns whether a
-    segment left words for the next one, and the steps whose draws met a
-    Lemire rejection."""
+    segment left words for the next one, the steps whose draws met a Lemire
+    rejection, and how many steps the session ran through ``_step``."""
     core, ref = r.copy(), r.copy()
     bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
     stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
@@ -664,17 +687,28 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
 
     class Counting(_ScalarDraws):
         def halves(self):
-            return 2 * (self.drawn - len(self.words) + self.pos) - self.has
+            state = self.bit_generator.state
+            return 2 * state["pos"] - state["has_uint32"]
 
-        def below(self, k):
+        def integers(self, low, high):
             before = self.halves()
-            value = super().below(k)
+            value = super().integers(low, high)
             if self.halves() - before > 1:
                 rejected.add(stats_ref.steps)
             return value
 
-    draws = Counting(bg_ref, len(words))
-    session = chain._Session(core, _Generator(bg_core), sum(segments), lazy, c6, stats_core)
+    rng_core = _ScalarDraws(bg_core)
+    fallback = 0
+    step = chain._step
+
+    def counted(r, rng, *args):
+        nonlocal fallback
+        fallback += rng is rng_core
+        return step(r, rng, *args)
+
+    monkeypatch.setattr(chain, "_step", counted)
+    draws = Counting(bg_ref)
+    session = chain._Session(core, rng_core, sum(segments), lazy, c6, stats_core)
     carried = False
     try:
         for i, steps in enumerate(segments):
@@ -685,9 +719,8 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
             carried |= i + 1 < len(segments) and session.src.pos < len(session.src.words)
     finally:
         session.close()
-        draws.close()
     assert bg_core.state == bg_ref.state
-    return carried, rejected
+    return carried, rejected, fallback
 
 
 @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -700,10 +733,14 @@ def test_block_core_matches_scalar_draws_on_constructed_words(
     # rejections in the middle of blocks
     monkeypatch.setattr(chain, "_BLOCK", block)
     r, c6 = _decode_instance(rows, cols, kind)
+    n, m = r.n, r.m
+    fallback = 0
     for lazy in (True, False):
         for steps in (0, 1, 2, 500):
             words = _constructed_words(steps + block, 2500, zeros=0.05)
-            _session_against_loop(r, c6, lazy, [steps], words, has)
+            fallback += _session_against_loop(r, c6, lazy, [steps], words, has, monkeypatch)[2]
+    if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
+        assert fallback > 0, "no rejected step ran through _step"
 
 
 @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -717,17 +754,22 @@ def test_block_core_segments_match_scalar_draws_on_constructed_words(
     r, c6 = _decode_instance(rows, cols, kind)
     n, m = r.n, r.m
     carried = rejected_at_boundary = False
+    fallback = 0
     for lazy in (True, False):
         for gap in (1, 2, 150):
             segments = [500] + [gap] * 4
             words = _constructed_words(gap + block + has, 6000, zeros=0.1)
-            left, rejected = _session_against_loop(r, c6, lazy, segments, words, has)
+            left, rejected, stepped = _session_against_loop(
+                r, c6, lazy, segments, words, has, monkeypatch
+            )
             carried |= left
+            fallback += stepped
             # a segment's first step, which may start on carried words
             rejected_at_boundary |= bool(rejected & set(np.cumsum(segments[:-1]).tolist()))
     assert carried, "no segment left words for the next one"
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
         assert rejected_at_boundary, "no Lemire rejection at a segment's first step"
+        assert fallback > 0, "no rejected step ran through _step"
 
 
 # ---------------------------------------------------------------------------

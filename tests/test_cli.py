@@ -82,6 +82,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert err.startswith("error: parse:")
 
 
+def test_check_rejects_non_integer_json_degrees(capsys, tmp_path):
+    p = tmp_path / "float.json"
+    p.write_text(json.dumps({"u_degrees": [1.7, True], "v_degrees": [1, 1]}))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: parse: u_degrees: expected whitespace-separated integers\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "check", "/nonexistent/xyz.deg")
     assert code == 2
@@ -244,6 +253,19 @@ def test_diagnose_state_budget_exit(capsys, triangle_file):
     assert code == 3
     assert out == ""
     assert err == "error: budget: 2 states exceed the budget of 1\n"
+
+
+def test_diagnose_negative_horizon_prints_nothing(capsys, monkeypatch, triangle_file):
+    import swapmc.cli
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel was built for a negative horizon")
+
+    monkeypatch.setattr(swapmc.cli, "exact_transition_matrix", no_kernel)
+    code, out, err = run(capsys, "diagnose", triangle_file, "--horizon", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid: horizon must be >= 0\n"
 
 
 def test_diagnose_infeasible_exit_code(capsys, tmp_path):

@@ -60,6 +60,24 @@ def test_parse_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "degrees",
+    [[1.7, True], [1.0, 1], [1, False], ["1", 1], [1, None], {"1": 1}, 2],
+    ids=["float-bool", "whole-float", "bool", "string-item", "null", "object", "number"],
+)
+def test_parse_json_rejects_non_integer_degrees(degrees):
+    # int() would truncate 1.7 and read True as 1
+    with pytest.raises(FormatError, match="u_degrees"):
+        parse_sequence(json.dumps({"u_degrees": degrees, "v_degrees": [1, 1]}))
+
+
+def test_parse_json_string_degrees_read_like_text():
+    seq = parse_sequence(json.dumps({"u_degrees": "1 1", "v_degrees": [1, 1]}))
+    assert seq.u_degrees == (1, 1)
+    with pytest.raises(FormatError, match="u_degrees"):
+        parse_sequence(json.dumps({"u_degrees": "1.7 1", "v_degrees": [1, 1]}))
+
+
 def test_sequence_round_trip():
     for text in ("U: 2 1 1\nV: 2 1 1\n", "out: 1 1 1\nin: 1 1 1\n"):
         seq = parse_sequence(text)
