@@ -674,7 +674,7 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
         assert rejected, "no Lemire rejection stopped a block"
 
 
-def _session_against_loop(r, c6, lazy, segments, words, has, monkeypatch):
+def _session_against_loop(r, c6, lazy, segments, words, has):
     """Runs ``segments`` in one session on ``words`` and through ``_loop`` over
     their scalar draws, comparing the states and statistics at every
     segment's end and the bit generators after closing.  Returns whether a
@@ -706,19 +706,20 @@ def _session_against_loop(r, c6, lazy, segments, words, has, monkeypatch):
         fallback += rng is rng_core
         return step(r, rng, *args)
 
-    monkeypatch.setattr(chain, "_step", counted)
     draws = Counting(bg_ref)
     session = chain._Session(core, rng_core, sum(segments), lazy, c6, stats_core)
     carried = False
-    try:
-        for i, steps in enumerate(segments):
-            session.run(steps)
-            chain._loop(ref, draws, steps, lazy, c6, stats_ref)
-            assert core.key() == ref.key()
-            assert stats_core.as_dict() == stats_ref.as_dict()
-            carried |= i + 1 < len(segments) and session.src.pos < len(session.src.words)
-    finally:
-        session.close()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_step", counted)
+        try:
+            for i, steps in enumerate(segments):
+                session.run(steps)
+                chain._loop(ref, draws, steps, lazy, c6, stats_ref)
+                assert core.key() == ref.key()
+                assert stats_core.as_dict() == stats_ref.as_dict()
+                carried |= i + 1 < len(segments) and session.src.pos < len(session.src.words)
+        finally:
+            session.close()
     assert bg_core.state == bg_ref.state
     return carried, rejected, fallback
 
@@ -738,7 +739,7 @@ def test_block_core_matches_scalar_draws_on_constructed_words(
     for lazy in (True, False):
         for steps in (0, 1, 2, 500):
             words = _constructed_words(steps + block, 2500, zeros=0.05)
-            fallback += _session_against_loop(r, c6, lazy, [steps], words, has, monkeypatch)[2]
+            fallback += _session_against_loop(r, c6, lazy, [steps], words, has)[2]
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
         assert fallback > 0, "no rejected step ran through _step"
 
@@ -759,9 +760,7 @@ def test_block_core_segments_match_scalar_draws_on_constructed_words(
         for gap in (1, 2, 150):
             segments = [500] + [gap] * 4
             words = _constructed_words(gap + block + has, 6000, zeros=0.1)
-            left, rejected, stepped = _session_against_loop(
-                r, c6, lazy, segments, words, has, monkeypatch
-            )
+            left, rejected, stepped = _session_against_loop(r, c6, lazy, segments, words, has)
             carried |= left
             fallback += stepped
             # a segment's first step, which may start on carried words
