@@ -106,7 +106,11 @@ def cmd_check(args) -> int:
         p = seq.arc_count / (seq.n * (seq.n - 1)) if seq.n > 1 else 0.0
     else:
         p = seq.edge_count / (seq.n * seq.m)
-    if 0.0 < p < 1.0:
+    if not 0.0 < p < 1.0:
+        print(f"er-window: skipped (empirical edge density p={_fmt(p)})")
+    elif min(b.n, b.m) < 2:
+        print("er-window: skipped (a class has fewer than two vertices)")
+    else:
         er = erdos_renyi_window(
             "directed" if directed else "bipartite", seq.n, p, m=None if directed else seq.m
         )
@@ -115,8 +119,6 @@ def cmd_check(args) -> int:
             for k, ((lo, hi), ok) in enumerate(zip(er.windows, er.inside))
         )
         print(f"er-window: p={_fmt(p)} {wtxt} verdict={er.verdict}")
-    else:
-        print(f"er-window: skipped (empirical edge density p={_fmt(p)})")
     if rep.applicable and not rep.holds:
         _err("verdict", "degree-spread condition fails")
         return 1

@@ -2,11 +2,11 @@
 
 The swap chains are rapidly mixing whenever the spread of the degrees is
 dominated by slack terms built from the extreme degrees and the class sizes.
-The checkers below evaluate those inequalities in exact integer arithmetic
-and report the full certificate (both sides, every candidate product) so a
-verdict can be audited.  A violated applicability window yields the distinct
-verdict "not applicable": the theory is silent there, and the tool must not
-claim slow mixing.
+The bipartite and directed inequalities differ only in those terms, so one
+evaluator checks both in exact integer arithmetic and reports the full
+certificate (both sides, every candidate product) so a verdict can be
+audited.  A violated applicability window yields the distinct verdict "not
+applicable": the theory is silent there, and the tool must not claim slow mixing.
 
 The Erdos-Renyi window test evaluates, in double precision, the edge
 probability ranges under which a random bipartite or directed graph's degree
@@ -58,6 +58,26 @@ class ConditionReport:
         return "holds" if self.holds else "fails"
 
 
+def _spread_condition(name, b, lhs_factors, d_name, d_cap, candidates, offset) -> ConditionReport:
+    """Check ``lhs_factors[0] * lhs_factors[1] <= offset + max(candidates)`` on
+    the window ``0 < c1 <= c2 < n``, ``0 < d1 <= d2 < d_cap`` (whose message
+    prints ``d_cap`` as ``d_name``)."""
+    lhs = lhs_factors[0] * lhs_factors[1]
+    if not (0 < b.c1 <= b.c2 < b.n and 0 < b.d1 <= b.d2 < d_cap):
+        return ConditionReport(
+            name=name, bounds=b, applicable=False, holds=None, lhs=lhs, rhs=None,
+            lhs_factors=lhs_factors, rhs_candidates=None, active_branch=None,
+            reason=f"window violated: need 0 < c1 <= c2 < n={b.n} "
+            f"and 0 < d1 <= d2 < {d_name}={d_cap}",
+        )
+    rhs = offset + max(candidates)
+    return ConditionReport(
+        name=name, bounds=b, applicable=True, holds=lhs <= rhs, lhs=lhs, rhs=rhs,
+        lhs_factors=lhs_factors, rhs_candidates=candidates,
+        active_branch=0 if candidates[0] >= candidates[1] else 1,
+    )
+
+
 def bipartite_spread_condition(b: DegreeBounds) -> ConditionReport:
     """Check ``(c2-c1-1)(d2-d1-1) <= max{c1(m-d2), d1(n-c2)}``.
 
@@ -68,35 +88,8 @@ def bipartite_spread_condition(b: DegreeBounds) -> ConditionReport:
     prints it as ``d1(|V|-c2)``.
     """
     c1, c2, d1, d2, n, m = b.c1, b.c2, b.d1, b.d2, b.n, b.m
-    lhs_factors = (c2 - c1 - 1, d2 - d1 - 1)
-    lhs = lhs_factors[0] * lhs_factors[1]
-    applicable = 0 < c1 <= c2 < n and 0 < d1 <= d2 < m
-    if not applicable:
-        return ConditionReport(
-            name="bipartite-spread",
-            bounds=b,
-            applicable=False,
-            holds=None,
-            lhs=lhs,
-            rhs=None,
-            lhs_factors=lhs_factors,
-            rhs_candidates=None,
-            active_branch=None,
-            reason=f"window violated: need 0 < c1 <= c2 < n={n} and 0 < d1 <= d2 < m={m}",
-        )
-    candidates = (c1 * (m - d2), d1 * (n - c2))
-    rhs = max(candidates)
-    return ConditionReport(
-        name="bipartite-spread",
-        bounds=b,
-        applicable=True,
-        holds=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_factors=lhs_factors,
-        rhs_candidates=candidates,
-        active_branch=0 if candidates[0] >= candidates[1] else 1,
-    )
+    factors, candidates = (c2 - c1 - 1, d2 - d1 - 1), (c1 * (m - d2), d1 * (n - c2))
+    return _spread_condition("bipartite-spread", b, factors, "m", m, candidates, 0)
 
 
 def directed_spread_condition(b: DegreeBounds) -> ConditionReport:
@@ -106,35 +99,8 @@ def directed_spread_condition(b: DegreeBounds) -> ConditionReport:
     [c1,c2] bounding the out-degrees and [d1,d2] the in-degrees.
     """
     c1, c2, d1, d2, n = b.c1, b.c2, b.d1, b.d2, b.n
-    lhs_factors = (c2 - c1, d2 - d1)
-    lhs = lhs_factors[0] * lhs_factors[1]
-    applicable = 0 < c1 <= c2 < n and 0 < d1 <= d2 < n
-    if not applicable:
-        return ConditionReport(
-            name="directed-spread",
-            bounds=b,
-            applicable=False,
-            holds=None,
-            lhs=lhs,
-            rhs=None,
-            lhs_factors=lhs_factors,
-            rhs_candidates=None,
-            active_branch=None,
-            reason=f"window violated: need 0 < c1 <= c2 < n={n} and 0 < d1 <= d2 < n={n}",
-        )
     candidates = (c1 * (n - d2 - 1) + d1 + c2, d1 * (n - c2 - 1) + c1 + d2)
-    rhs = 2 + max(candidates) - n
-    return ConditionReport(
-        name="directed-spread",
-        bounds=b,
-        applicable=True,
-        holds=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        lhs_factors=lhs_factors,
-        rhs_candidates=candidates,
-        active_branch=0 if candidates[0] >= candidates[1] else 1,
-    )
+    return _spread_condition("directed-spread", b, (c2 - c1, d2 - d1), "n", n, candidates, 2 - n)
 
 
 def greenhill_sfragara_directed(seq: DirectedDegreeBiSequence) -> ConditionReport:

@@ -142,24 +142,12 @@ class DegreeBounds:
 def bounds_of(seq) -> DegreeBounds:
     """Extract the tight degree intervals of a sequence (see DegreeBounds)."""
     if isinstance(seq, BipartiteDegreeSequence):
-        return DegreeBounds(
-            c1=min(seq.v_degrees),
-            c2=max(seq.v_degrees),
-            d1=min(seq.u_degrees),
-            d2=max(seq.u_degrees),
-            n=seq.n,
-            m=seq.m,
-        )
-    if isinstance(seq, DirectedDegreeBiSequence):
-        return DegreeBounds(
-            c1=min(seq.out_degrees),
-            c2=max(seq.out_degrees),
-            d1=min(seq.in_degrees),
-            d2=max(seq.in_degrees),
-            n=seq.n,
-            m=seq.n,
-        )
-    raise TypeError(f"unsupported sequence type: {type(seq).__name__}")
+        c, d, m = seq.v_degrees, seq.u_degrees, seq.m
+    elif isinstance(seq, DirectedDegreeBiSequence):
+        c, d, m = seq.out_degrees, seq.in_degrees, seq.n
+    else:
+        raise TypeError(f"unsupported sequence type: {type(seq).__name__}")
+    return DegreeBounds(c1=min(c), c2=max(c), d1=min(d), d2=max(d), n=seq.n, m=m)
 
 
 def is_bipartite_graphic(seq: BipartiteDegreeSequence) -> bool:

@@ -11,7 +11,7 @@ equivalent carries ``u_degrees``/``v_degrees`` or
 ``out_degrees``/``in_degrees`` keys.
 
 Realization files repeat the degree header, optionally list forbidden
-positions, and then one edge per line, 1-based::
+positions (which degree files may not), and then one edge per line, 1-based::
 
     U: 2 1 1                    out: 1 1 1
     V: 2 1 1                    in: 1 1 1
@@ -128,9 +128,12 @@ def parse_sequence(text: str) -> BipartiteDegreeSequence | DirectedDegreeBiSeque
             if json_key in doc:
                 fields[key] = _parse_int_list(json_key, doc[json_key])
         return _build_sequence(fields)
-    fields, consumed = _header_fields(_content_lines(stripped))
-    if consumed != len(_content_lines(stripped)):
+    lines = _content_lines(stripped)
+    fields, consumed = _header_fields(lines)
+    if consumed != len(lines):
         raise FormatError("unexpected trailing content in degree file")
+    if "forbidden" in fields:
+        raise FormatError("a degree file takes no 'forbidden:' line (realization files do)")
     return _build_sequence(fields)
 
 

@@ -160,6 +160,36 @@ def test_sample_kind_mismatch_errors():
         sample(seq, (), ChainConfig(seed=0, samples=1, chain_kind="directed"))
 
 
+@pytest.mark.parametrize(
+    "seq, forbidden, kind, message",
+    [
+        (
+            DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+            (),
+            "bipartite",
+            "directed bi-sequences require chain_kind='directed'",
+        ),
+        (
+            BipartiteDegreeSequence((1, 1, 1), (1, 1, 1)),
+            DIAG3,
+            "bipartite",
+            "bipartite kernel requires an empty forbidden set",
+        ),
+        (
+            BipartiteDegreeSequence((1, 1, 1), (1, 1, 1)),
+            (),
+            "directed",
+            "restricted kernel requires a forbidden matching",
+        ),
+    ],
+    ids=["directed-seq-on-bipartite", "bipartite-with-matching", "restricted-without"],
+)
+def test_sample_rejects_a_kernel_that_does_not_fit_the_input(seq, forbidden, kind, message):
+    cfg = ChainConfig(seed=0, samples=1, burn_in=0, chain_kind=kind)
+    with pytest.raises(ValueError, match=message):
+        sample(seq, forbidden, cfg)
+
+
 def test_restricted_kernel_with_general_matching():
     # the restricted kernel accepts any forbidden partial matching, not just
     # the diagonal of a digraph representation

@@ -74,6 +74,25 @@ def test_check_prints_no_greenhill_sfragara_line_for_bipartite(capsys, k22_file)
     assert "greenhill-sfragara" not in out
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("U: 1\nV: 1 0\n", "er-window: skipped (a class has fewer than two vertices)"),
+        ("U: 1 0\nV: 1\n", "er-window: skipped (a class has fewer than two vertices)"),
+        ("out: 0\nin: 0\n", "er-window: skipped (empirical edge density p=0)"),
+    ],
+    ids=["one-u-vertex", "one-v-vertex", "one-vertex-digraph"],
+)
+def test_check_skips_er_window_on_a_one_vertex_class(capsys, tmp_path, text, line):
+    p = tmp_path / "one.deg"
+    p.write_text(text)
+    code, out, err = run(capsys, "check", str(p))
+    # the spread window needs two vertices per class, so its verdict sets exit 0
+    assert code == 0 and err == ""
+    assert "spread-condition: verdict=not-applicable" in out
+    assert out.endswith(line + "\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "broken.deg"
     p.write_text("U: 2\nV: 1 1 1\n")
@@ -206,6 +225,16 @@ def test_enumerate_triangle(capsys, triangle_file):
     lines = out.strip().splitlines()
     assert lines[0] == "realizations: 2"
     assert len(lines) == 3
+
+
+def test_enumerate_rejects_forbidden_line_in_degree_file(capsys, tmp_path):
+    # parsed and dropped, the line let enumerate list 1:1 2:2, on the "forbidden" cells
+    p = tmp_path / "forbidden.deg"
+    p.write_text("U: 1 1\nV: 1 1\nforbidden: 1:1 2:2\n")
+    code, out, err = run(capsys, "enumerate", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:") and "forbidden" in err
 
 
 def test_enumerate_budget_exit(capsys, tmp_path):

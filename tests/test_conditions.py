@@ -12,7 +12,7 @@ from swapmc import (
     directed_spread_condition,
     erdos_renyi_window,
 )
-from swapmc.conditions import greenhill_sfragara_directed
+from swapmc.conditions import ConditionReport, greenhill_sfragara_directed
 
 
 def test_bipartite_condition_worked_examples():
@@ -146,6 +146,108 @@ def test_monotone_under_interval_shrinking_small():
                                     DegreeBounds(*s, n=n, m=m)
                                 )
                                 assert srep.holds, (n, m, c1, c2, d1, d2, s)
+
+
+# Frozen copies of the two spread evaluators as they stood before they were
+# merged into one: every report field, reason strings and active branch
+# included, must keep these values, because ``swapmc check`` prints them.
+def _frozen_bipartite_spread_condition(b: DegreeBounds) -> ConditionReport:
+    c1, c2, d1, d2, n, m = b.c1, b.c2, b.d1, b.d2, b.n, b.m
+    lhs_factors = (c2 - c1 - 1, d2 - d1 - 1)
+    lhs = lhs_factors[0] * lhs_factors[1]
+    applicable = 0 < c1 <= c2 < n and 0 < d1 <= d2 < m
+    if not applicable:
+        return ConditionReport(
+            name="bipartite-spread",
+            bounds=b,
+            applicable=False,
+            holds=None,
+            lhs=lhs,
+            rhs=None,
+            lhs_factors=lhs_factors,
+            rhs_candidates=None,
+            active_branch=None,
+            reason=f"window violated: need 0 < c1 <= c2 < n={n} and 0 < d1 <= d2 < m={m}",
+        )
+    candidates = (c1 * (m - d2), d1 * (n - c2))
+    rhs = max(candidates)
+    return ConditionReport(
+        name="bipartite-spread",
+        bounds=b,
+        applicable=True,
+        holds=lhs <= rhs,
+        lhs=lhs,
+        rhs=rhs,
+        lhs_factors=lhs_factors,
+        rhs_candidates=candidates,
+        active_branch=0 if candidates[0] >= candidates[1] else 1,
+    )
+
+
+def _frozen_directed_spread_condition(b: DegreeBounds) -> ConditionReport:
+    c1, c2, d1, d2, n = b.c1, b.c2, b.d1, b.d2, b.n
+    lhs_factors = (c2 - c1, d2 - d1)
+    lhs = lhs_factors[0] * lhs_factors[1]
+    applicable = 0 < c1 <= c2 < n and 0 < d1 <= d2 < n
+    if not applicable:
+        return ConditionReport(
+            name="directed-spread",
+            bounds=b,
+            applicable=False,
+            holds=None,
+            lhs=lhs,
+            rhs=None,
+            lhs_factors=lhs_factors,
+            rhs_candidates=None,
+            active_branch=None,
+            reason=f"window violated: need 0 < c1 <= c2 < n={n} and 0 < d1 <= d2 < n={n}",
+        )
+    candidates = (c1 * (n - d2 - 1) + d1 + c2, d1 * (n - c2 - 1) + c1 + d2)
+    rhs = 2 + max(candidates) - n
+    return ConditionReport(
+        name="directed-spread",
+        bounds=b,
+        applicable=True,
+        holds=lhs <= rhs,
+        lhs=lhs,
+        rhs=rhs,
+        lhs_factors=lhs_factors,
+        rhs_candidates=candidates,
+        active_branch=0 if candidates[0] >= candidates[1] else 1,
+    )
+
+
+@pytest.fixture(scope="module")
+def bounds_grid():
+    # every bound pair in 0..n+1 and 0..m+1, so both window edges and the
+    # not-applicable reasons are reached; m != n is fed to both kinds
+    return [
+        DegreeBounds(c1=c1, c2=c2, d1=d1, d2=d2, n=n, m=m)
+        for n in range(1, 9)
+        for m in range(1, 9)
+        for c1 in range(n + 2)
+        for c2 in range(c1, n + 2)
+        for d1 in range(m + 2)
+        for d2 in range(d1, m + 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "evaluator, frozen",
+    [
+        (bipartite_spread_condition, _frozen_bipartite_spread_condition),
+        (directed_spread_condition, _frozen_directed_spread_condition),
+    ],
+    ids=["bipartite", "directed"],
+)
+def test_spread_conditions_match_frozen_copy_on_full_grid(bounds_grid, evaluator, frozen):
+    assert len(bounds_grid) == 46656
+    reports = [evaluator(b) for b in bounds_grid]
+    expected = [frozen(b) for b in bounds_grid]
+    # dataclass equality compares every field, reason and active_branch included
+    mismatched = [want for rep, want in zip(reports, expected) if rep != want]
+    assert not mismatched, mismatched[:3]
+    assert {rep.active_branch for rep in reports} == {None, 0, 1}
 
 
 def test_er_window_bipartite_examples():

@@ -76,6 +76,9 @@ def test_bounds_of_orientation():
     assert (tri.c1, tri.c2, tri.d1, tri.d2) == (1, 1, 1, 1)
     assert tri.n == tri.m == 3
 
+    with pytest.raises(TypeError, match="unsupported sequence type: tuple"):
+        bounds_of(((1, 1), (1, 1)))
+
 
 def test_bounds_attained_and_cover():
     seq = BipartiteDegreeSequence((3, 1, 2, 2), (2, 2, 2, 2))

@@ -78,6 +78,22 @@ def test_parse_json_string_degrees_read_like_text():
         parse_sequence(json.dumps({"u_degrees": "1.7 1", "v_degrees": [1, 1]}))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U: 1 1\nV: 1 1\nforbidden: 1:1 2:2\n",
+        "U: 1 1\nV: 1 1\nforbidden: garbage\n",
+        "out: 1 1 1\nin: 1 1 1\nforbidden: 1:1\n",
+    ],
+    ids=["pairs", "garbage", "directed"],
+)
+def test_parse_degree_file_rejects_forbidden_line(text):
+    # a degree file has no forbidden set, so the line must not be dropped silently;
+    # realization files keep theirs (test_realization_round_trip_bipartite)
+    with pytest.raises(FormatError, match="forbidden"):
+        parse_sequence(text)
+
+
 def test_sequence_round_trip():
     for text in ("U: 2 1 1\nV: 2 1 1\n", "out: 1 1 1\nin: 1 1 1\n"):
         seq = parse_sequence(text)
