@@ -35,25 +35,26 @@ streams with ``numpy.random.SeedSequence(seed).spawn``.
 
 :func:`sample` consumes this same stream.  When its generator is a
 ``numpy.random.Generator`` on ``PCG64``, the burn-in and the thinning gaps
-run as segments of one block-core session, which draws raw 64-bit words
-in blocks and decodes each block with numpy.  ``random()`` reads one
-word, and ``integers(0, k)`` is Lemire's bounded-integer method on a
-32-bit half (Lemire, "Fast random integer generation in an interval", ACM
-TOMACS 2019), a multiply and a compare that run as well on a whole array
-of halves.  Python then walks the block's branch words to class each
-step, and checks and applies the proposals in step order.  Words a
-segment leaves unused start the next one, and closing the session rewinds
-the generator past the words it used.  A step whose draws meet a Lemire
-rejection is rare; the session rewinds the generator to it and runs it
-through the per-step kernel on numpy's own draws.  Segments shorter than
-``_CROSSOVER`` steps, where a session's fixed costs outweigh the saving,
-run the per-step functions instead.  States, statistics and the
-generator's final state are bit-identical to the per-step functions,
-which stay as the reference.  Other generators take the per-step path.
+run as segments of one session.  A segment of at least ``_CROSSOVER``
+steps runs in the block core, which draws raw 64-bit words in blocks and
+decodes each block with numpy.  ``random()`` reads one word, and
+``integers(0, k)`` is Lemire's bounded-integer method on a 32-bit half
+(Lemire, "Fast random integer generation in an interval", ACM TOMACS
+2019), a multiply and a compare that run as well on a whole array of
+halves.  Python then walks the block's branch words to class each step,
+and checks and applies the proposals in step order.  Words a segment
+leaves unused start the next one.  Shorter segments, where the block
+core's fixed costs outweigh the saving, and the rare step whose draws meet
+a Lemire rejection take one route: the session rewinds the generator past
+the words it used and runs those steps through the per-step functions on
+numpy's own draws.  States, statistics and the generator's final state are
+bit-identical to the per-step functions, which stay as the reference.
+Other generators take the per-step path.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,9 @@ class ChainConfig:
     polynomial time under the degree-spread conditions of
     :mod:`swapmc.conditions`, but no usable constants exist; calibrate with
     :func:`swapmc.oracle.tv_curve` on small instances when in doubt.
+    The integer fields take anything ``operator.index`` accepts and store
+    it as an ``int``, and ``lazy`` must be a ``bool``; anything else is a
+    ``ValueError``.
     """
 
     seed: int
@@ -101,6 +105,15 @@ class ChainConfig:
     lazy: bool = True
 
     def __post_init__(self):
+        # stored as Python ints: PCG64.advance, say, rejects numpy integers
+        names = ("seed", "samples", "thinning") + (() if self.burn_in is None else ("burn_in",))
+        try:
+            for name in names:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError as exc:
+            raise ValueError(f"{name} must be an integer") from exc
+        if not isinstance(self.lazy, bool):
+            raise ValueError("lazy must be True or False")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.samples < 1:
@@ -232,44 +245,12 @@ def step_directed(
 
 
 _BLOCK = 2048  # most raw words the block core holds at once
-# sample() runs segments of fewer steps on the per-step loop.  A session's
+# A session runs segments of fewer steps on the per-step loop.  A session's
 # set-up, or a pass's fixed numpy cost in an open one, matched about 16-20
 # per-step steps of the bipartite kernel and 28-32 of the restricted one
 # (200x200 10-regular and a 6-vertex digraph, 2-core x86-64).
 _CROSSOVER = 24
 _LOW = 0xFFFFFFFF
-
-
-class _Words:
-    """Raw words drawn in blocks from a ``PCG64`` bit generator.
-
-    ``words[pos:]`` are the raw words drawn from ``bg`` and not used yet,
-    and ``has`` and ``half`` mirror PCG64's one-half buffer, which
-    ``integers(0, k)`` fills with the high half of a word and empties
-    before it draws the next.  ``close()`` rewinds ``bg`` past the words
-    actually used and restores the half buffer, so its ``state`` is what
-    numpy's scalar draws of those words would have left; call it once.
-    """
-
-    def __init__(self, bg):
-        self.bg, self.snap = bg, bg.state
-        self.has, self.half = self.snap["has_uint32"], self.snap["uinteger"]
-        self.words = np.empty(0, np.uint64)
-        self.pos = self.drawn = 0
-
-    def refill(self, size: int) -> None:
-        """Draw ``size`` more words and keep them after the unused ones."""
-        self.words = np.concatenate((self.words[self.pos :], self.bg.random_raw(size)))
-        self.drawn += size
-        self.pos = 0
-
-    def close(self) -> None:
-        bg = self.bg
-        bg.state = self.snap
-        bg.advance(self.drawn - len(self.words) + self.pos)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = self.has, self.half
-        bg.state = state
 
 
 def _triples(d):
@@ -425,8 +406,8 @@ class _Decoder:
 _ALTERNATING = np.array([0, 0, 0, 1, 1, 1], np.uint8)
 
 
-def _play(M, flat, dec: _Decoder, kinds, draws, tally: list) -> None:
-    """Decoded steps on the state bytes ``M``, in step order; counts into ``tally``.
+def _play(M, flat, dec: _Decoder, kinds, draws, stats: ChainStats) -> None:
+    """Decoded steps on the state bytes ``M``, in step order; counts into ``stats``.
 
     ``flat`` is a numpy view of the same bytes.  A proposal can move the
     state only if it is legal on the state as the block found it, or shares
@@ -456,10 +437,11 @@ def _play(M, flat, dec: _Decoder, kinds, draws, tally: list) -> None:
             else:
                 c4 += 1
     held = int(np.count_nonzero(kinds == 0))
-    tally[0] += held
-    tally[1] += len(kinds) - held - c4 - c6
-    tally[2] += c4
-    tally[3] += c6
+    stats.steps += len(kinds)
+    stats.lazy += held
+    stats.illegal += len(kinds) - held - c4 - c6
+    stats.applied_c4 += c4
+    stats.applied_c6 += c6
 
 
 class _Session:
@@ -468,29 +450,52 @@ class _Session:
     It consumes exactly the documented stream of ``rng``, a
     ``numpy.random.Generator`` on ``PCG64``, so after any segments ``r``,
     ``stats`` and, once the session is closed, the generator's state are
-    what as many calls of :func:`_step` leave.  The session builds one
-    :class:`_Decoder`, one :class:`_Words` and one ``memoryview`` of the
-    matrix, and :meth:`run` takes each segment from the same stream, so the
-    caller may read or copy ``r`` between segments.  ``steps`` is the
-    number of steps the session expects to run in all; it sizes the raw
-    words drawn, which stay at most ``_BLOCK``.  :meth:`close` rewinds the
-    generator past the words actually used; call it once, in a ``finally``.
+    what as many calls of :func:`_step` leave, and the caller may read or
+    copy ``r`` between segments.  A segment of at least ``_CROSSOVER``
+    steps runs in block passes on raw words drawn from the bit generator
+    ``bg``: ``words`` are those drawn and not used yet, ``used`` counts
+    the others, and ``has`` and ``half`` mirror PCG64's one-half buffer,
+    which ``integers(0, k)`` fills with the high half of a word and
+    empties before it draws the next.  A shorter segment, or a step whose
+    draws meet a Lemire rejection, rewinds ``bg`` past the used words,
+    drops the others and runs through :func:`_loop` on numpy's own draws.
+    The first block pass checks the kernel and builds the :class:`_Decoder`
+    and a ``memoryview`` of the matrix, so a session that runs no block
+    pass does nothing :func:`_loop` would not.  :meth:`close` rewinds the
+    generator; call it once, in a ``finally``.
     """
 
-    def __init__(self, r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats):
-        _check_kernel(r, c6)
-        self.r, self.rng, self.lazy, self.c6 = r, rng, lazy, c6
-        self.dec = _Decoder(r, lazy, c6)
-        self.src = _Words(rng.bit_generator)
-        self.left, self.stats = steps, stats
-        self.flat = r.matrix.reshape(-1)
-        self.M = memoryview(r.matrix).cast("B")
+    def __init__(self, r: BipartiteRealization, rng, lazy: bool, c6: bool, stats):
+        self.r, self.rng, self.lazy, self.c6, self.stats = r, rng, lazy, c6, stats
+        self.bg, self.dec, self.snap, self.words = rng.bit_generator, None, None, None
+
+    def _open(self) -> None:
+        if self.dec is None:
+            _check_kernel(self.r, self.c6)
+            self.dec = _Decoder(self.r, self.lazy, self.c6)
+            self.flat = self.r.matrix.reshape(-1)
+            self.M = memoryview(self.r.matrix).cast("B")
+        self.snap = self.bg.state
+        self.has, self.half = self.snap["has_uint32"], self.snap["uinteger"]
+        self.words, self.used = np.empty(0, np.uint64), 0
+
+    def _per_step(self, steps: int) -> None:
+        """Rewinds the generator past the words used, then :func:`_loop`."""
+        if self.snap is not None:
+            bg = self.bg
+            bg.state = self.snap
+            bg.advance(self.used)
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = self.has, self.half
+            bg.state = state
+            self.snap = self.words = None
+        _loop(self.r, self.rng, steps, self.lazy, self.c6, self.stats)
 
     def run(self, steps: int) -> None:
         """The next ``steps`` kernel steps.
 
-        Each pass tops the unused raw words up to at most ``_BLOCK``, enough
-        for the steps the session still expects, and runs three stages.  A
+        Each block pass tops the unused raw words up to at most ``_BLOCK``,
+        enough for the segment's remaining steps, and runs three stages.  A
         Python walk over the branch words classes every step and finds
         where its integer draws start; one set of numpy Lemire steps turns
         the halves of the other words into every proposal's cells; and the
@@ -499,43 +504,42 @@ class _Session:
         A pass ends at the segment's end, and the words it leaves unused
         start the next pass, in this segment or the next, so a step never
         spans two passes.  A step whose draws meet a Lemire rejection, with
-        odds below ``k / 2**32`` per draw, ends the pass: the session closes
-        its words, which rewinds the generator to that step, runs the step
-        through :func:`_step` on numpy's own draws, and opens fresh words.
+        odds below ``k / 2**32`` per draw, ends the pass and runs alone
+        through :func:`_loop`; the next pass draws fresh words.
         """
-        dec, src, M, flat = self.dec, self.src, self.M, self.flat
-        tally = [0, 0, 0, 0]  # held, illegal, applied c4, applied c6
-        try:
-            while steps:
-                want = min(max(self.left, steps) * dec.most, _BLOCK)
-                if len(src.words) - src.pos < want:
-                    src.refill(want - len(src.words) + src.pos)
-                todo = min(steps, (len(src.words) - src.pos) // dec.most)
-                done, used, src.has, src.half, kinds, draws = dec.decode(
-                    src.words[src.pos :], src.has, src.half, todo
-                )
-                src.pos += used
-                _play(M, flat, dec, kinds, draws, tally)
-                if done < todo:  # the next step meets a Lemire rejection
-                    src.close()
-                    self.stats.record(_step(self.r, self.rng, self.lazy, True, self.c6)[1])
-                    self.src = src = _Words(self.rng.bit_generator)
-                    done += 1
-                steps -= done
-                self.left -= done
-        finally:
-            stats = self.stats
-            stats.lazy += tally[0]
-            stats.illegal += tally[1]
-            stats.applied_c4 += tally[2]
-            stats.applied_c6 += tally[3]
-            stats.steps += sum(tally)
+        # Several short gaps could share one decoded block as well, which
+        # would speed up the benchmark's dir-small-emit (gaps of 10 steps).
+        # That waits for the fix of ROADMAP item 1: the workload keeps every
+        # emitted key until its run ends (perfbench/workloads.py,
+        # DirSmallEmit.check), about 0.034 MiB per op, so a faster op reads
+        # as peak_rss_mb growth against its 5 % bound.
+        if steps < _CROSSOVER:
+            return self._per_step(steps)
+        while steps:
+            if self.snap is None:
+                self._open()
+            dec = self.dec
+            want = min(steps * dec.most, _BLOCK)
+            if len(self.words) < want:
+                fresh = self.bg.random_raw(want - len(self.words))
+                self.words = np.concatenate((self.words, fresh))
+            todo = min(steps, len(self.words) // dec.most)
+            done, used, self.has, self.half, kinds, draws = dec.decode(
+                self.words, self.has, self.half, todo
+            )
+            self.words, self.used = self.words[used:], self.used + used
+            _play(self.M, self.flat, dec, kinds, draws, self.stats)
+            if done < todo:  # the next step meets a Lemire rejection
+                self._per_step(1)
+                done += 1
+            steps -= done
 
     def close(self) -> None:
         try:
-            self.src.close()
+            self._per_step(0)  # the rewind alone
         finally:
-            self.M.release()
+            if self.dec is not None:
+                self.M.release()
 
 
 def _loop(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
@@ -576,13 +580,12 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     ``burn_in=0`` emits the deterministic initial realization first.
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
-    With a ``numpy.random.Generator`` on ``PCG64``, the burn-in and the
-    thinning gaps of at least ``_CROSSOVER`` steps run through the block
-    core, one :class:`_Session` for each run of such segments, so a call
-    whose burn-in and gaps are all long opens one session and copies the
-    state at each gap's end.  Shorter segments, and every step under any
-    other generator, run the per-step loop.  Both consume the same stream
-    and give the same states.
+    With a ``numpy.random.Generator`` on ``PCG64``, one :class:`_Session`
+    runs the burn-in and every thinning gap, and the state is copied at each
+    segment's end: segments of at least ``_CROSSOVER`` steps run through the
+    block core, shorter ones on the per-step loop.  Under any other
+    generator every step runs the per-step loop.  Both consume the same
+    stream and give the same states.
     """
     if config is None:
         raise ValueError("a ChainConfig is required")
@@ -594,27 +597,13 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     stats = ChainStats()
     result = SampleResult(stats=stats)
     burn = config.burn_in if config.burn_in is not None else default_burn_in(r)
-    segments = [burn] + [config.thinning] * (config.samples - 1)
-    # Several short gaps could share one decoded block as well, which would
-    # speed up the benchmark's dir-small-emit (gaps of 10 steps).  That waits
-    # for the fix of ROADMAP item 1: the workload keeps every emitted key
-    # until its run ends (perfbench/workloads.py, DirSmallEmit.check), about
-    # 0.034 MiB per op, so a faster op reads as peak_rss_mb growth against
-    # its 5 % bound.
-    core = None
+    core = _Session(r, rng, config.lazy, c6, stats) if block else None
     try:
-        for i, steps in enumerate(segments):
-            if block and steps >= _CROSSOVER:
-                if core is None:
-                    # the long segments from here on follow each other
-                    left = sum(s for s in segments[i:] if s >= _CROSSOVER)
-                    core = _Session(r, rng, left, config.lazy, c6, stats)
-                core.run(steps)
-            else:
-                if core is not None:
-                    core.close()
-                    core = None
+        for steps in [burn] + [config.thinning] * (config.samples - 1):
+            if core is None:
                 _loop(r, rng, steps, config.lazy, c6, stats)
+            else:
+                core.run(steps)
             result.realizations.append(r.copy())
     finally:
         if core is not None:

@@ -191,12 +191,9 @@ def cmd_enumerate(args) -> int:
     bip, forbidden = _restricted_form(seq) if directed else (seq, ())
     reals = enumerate_realizations(bip, forbidden, position_budget=args.budget)
     print(f"realizations: {len(reals)}")
+    sep = "->" if directed else ":"  # arc i->j is edge (i, j) of the representation
     for r in reals:
-        if directed:
-            arcs = from_bipartite_representation(r).arcs()
-            print(" ".join(f"{i + 1}->{j + 1}" for i, j in arcs) or "(empty)")
-        else:
-            print(" ".join(f"{u + 1}:{v + 1}" for u, v in r.edges()) or "(empty)")
+        print(" ".join(f"{u + 1}{sep}{v + 1}" for u, v in r.edges()) or "(empty)")
     return 0
 
 

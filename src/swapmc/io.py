@@ -7,8 +7,9 @@ Degree files are two header lines of whitespace-separated decimal integers::
 
 (bipartite on the left, directed on the right; header keywords are
 case-insensitive, blank lines and ``#`` comments are ignored).  The JSON
-equivalent carries ``u_degrees``/``v_degrees`` or
-``out_degrees``/``in_degrees`` keys.
+equivalent is an object with exactly the keys ``u_degrees``/``v_degrees`` or
+``out_degrees``/``in_degrees``; any other key, such as a realization
+document's ``edges`` or ``forbidden``, is an error.
 
 Realization files repeat the degree header, optionally list forbidden
 positions (which degree files may not), and then one edge per line, 1-based::
@@ -108,6 +109,9 @@ def _build_sequence(fields: dict) -> BipartiteDegreeSequence | DirectedDegreeBiS
     return seq
 
 
+_JSON_KEYS = {"u_degrees": "u", "v_degrees": "v", "out_degrees": "out", "in_degrees": "in"}
+
+
 def parse_sequence(text: str) -> BipartiteDegreeSequence | DirectedDegreeBiSequence:
     """Parse a degree file (text or JSON) into a validated sequence."""
     stripped = text.strip()
@@ -118,15 +122,10 @@ def parse_sequence(text: str) -> BipartiteDegreeSequence | DirectedDegreeBiSeque
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
-        fields = {}
-        for json_key, key in (
-            ("u_degrees", "u"),
-            ("v_degrees", "v"),
-            ("out_degrees", "out"),
-            ("in_degrees", "in"),
-        ):
-            if json_key in doc:
-                fields[key] = _parse_int_list(json_key, doc[json_key])
+        unknown = [k for k in doc if k not in _JSON_KEYS]
+        if unknown:
+            raise FormatError(f"a degree file takes no key {unknown[0]!r}")
+        fields = {key: _parse_int_list(j, doc[j]) for j, key in _JSON_KEYS.items() if j in doc}
         return _build_sequence(fields)
     lines = _content_lines(stripped)
     fields, consumed = _header_fields(lines)

@@ -245,52 +245,46 @@ class BipartiteRealization:
     def apply_move(self, mv: SwapMove, inplace: bool = False) -> "BipartiteRealization":
         """Apply a legal move; raises IllegalMoveError otherwise.
 
-        Degree margins are preserved by construction and forbidden positions
-        are never set.
+        Every kind lowers some cells to 0 and raises others to 1: a c4 move
+        on ``(us, vs)`` is the switch on ``(us, vs)`` with sign -1.  A move
+        is legal when its lowered cells are edges and its raised cells are
+        non-edges off the forbidden positions, so degree margins are
+        preserved and forbidden positions are never set.
         """
-        target = self if inplace else self.copy()
-        M = target.matrix
-        if mv.kind == "c4":
+        kind = mv.kind
+        if kind == "c4" or kind == "switch":
             (ua, ub), (va, vb) = mv.us, mv.vs
             if ua == ub or va == vb:
-                raise IllegalMoveError("c4 vertices must be distinct")
-            if not (M[ua, va] and M[ub, vb]) or M[ua, vb] or M[ub, va]:
-                raise IllegalMoveError("c4 positions are not alternating")
-            if not (self.is_chord(ua, vb) and self.is_chord(ub, va)):
-                raise IllegalMoveError("c4 would set a forbidden position")
-            M[ua, va] = 0
-            M[ub, vb] = 0
-            M[ua, vb] = 1
-            M[ub, va] = 1
-        elif mv.kind == "c6":
+                raise IllegalMoveError(f"{kind} corners must span two rows and two columns")
+            lowered, raised = ((ua, va), (ub, vb)), ((ua, vb), (ub, va))
+            if kind == "switch" and mv.sign == 1:
+                lowered, raised = raised, lowered
+        elif kind == "c6":
             u1, u2, u3 = mv.us
             v1, v2, v3 = mv.vs
             if len({u1, u2, u3}) < 3 or len({v1, v2, v3}) < 3:
                 raise IllegalMoveError("c6 vertices must be distinct")
             if self.is_chord(u1, v2) or self.is_chord(u2, v3) or self.is_chord(u3, v1):
                 raise IllegalMoveError("c6 opposite pairs must all be forbidden")
-            deleted = ((u1, v1), (u2, v2), (u3, v3))
-            inserted = ((u2, v1), (u3, v2), (u1, v3))
-            if not all(M[p] for p in deleted) or any(M[p] for p in inserted):
-                raise IllegalMoveError("c6 hexagon is not alternating")
-            for p in deleted:
-                M[p] = 0
-            for p in inserted:
-                M[p] = 1
-        elif mv.kind == "switch":
-            (r1, r2), (c1, c2) = mv.us, mv.vs
-            if r1 == r2 or c1 == c2:
-                raise IllegalMoveError("switch corners must span two rows and columns")
-            work = M.astype(np.int16)
-            apply_switch(work, mv)
-            if not np.isin(work[[r1, r1, r2, r2], [c1, c2, c1, c2]], (0, 1)).all():
-                raise IllegalMoveError("switch leaves the 0/1 range")
-            raised = ((r1, c1), (r2, c2)) if mv.sign == 1 else ((r1, c2), (r2, c1))
-            if not all(self.is_chord(u, v) for u, v in raised):
-                raise IllegalMoveError("switch would set a forbidden position")
-            M[:] = work
+            lowered = ((u1, v1), (u2, v2), (u3, v3))
+            raised = ((u2, v1), (u3, v2), (u1, v3))
         else:
-            raise IllegalMoveError(f"unknown move kind {mv.kind!r}")
+            raise IllegalMoveError(f"unknown move kind {kind!r}")
+        M, fu = self.matrix, self._fu
+        for p in lowered:
+            if not M[p]:
+                raise IllegalMoveError(f"{kind} would lower a non-edge")
+        for u, v in raised:
+            if M[u, v]:
+                raise IllegalMoveError(f"{kind} would raise an edge")
+            if fu[u] == v:
+                raise IllegalMoveError(f"{kind} would set a forbidden position")
+        target = self if inplace else self.copy()
+        M = target.matrix
+        for p in lowered:
+            M[p] = 0
+        for p in raised:
+            M[p] = 1
         return target
 
 

@@ -134,6 +134,36 @@ def test_sample_config_validation():
         ChainConfig(seed=1, samples=1, chain_kind="metropolis")
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"samples": 2.0}, "samples"),
+        ({"burn_in": 10.5}, "burn_in"),
+        ({"thinning": "3"}, "thinning"),
+        ({"seed": 1.0}, "seed"),
+        ({"lazy": "no"}, "lazy"),
+        ({"lazy": 0}, "lazy"),
+    ],
+)
+def test_sample_config_rejects_non_integer_fields(fields, name):
+    # a float count used to fail as a TypeError inside sample(), and a
+    # string lazy flag in the block core's decoder
+    with pytest.raises(ValueError, match=name):
+        ChainConfig(**{"seed": 1, "samples": 1, **fields})
+
+
+def test_sample_config_takes_numpy_integers():
+    # numpy integers reached PCG64.advance, which raised OverflowError
+    cfg = ChainConfig(seed=np.uint64(3), samples=np.int64(2), burn_in=np.int32(30))
+    assert cfg == ChainConfig(seed=3, samples=2, burn_in=30)
+    assert type(cfg.burn_in) is int
+    seq = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
+    res = sample(seq, (), cfg)
+    keys, stats = _per_step_sample(seq, cfg, np.random.default_rng(3))
+    assert [r.key() for r in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+
+
 def test_sample_emitted_states_are_valid():
     seq = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
     cfg = ChainConfig(seed=9, samples=20, burn_in=50, thinning=3)
@@ -443,10 +473,26 @@ def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
     assert res.stats.as_dict() == stats
 
 
+class _CountedBits:
+    """A bit generator wrapper that counts the raw words drawn through it."""
+
+    def __init__(self, bg):
+        self.bg, self.raw = bg, 0
+
+    state = property(lambda self: self.bg.state, lambda self, v: setattr(self.bg, "state", v))
+
+    def random_raw(self, size):
+        self.raw += size
+        return self.bg.random_raw(size)
+
+    def advance(self, delta):
+        self.bg.advance(delta)
+
+
 @pytest.mark.parametrize(
-    "burn_in, thinning, opened",
+    "burn_in, thinning, decoders",
     [
-        (1, 1, 0),  # no session's set-up for a one-step burn-in
+        (1, 1, 0),  # no block core's set-up for a one-step burn-in
         (chain._CROSSOVER - 1, chain._CROSSOVER - 1, 0),
         (chain._CROSSOVER, chain._CROSSOVER - 1, 1),  # the burn-in only
         (chain._CROSSOVER - 1, chain._CROSSOVER, 1),  # the gaps only
@@ -454,28 +500,34 @@ def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
         (1000, 500, 1),
     ],
 )
-def test_sample_opens_one_session_per_run_of_long_segments(
-    burn_in, thinning, opened, monkeypatch
+def test_sample_opens_one_session_and_decodes_only_long_segments(
+    burn_in, thinning, decoders, monkeypatch
 ):
-    sessions = []
+    sessions, built = [], []
 
     class Counted(chain._Session):
         def __init__(self, *args):
-            sessions.append(args[2])
+            super().__init__(*args)
+            self.bg = _CountedBits(self.bg)
+            sessions.append(self.bg)
+
+    class CountedDecoder(chain._Decoder):
+        def __init__(self, *args):
+            built.append(args)
             super().__init__(*args)
 
     monkeypatch.setattr(chain, "_Session", Counted)
+    monkeypatch.setattr(chain, "_Decoder", CountedDecoder)
     seq = BipartiteDegreeSequence((3, 2, 2, 1, 1), (2, 2, 2, 2, 1))
     cfg = ChainConfig(seed=6, samples=4, burn_in=burn_in, thinning=thinning)
     for calls in (1, 2):
         res = sample(seq, (), cfg)
-        assert len(sessions) == calls * opened
+        assert len(sessions) == calls
+        assert len(built) == calls * decoders
+        assert (sessions[-1].raw > 0) == bool(decoders)
     keys, stats = _per_step_sample(seq, cfg, np.random.default_rng(6))
     assert [r.key() for r in res.realizations] == keys
     assert res.stats.as_dict() == stats
-    # a session expects the steps of its own segments
-    long = [s for s in [burn_in] + [thinning] * 3 if s >= chain._CROSSOVER]
-    assert sessions[-1:] == ([sum(long)] if opened else [])
 
 
 @pytest.mark.parametrize(
@@ -709,7 +761,8 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
     their scalar draws, comparing the states and statistics at every
     segment's end and the bit generators after closing.  Returns whether a
     segment left words for the next one, the steps whose draws met a Lemire
-    rejection, and how many steps the session ran through ``_step``."""
+    rejection, and how many steps of block-core segments (at least
+    ``_CROSSOVER`` steps) the session ran through ``_step``."""
     core, ref = r.copy(), r.copy()
     bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
     stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
@@ -729,25 +782,28 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
 
     rng_core = _ScalarDraws(bg_core)
     fallback = 0
+    long = False
     step = chain._step
 
     def counted(r, rng, *args):
         nonlocal fallback
-        fallback += rng is rng_core
+        fallback += rng is rng_core and long
         return step(r, rng, *args)
 
     draws = Counting(bg_ref)
-    session = chain._Session(core, rng_core, sum(segments), lazy, c6, stats_core)
+    session = chain._Session(core, rng_core, lazy, c6, stats_core)
     carried = False
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_step", counted)
         try:
             for i, steps in enumerate(segments):
+                long = steps >= chain._CROSSOVER
                 session.run(steps)
                 chain._loop(ref, draws, steps, lazy, c6, stats_ref)
                 assert core.key() == ref.key()
                 assert stats_core.as_dict() == stats_ref.as_dict()
-                carried |= i + 1 < len(segments) and session.src.pos < len(session.src.words)
+                left = session.words is not None and len(session.words) > 0
+                carried |= i + 1 < len(segments) and left
         finally:
             session.close()
     assert bg_core.state == bg_ref.state

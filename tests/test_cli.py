@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -211,6 +212,16 @@ def test_sample_kernel_too_small(capsys, tmp_path):
     assert err == "error: invalid: bipartite kernel needs at least two vertices per class\n"
 
 
+def test_sample_zero_steps_on_a_one_by_one_sequence(capsys, tmp_path):
+    # no kernel step runs, so the kernel's two-vertex check never fires
+    p = tmp_path / "one.deg"
+    p.write_text("U: 1\nV: 1\n")
+    code, out, err = run(capsys, "sample", str(p), "--seed", "1", "--burn-in", "0", "--count", "1")
+    assert code == 0
+    assert out == "# chain 1 sample 1\n1 1\n"
+    assert json.loads(err)["steps"] == 0
+
+
 def test_sample_infeasible(capsys, tmp_path):
     p = tmp_path / "inf.deg"
     p.write_text("out: 2 2 0\nin: 0 2 2\n")
@@ -235,6 +246,34 @@ def test_enumerate_rejects_forbidden_line_in_degree_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: parse:") and "forbidden" in err
+
+
+def test_enumerate_rejects_unknown_json_key(capsys, tmp_path):
+    p = tmp_path / "forbidden.json"
+    p.write_text(json.dumps({"u_degrees": [1, 1], "v_degrees": [1, 1], "forbidden": [[1, 1]]}))
+    code, out, err = run(capsys, "enumerate", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse:") and "'forbidden'" in err
+
+
+def test_enumerate_digraph_bytes(capsys, tmp_path):
+    p = tmp_path / "four.deg"
+    p.write_text("out: 2 1 1 0\nin: 1 1 1 1\n")
+    code, out, _ = run(capsys, "enumerate", str(p))
+    assert code == 0
+    assert out == (
+        "realizations: 4\n"
+        "1->3 1->4 2->1 3->2\n"
+        "1->2 1->4 2->3 3->1\n"
+        "1->2 1->3 2->4 3->1\n"
+        "1->2 1->3 2->1 3->4\n"
+    )
+    p.write_text("out: 2 2 2 2 1 1\nin: 2 2 1 2 2 1\n")
+    code, out, _ = run(capsys, "enumerate", str(p))
+    assert code == 0 and out.startswith("realizations: 1519\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "afd9765d8cd6a0d2afe585f086ff9127ad5bd552de60711a50095b7717154942"
 
 
 def test_enumerate_budget_exit(capsys, tmp_path):

@@ -71,6 +71,22 @@ def test_parse_json_rejects_non_integer_degrees(degrees):
         parse_sequence(json.dumps({"u_degrees": degrees, "v_degrees": [1, 1]}))
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"u_degrees": [1, 1], "v_degrees": [1, 1], "forbidden": [[1, 1], [2, 2]]}, "forbidden"),
+        ({"u_degree": [1, 1], "v_degrees": [1, 1]}, "u_degree"),
+        ({"u_degrees": [1, 1], "v_degrees": [1, 1], "edges": [[1, 1], [2, 2]]}, "edges"),
+        ({"out_degrees": [1, 1], "in_degrees": [1, 1], "arcs": [[1, 2], [2, 1]]}, "arcs"),
+    ],
+    ids=["forbidden", "misspelt", "edges", "arcs"],
+)
+def test_parse_json_rejects_unknown_keys(doc, key):
+    # dropped without a word, a "forbidden" key made enumerate list states on it
+    with pytest.raises(FormatError, match=repr(key)):
+        parse_sequence(json.dumps(doc))
+
+
 def test_parse_json_string_degrees_read_like_text():
     seq = parse_sequence(json.dumps({"u_degrees": "1 1", "v_degrees": [1, 1]}))
     assert seq.u_degrees == (1, 1)

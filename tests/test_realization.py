@@ -270,6 +270,58 @@ def test_switch_move_checks_corners_and_forbidden():
         starred.apply_move(sw)  # would set the forbidden (0,0)
 
 
+@st.composite
+def c4_corners(draw):
+    """A random 0/1 matrix, with or without a forbidden matching, and two
+    possibly equal rows and columns."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    M = np.array(cells, dtype=np.uint8).reshape(n, m)
+    forbidden = ()
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(n, m)))
+        rows = draw(st.permutations(range(n)))[:k]
+        cols = draw(st.permutations(range(m)))[:k]
+        forbidden = tuple(zip(rows, cols))
+        for u, v in forbidden:
+            M[u, v] = 0
+    seq = BipartiteDegreeSequence(tuple(M.sum(axis=1).tolist()), tuple(M.sum(axis=0).tolist()))
+    r = BipartiteRealization(seq, M, forbidden)
+    pick = st.integers(0, n - 1), st.integers(0, m - 1)
+    return r, (draw(pick[0]), draw(pick[0])), (draw(pick[1]), draw(pick[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c4_corners())
+def test_c4_is_the_switch_with_sign_minus_one(case):
+    r, us, vs = case
+    (ua, ub), (va, vb) = us, vs
+    M = r.matrix
+    legal = (
+        ua != ub
+        and va != vb
+        and M[ua, va] == M[ub, vb] == 1
+        and M[ua, vb] == M[ub, va] == 0
+        and r.is_chord(ua, vb)
+        and r.is_chord(ub, va)
+    )
+    start = r.key()
+    outcomes = []
+    for mv in (SwapMove.c4(us, vs), SwapMove.switch(us, vs, sign=-1)):
+        work = r.copy()
+        try:
+            outcomes.append(r.apply_move(mv).key())
+            work.apply_move(mv, inplace=True)
+            assert work.key() == outcomes[-1]
+            work.validate()
+        except IllegalMoveError:
+            outcomes.append(None)
+            assert work.key() == start  # a refused move writes nothing
+    assert r.key() == start
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is not None) == legal
+
+
 def _greedy_fill_reference(seq):
     """The row-by-row greedy as first written, with a Python sort per row."""
     caps = list(seq.v_degrees)
