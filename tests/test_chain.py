@@ -792,7 +792,7 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
 
     draws = Counting(bg_ref)
     session = chain._Session(core, rng_core, lazy, c6, stats_core)
-    carried = False
+    carried, decoders = False, {None}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_step", counted)
         try:
@@ -804,9 +804,11 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
                 assert stats_core.as_dict() == stats_ref.as_dict()
                 left = session.words is not None and len(session.words) > 0
                 carried |= i + 1 < len(segments) and left
+                decoders.add(session.dec)
         finally:
             session.close()
     assert bg_core.state == bg_ref.state
+    assert len(decoders) <= 2  # one decoder, however often the words reopen
     return carried, rejected, fallback
 
 

@@ -273,10 +273,15 @@ def test_switch_move_checks_corners_and_forbidden():
 @st.composite
 def c4_corners(draw):
     """A random 0/1 matrix, with or without a forbidden matching, and two
-    possibly equal rows and columns."""
+    possibly equal rows and columns, around which it often alternates."""
     n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
     M = np.array(cells, dtype=np.uint8).reshape(n, m)
+    us = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    vs = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if draw(st.booleans()):
+        M[us, vs[::-1]] = 0
+        M[us, vs] = 1
     forbidden = ()
     if draw(st.booleans()):
         k = draw(st.integers(1, min(n, m)))
@@ -286,9 +291,7 @@ def c4_corners(draw):
         for u, v in forbidden:
             M[u, v] = 0
     seq = BipartiteDegreeSequence(tuple(M.sum(axis=1).tolist()), tuple(M.sum(axis=0).tolist()))
-    r = BipartiteRealization(seq, M, forbidden)
-    pick = st.integers(0, n - 1), st.integers(0, m - 1)
-    return r, (draw(pick[0]), draw(pick[0])), (draw(pick[1]), draw(pick[1]))
+    return BipartiteRealization(seq, M, forbidden), us, vs
 
 
 @settings(max_examples=300, deadline=None)
