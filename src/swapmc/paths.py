@@ -526,11 +526,13 @@ def _aux_blocks(
     states = path.states
     for start in range(0, len(states), _BLOCK):
         chunk = states[start : start + _BLOCK + 1]
-        for k, z in enumerate(chunk):
-            if k < _BLOCK:
+        # Path states share x's seq and forbidden objects through copy().
+        for z in chunk[:_BLOCK]:
+            if z.seq is not x.seq or z.forbidden is not x.forbidden:
                 _check_compatible(x, z)
-            np.subtract(base, z.matrix, out=buf[k])
-        yield start, buf[: len(chunk)]
+        A = buf[: len(chunk)]
+        np.subtract(base, np.stack([z.matrix for z in chunk]), out=A)
+        yield start, A
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +784,12 @@ def verify_repairs(
     Double-step intermediates are repaired through their completion state
     (distance measured from the intermediate's own auxiliary matrix, so the
     20-bound applies); all other states must repair within distance 16.
-    The states are read block by block, and only a target holding a bad
-    entry runs the switch repair: a clean one is a realization already,
-    reached with no switch.
+    The states are read block by block, and a clean target is a realization
+    already, reached with no switch.  Each block decides its targets whose
+    only bad entry is one -1 in one batch, by the direct exchange that the
+    switch repair would pick.  The switch repair itself runs only for a
+    target with a 2-entry or more than one -1, and for a -1 with no direct
+    exchange (the detour).
     """
     report = RepairReport()
     star = _star_mask(x.forbidden, x.matrix.shape)
@@ -799,12 +804,17 @@ def verify_repairs(
         ):
             raise ValueError("auxiliary margins or starred cells differ from X's")
         # Entries lie in {-1, 0, 1, 2}; read as uint16, -1 and 2 exceed 1.
-        bad = (A.view(np.uint16) > 1).any(axis=(1, 2)).tolist()
-        for k in range(min(_BLOCK, len(A))):
+        nbad = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
+        ks = range(min(_BLOCK, len(A)))
+        ts = [k + 1 if inter[start + k] else k for k in ks]
+        direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
+        for k, t in zip(ks, ts):
             idx = start + k
-            mid = inter[idx]
-            t = k + 1 if mid else k
-            if bad[t]:
+            mid = t != k
+            if t in direct:
+                report.max_switches = max(report.max_switches, 1)
+                dist = int(np.count_nonzero(A[k] != direct[t][0]))
+            elif nbad[t]:
                 seg = path.segment_of(idx)
                 rows = seg.norm_us if seg else ()
                 cols = seg.norm_vs if seg else ()
@@ -829,3 +839,44 @@ def verify_repairs(
             else:
                 report.max_distance_direct = max(report.max_distance_direct, dist)
     return report
+
+
+def _direct_exchanges(A, targets, star):
+    """The direct exchanges of ``_repair`` for the block targets ``A[t]``,
+    ``t`` in the sorted list ``targets``, decided in one batch.
+
+    Every target holds exactly one bad entry, and a target qualifies when
+    that entry is a -1, at (u0, v0).  Its candidate cells (u, v) hold an
+    unstarred 0 with ``M[u, v0] = 1`` and ``M[u0, v] = 1``; the first in
+    row-major order is the exchange that ``_repair`` picks, since it lists
+    U' and V' in ascending order.  Returns ``{t: (repaired, ((u0, u),
+    (v0, v)))}``, the int16 matrix after the sign +1 switch and the
+    switch's rows and columns, for each target with a candidate; the rest
+    go to ``_repair``.  The caller has checked that the block's starred
+    cells are 0, so the switch, which turns the -1 and the 1s at (u0, v)
+    and (u, v0) into 0s and the candidate into a 1, leaves a realization."""
+    if not targets:
+        return {}
+    B = A[targets]
+    s, _, m = B.shape
+    ar = np.arange(s)
+    flat = B.reshape(s, -1)
+    least = flat.argmin(axis=1)
+    u0, v0 = np.divmod(least, m)
+    # A's starred cells are 0, so the 1s of U' and V' are unstarred.
+    hit = B == 0
+    hit &= ~star
+    hit &= (B[ar, :, v0] == 1)[:, :, None]
+    hit &= (B[ar, u0, :] == 1)[:, None, :]
+    hit = hit.reshape(s, -1)
+    first = hit.argmax(axis=1)
+    found = hit[ar, first] & (flat[ar, least] == -1)
+    out = {}
+    for i, (a, b, ok) in enumerate(zip(least.tolist(), first.tolist(), found.tolist())):
+        if ok:
+            (r0, c0), (r, c) = divmod(a, m), divmod(b, m)
+            row = flat[i]
+            row[a] = row[r0 * m + c] = row[r * m + c0] = 0
+            row[b] = 1
+            out[targets[i]] = (B[i], ((r0, r), (c0, c)))
+    return out

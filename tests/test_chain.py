@@ -759,10 +759,11 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
 def _session_against_loop(r, c6, lazy, segments, words, has):
     """Runs ``segments`` in one session on ``words`` and through ``_loop`` over
     their scalar draws, comparing the states and statistics at every
-    segment's end and the bit generators after closing.  Returns whether a
-    segment left words for the next one, the steps whose draws met a Lemire
-    rejection, and how many steps of block-core segments (at least
-    ``_CROSSOVER`` steps) the session ran through ``_step``."""
+    segment's end and the bit generators after closing.  Returns the first
+    steps of the block-core segments (at least ``_CROSSOVER`` steps) that
+    start on words carried from the segment before, the steps whose draws
+    met a Lemire rejection, and how many steps of block-core segments the
+    session ran through ``_step``."""
     core, ref = r.copy(), r.copy()
     bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
     stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
@@ -792,24 +793,59 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
 
     draws = Counting(bg_ref)
     session = chain._Session(core, rng_core, lazy, c6, stats_core)
-    carried, decoders = False, {None}
+    carried, decoders = set(), {None}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chain, "_step", counted)
         try:
-            for i, steps in enumerate(segments):
+            for steps in segments:
                 long = steps >= chain._CROSSOVER
+                if long and session.words is not None and len(session.words) > 0:
+                    carried.add(stats_ref.steps)
                 session.run(steps)
                 chain._loop(ref, draws, steps, lazy, c6, stats_ref)
                 assert core.key() == ref.key()
                 assert stats_core.as_dict() == stats_ref.as_dict()
-                left = session.words is not None and len(session.words) > 0
-                carried |= i + 1 < len(segments) and left
                 decoders.add(session.dec)
         finally:
             session.close()
     assert bg_core.state == bg_ref.state
     assert len(decoders) <= 2  # one decoder, however often the words reopen
     return carried, rejected, fallback
+
+
+def _plant_rejections(words, r, c6, lazy, segments, has):
+    """Plants a Lemire rejection in ``words``, in place, at the first step of
+    every segment of at least ``_CROSSOVER`` steps that follows another one.
+
+    A scalar run finds the word each such step's draws start at.  Where the
+    step draws a branch word (``lazy`` or ``c6``), that word becomes 0.625,
+    which proposes a c4 move, or a c6 move on the non-lazy restricted
+    kernel.  The next four words become zero, so the first bound that is not
+    a power of two and is drawn from a fresh half is rejected; the bound
+    draws of every case in ``DECODE_CASES`` that has such a bound include
+    one.  On a lazy kernel the segment before ends on a hold (branch word
+    0), which uses one word, fewer than the most a step may take, so the
+    block pass that runs it leaves words for the next segment."""
+    bg = _Served(words, has, 12345)
+    ref, stats = r.copy(), chain.ChainStats()
+
+    def run(steps):
+        chain._loop(ref, _ScalarDraws(bg), steps, lazy, c6, stats)
+
+    for steps, following in zip(segments, segments[1:] + [0]):
+        if min(steps, following) < chain._CROSSOVER:
+            run(steps)
+            continue
+        if lazy:
+            run(steps - 1)
+            words[bg.state["pos"]] = 0
+            steps = 1
+        run(steps)
+        pos = bg.state["pos"]
+        if lazy or c6:
+            words[pos] = 0xA << 60
+            pos += 1
+        words[pos : pos + 4] = 0
 
 
 @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -842,20 +878,29 @@ def test_block_core_segments_match_scalar_draws_on_constructed_words(
     monkeypatch.setattr(chain, "_BLOCK", block)
     r, c6 = _decode_instance(rows, cols, kind)
     n, m = r.n, r.m
+    rejecting = any(k & (k - 1) for k in (n, n - 1, m, m - 1))
     carried = rejected_at_boundary = False
     fallback = 0
     for lazy in (True, False):
         for gap in (1, 2, 150):
             segments = [500] + [gap] * 4
             words = _constructed_words(gap + block + has, 6000, zeros=0.1)
-            left, rejected, stepped = _session_against_loop(r, c6, lazy, segments, words, has)
-            carried |= left
+            _plant_rejections(words, r, c6, lazy, segments, has)
+            starts, rejected, stepped = _session_against_loop(r, c6, lazy, segments, words, has)
+            if lazy and gap >= chain._CROSSOVER:
+                # every segment before ends on a planted hold
+                assert starts == set(np.cumsum(segments[:-1]).tolist())
+            if rejecting:
+                assert starts <= rejected, "a planted rejection did not fire"
+            carried |= bool(starts)
             fallback += stepped
-            # a segment's first step, which may start on carried words
-            rejected_at_boundary |= bool(rejected & set(np.cumsum(segments[:-1]).tolist()))
-    assert carried, "no segment left words for the next one"
-    if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
-        assert rejected_at_boundary, "no Lemire rejection at a segment's first step"
+            rejected_at_boundary |= bool(rejected & starts)
+    assert carried, "no block-core segment started on carried words"
+    if rejecting:
+        assert rejected_at_boundary, (
+            "no Lemire rejection at the first step of a block-core segment "
+            "that starts on carried words"
+        )
         assert fallback > 0, "no rejected step ran through _step"
 
 

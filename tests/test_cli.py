@@ -420,6 +420,51 @@ def test_path_report_bytes_multi_cycle_directed(capsys, tmp_path):
     )
 
 
+def test_path_report_bytes_direct_exchange_after_a_double_step(capsys, tmp_path):
+    from swapmc import (
+        auxiliary_matrix,
+        build_canonical_path,
+        load_realization,
+        repair_to_realization,
+        to_bipartite_representation,
+    )
+
+    header = "out: 3 3 2 2 2 2\nin: 3 3 2 2 2 2\n"
+    a = tmp_path / "a.graph"
+    b = tmp_path / "b.graph"
+    a.write_text(header + _arcs("1->2 1->3 1->5 2->1 2->4 2->6 3->1 3->4 4->1 4->6 5->2 5->3 6->2 6->5"))
+    b.write_text(header + _arcs("1->2 1->4 1->5 2->3 2->4 2->6 3->1 3->6 4->1 4->2 5->2 5->3 6->1 6->5"))
+    x, y = (to_bipartite_representation(load_realization(str(p))) for p in (a, b))
+    path = build_canonical_path(x, y)
+    # lone -1 targets that one direct exchange repairs, one of them the
+    # completion of the path's double-step
+    direct = []
+    for i, z in enumerate(path.states):
+        aux = auxiliary_matrix(x, y, z)
+        twos, ones = aux.bad_positions()
+        if not twos and len(ones) == 1:
+            assert len(repair_to_realization(aux).switches) == 1
+            direct.append(i)
+    assert sum(path.intermediate) == 1
+    assert len(direct) == 2
+    assert any(path.intermediate[i - 1] for i in direct)
+    code, out, err = run(capsys, "path", str(a), str(b))
+    assert code == 0 and err == ""
+    assert out == (
+        "move 1: C4 3 6 4 2\n"
+        "move 2: C4 4 3 6 2\n"
+        "move 3: C4 6 1 4 3\n"
+        "move 4: C4 6 2 3 1\n"
+        "milestones: 0 4\n"
+        "cycle 1: ell=5 moves=4\n"
+        "max-two-count: 0\n"
+        "max-minus-one-count: 1\n"
+        "max-repair-switches: 1\n"
+        "max-repair-distance: 8\n"
+        "verdict: ok\n"
+    )
+
+
 def test_path_failed_repair_exit_code(capsys, tmp_path):
     # the sequence fails the directed spread condition, and the -1 of the
     # path's state 2 admits neither the direct exchange nor the detour

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapmc import (
     AuxiliaryMatrix,
@@ -12,7 +14,9 @@ from swapmc import (
     Cycle,
     CycleDecomposition,
     DirectedDegreeBiSequence,
+    DirectedRealization,
     RepairReport,
+    SwapMove,
     auxiliary_matrix,
     bounds_of,
     build_canonical_path,
@@ -32,7 +36,7 @@ from swapmc import (
     verify_repairs,
 )
 from swapmc.errors import RepairError
-from swapmc.paths import _BLOCK, PathSegment
+from swapmc.paths import _BLOCK, PathSegment, _aux_blocks, _direct_exchanges, _star_mask
 
 DIAG3 = tuple((i, i) for i in range(3))
 DIAG = lambda n: tuple((i, i) for i in range(n))
@@ -852,6 +856,146 @@ def test_block_audits_memory_stays_one_block():
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the batched direct exchanges against the switch repair, target by target
+# ---------------------------------------------------------------------------
+
+
+def _lone_minus_one(aux):
+    twos, ones = aux.bad_positions()
+    return not twos and len(ones) == 1
+
+
+def _batch_against_repair(path, x, y):
+    """Checks each block's batch against ``repair_to_realization`` on every
+    state holding a bad entry: a decided target has the reference's one
+    switch and repaired matrix, and a lone -1 left out of the batch takes
+    the detour or fails.  Returns how many targets the batch decided."""
+    star = _star_mask(x.forbidden, x.matrix.shape)
+    decided = 0
+    for start, A in _aux_blocks(path, x, y):
+        counts = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
+        bad = [t for t, count in enumerate(counts) if count]
+        direct = _direct_exchanges(A, [t for t in bad if counts[t] == 1], star)
+        for t in bad:
+            aux = auxiliary_matrix(x, y, path.states[start + t])
+            if t in direct:
+                assert _lone_minus_one(aux)
+                repaired, (us, vs) = direct[t]
+                ref = repair_to_realization(aux)
+                assert ref.switches == [SwapMove.switch(us, vs, sign=1)]
+                assert np.array_equal(repaired, ref.realization.matrix)
+                decided += 1
+            elif _lone_minus_one(aux):
+                try:
+                    assert len(repair_to_realization(aux).switches) == 2
+                except RepairError:
+                    pass
+    return decided
+
+
+def _digraph_30_pair():
+    perm = np.random.default_rng(30).permutation(30).tolist()
+    return _permuted_directed_pair(30, 5, perm)
+
+
+def test_direct_exchanges_match_the_switch_repair():
+    cases = list(_random_paths())
+    for x, y in (_regular_60x60_pair(), _digraph_30_pair()):
+        cases.append((x, y, build_canonical_path(x, y)))
+    decided = {False: 0, True: 0}
+    for x, y, path in cases:
+        decided[bool(x.forbidden)] += _batch_against_repair(path, x, y)
+    assert decided[False] > 0 and decided[True] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), restricted=st.booleans())
+def test_direct_exchanges_match_the_switch_repair_on_seeded_pairs(seed, restricted):
+    seq = BipartiteDegreeSequence((2, 3, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2))
+    x, y = _randomized_pair(seq, DIAG(6) if restricted else (), seed)
+    path = build_canonical_path(x, y)
+    _batch_against_repair(path, x, y)
+    bounds = bounds_of(seq)
+    assert verify_repairs(path, x, y, bounds) == _verify_repairs_two_pass(
+        path, x, y, bounds
+    )
+
+
+def _constructed_paths():
+    """Paths through every realization without a 2-entry of two small
+    restricted sequences, once as direct states and once with every state
+    but the last a double-step intermediate, so that each state is repaired
+    as the completion of the one before; the audits do not replay moves."""
+    seq, xm, ym = _unrepairable_directed_pair()
+    x, y = (to_bipartite_representation(DirectedRealization(seq, m)) for m in (xm, ym))
+    pairs = [(x, y)]
+    seq5 = BipartiteDegreeSequence((3, 2, 2, 1, 1), (3, 2, 2, 1, 1))
+    rs = enumerate_realizations(seq5, DIAG(5))
+    pairs.append((rs[5], rs[16]))
+    for x, y in pairs:
+        zs = enumerate_realizations(x.seq, x.forbidden)
+        zs = [z for z in zs if not auxiliary_matrix(x, y, z).bad_positions()[0]]
+        for mids in (False, True):
+            states = [x, *zs, y]
+            inter = [mids] * (len(states) - 1) + [False]
+            yield x, y, CanonicalPath(states, [], inter, [])
+
+
+def test_verify_repairs_matches_two_pass_on_constructed_blocks():
+    kinds = set()
+    for x, y, path in _constructed_paths():
+        _batch_against_repair(path, x, y)
+        bounds = bounds_of(x.seq)
+        rep = verify_repairs(path, x, y, bounds)
+        assert rep == _verify_repairs_two_pass(path, x, y, bounds)
+        assert rep.failures
+        for z in path.states:
+            aux = auxiliary_matrix(x, y, z)
+            ones = aux.bad_positions()[1]
+            if len(ones) > 1:
+                kinds.add("two -1s")
+            elif ones:
+                try:
+                    kinds.add(len(repair_to_realization(aux).switches))
+                except RepairError:
+                    kinds.add("fails")
+    # the direct exchange, the detour, two -1s and a failed repair
+    assert kinds == {1, 2, "two -1s", "fails"}
+
+
+def test_verify_repairs_refuses_a_state_the_batch_cannot_repair():
+    # an unvalidated state with an entry of 2 where X and Y have none puts a
+    # -2 beside a lone -1: the batch takes no state with two bad entries, and
+    # the switch repair refuses it
+    x, y, path = next(_random_paths())
+    z = path.states[1]
+    u0, v0, c, d = 0, 0, 5, 3
+    A = auxiliary_matrix(x, y, z).matrix
+    assert np.argwhere(A == -1).tolist() == [[u0, v0]] and not (A == 2).any()
+    assert A[c, d] == A[u0, d] == A[c, v0] == 0 and z.matrix[u0, d] == z.matrix[c, v0] == 1
+    M = z.matrix.copy()
+    M[u0, v0] += 1
+    M[c, d] += 1
+    M[u0, d] -= 1
+    M[c, v0] -= 1
+    path.states[1] = BipartiteRealization(x.seq, M, validate=False)
+    for audit in (verify_repairs, _verify_repairs_two_pass):
+        with pytest.raises(ValueError, match="0 or 1"):
+            audit(path, x, y)
+
+
+def test_block_audits_refuse_a_foreign_state():
+    x, y, path = next(_random_paths())
+    assert all(z.seq is x.seq and z.forbidden is x.forbidden for z in path.states)
+    z = path.states[1]
+    hole = tuple(np.argwhere(z.matrix == 0)[0].tolist())
+    path.states[1] = BipartiteRealization(z.seq, z.matrix, [hole])
+    for audit in (verify_bad_positions, verify_repairs):
+        with pytest.raises(ValueError, match="share degrees"):
+            audit(path, x, y)
 
 
 # ---------------------------------------------------------------------------
