@@ -42,14 +42,20 @@ decodes each block with numpy.  ``random()`` reads one word, and
 (Lemire, "Fast random integer generation in an interval", ACM TOMACS
 2019), a multiply and a compare that run as well on a whole array of
 halves.  Python then walks the block's branch words to class each step,
-and checks and applies the proposals in step order.  Words a segment
-leaves unused start the next one.  Shorter segments, where the block
-core's fixed costs outweigh the saving, and the rare step whose draws meet
-a Lemire rejection take one route: the session rewinds the generator past
-the words it used and runs those steps through the per-step functions on
+reading how far each step advances from a byte table, and checks and
+applies the proposals in step order.  Words a segment leaves unused start
+the next one.  Shorter segments, where the block core's fixed costs
+outweigh the saving, and the rare step whose draws meet a Lemire
+rejection take one route: the session rewinds the generator past the
+words it used and runs those steps through the per-step functions on
 numpy's own draws.  States, statistics and the generator's final state are
 bit-identical to the per-step functions, which stay as the reference.
 Other generators take the per-step path.
+
+Every chain starts from :func:`initial_state`, which builds the
+deterministic start realization once per sequence, forbidden matching and
+chain kind, and hands each call its own copy: the K chains of one run, or
+of repeated runs on one sequence, pay for one construction.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from .realization import (
     BipartiteRealization,
     SwapMove,
     _restricted_form,
+    canonical_forbidden,
     construct_bipartite,
     try_c4_swap,
     try_c6_swap,
@@ -297,7 +304,8 @@ class _Decoder:
         # A step of a class with h halves, from half-buffer flag f, uses b
         # branch words (none when every step proposes) and (h - f + 1) // 2
         # more, and leaves the flag (h - f) % 2.  The walk's state is
-        # 2 * word position + flag.
+        # 2 * word position + flag.  A class a step can take advances it by
+        # 1 to 9, so the walk reads the increments as bytes.
         step = [
             [(b + (h - f + 1) // 2, (h - f) % 2) if h else (b, f) for f in (0, 1)]
             for h in self.halves.tolist()
@@ -331,7 +339,7 @@ class _Decoder:
         cls = (words >= np.uint64(self.hold)).astype(np.intp)
         if self.c4_below is not None:
             cls[words >= np.uint64(self.c4_below)] = self.c6_class
-        inc = self.inc.take(cls, axis=0).ravel().tolist()
+        inc = self.inc.take(cls, axis=0).astype(np.uint8).tobytes()
         s = has  # see __init__
         states = np.fromiter([has] + [s := s + inc[s] for _ in range(todo)], np.intp, todo + 1)
         first = states[:-1] >> 1  # each step's first word
@@ -497,10 +505,11 @@ class _Session:
         Each block pass tops the unused raw words up to at most ``_BLOCK``,
         enough for the segment's remaining steps, and runs three stages.  A
         Python walk over the branch words classes every step and finds
-        where its integer draws start; one set of numpy Lemire steps turns
-        the halves of the other words into every proposal's cells; and the
-        legality check and update run on the matrix's own bytes, in step
-        order, for the proposals that can move the state (see :func:`_play`).
+        where its integer draws start, reading each step's advance from a
+        byte table; one set of numpy Lemire steps turns the halves of the
+        other words into every proposal's cells; and the legality check and
+        update run on the matrix's own bytes, in step order, for the
+        proposals that can move the state (see :func:`_play`).
         A pass ends at the segment's end, and the words it leaves unused
         start the next pass, in this segment or the next, so a step never
         spans two passes.  A step whose draws meet a Lemire rejection, with
@@ -559,25 +568,49 @@ def default_burn_in(r: BipartiteRealization) -> int:
     return 10 * int(r.matrix.sum()) * max(r.n, r.m)
 
 
+# ((sequence, forbidden matching, chain kind), its start realization): the
+# last start state built, which initial_state only ever copies
+_start = (None, None)
+
+
 def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
-    """Deterministic starting realization for a sampling run."""
+    """Deterministic starting realization for a sampling run.
+
+    A directed bi-sequence runs on its bipartite representation, so its
+    ``forbidden`` must be empty or exactly the diagonal.  The input and the
+    kernel are checked on every call.  The realization itself is built once
+    per (sequence, forbidden matching, chain kind): the last one built is
+    kept, and each call gets a fresh copy of it, so K chains on one
+    sequence pay for one construction.
+    """
+    global _start
     if isinstance(seq, DirectedDegreeBiSequence):
         if chain_kind != "directed":
             raise ValueError("directed bi-sequences require chain_kind='directed'")
-        seq, forbidden = _restricted_form(seq)
-    r = construct_bipartite(seq, forbidden)
-    if chain_kind == "bipartite" and r.forbidden:
+        seq, diag = _restricted_form(seq)
+        if canonical_forbidden(forbidden, seq.n, seq.m) not in ((), diag):
+            raise ValueError("a directed bi-sequence forbids exactly the diagonal")
+        forbidden = diag
+    else:
+        forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
+    if chain_kind == "bipartite" and forbidden:
         raise ValueError("bipartite kernel requires an empty forbidden set")
-    if chain_kind == "directed" and not r.forbidden:
+    if chain_kind == "directed" and not forbidden:
         raise ValueError("restricted kernel requires a forbidden matching")
-    return r
+    key = (seq, forbidden, chain_kind)
+    if _start[0] != key:
+        _start = key, construct_bipartite(seq, forbidden)
+    return _start[1].copy()
 
 
 def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> SampleResult:
     """Run one chain: burn in, then emit states separated by thinning steps.
 
     The first retained state is the one reached right after burn-in, so
-    ``burn_in=0`` emits the deterministic initial realization first.
+    ``burn_in=0`` emits the deterministic initial realization first.  That
+    realization comes from :func:`initial_state`, which checks the input
+    and the kernel on every call but builds the start state once per
+    sequence, forbidden matching and chain kind.
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
     With a ``numpy.random.Generator`` on ``PCG64``, one :class:`_Session`
@@ -616,7 +649,15 @@ def derive_chain_seeds(seed: int, count: int) -> list[int]:
 
     Chain ``i`` receives the 64-bit state generated by the ``i``-th child of
     ``numpy.random.SeedSequence(seed)``, so streams are independent and the
-    derivation is part of the reproducibility contract.
+    derivation is part of the reproducibility contract.  ``count`` takes
+    anything ``operator.index`` accepts and must be at least 0; anything
+    else is a ``ValueError``.
     """
+    try:
+        count = operator.index(count)
+    except TypeError as exc:
+        raise ValueError("count must be an integer") from exc
+    if count < 0:
+        raise ValueError("count must be >= 0")
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]

@@ -10,6 +10,7 @@ from swapmc import (
     BipartiteRealization,
     ChainConfig,
     DirectedDegreeBiSequence,
+    InfeasibleSequenceError,
     construct_bipartite,
     construct_directed,
     derive_chain_seeds,
@@ -220,6 +221,28 @@ def test_sample_rejects_a_kernel_that_does_not_fit_the_input(seq, forbidden, kin
         sample(seq, forbidden, cfg)
 
 
+@pytest.mark.parametrize(
+    "forbidden",
+    [[(0, 1)], DIAG3[:2], ((0, 1), (1, 2), (2, 0)), DIAG3 + ((3, 3),)],
+    ids=["off-diagonal", "part-of-diagonal", "other-matching", "outside"],
+)
+def test_sample_directed_bi_sequence_forbids_only_its_diagonal(forbidden):
+    # another matching used to be dropped in silence, and the chain ran on
+    # the diagonal
+    d = DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1))
+    cfg = ChainConfig(seed=0, samples=2, burn_in=5, chain_kind="directed")
+    for _ in range(2):  # the second call finds the diagonal's start state kept
+        with pytest.raises(ValueError):
+            sample(d, forbidden, cfg)
+        assert sample(d, (), cfg).realizations[0].forbidden == DIAG3
+    for diagonal in (DIAG3, list(reversed(DIAG3)), np.array(DIAG3)):
+        res = sample(d, diagonal, cfg)
+        assert [r.key() for r in res.realizations] == [
+            r.key() for r in sample(d, (), cfg).realizations
+        ]
+        assert all(r.forbidden == DIAG3 for r in res.realizations)
+
+
 def test_restricted_kernel_with_general_matching():
     # the restricted kernel accepts any forbidden partial matching, not just
     # the diagonal of a digraph representation
@@ -284,6 +307,18 @@ def test_derive_chain_seeds():
     assert seeds == derive_chain_seeds(123, 4)
     assert len(set(seeds)) == 4
     assert all(isinstance(s, int) and s >= 0 for s in seeds)
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, "3", None])
+def test_derive_chain_seeds_rejects_a_bad_count(count):
+    # numpy raised OverflowError for a negative count, TypeError for a float
+    with pytest.raises(ValueError, match="count"):
+        derive_chain_seeds(0, count)
+
+
+def test_derive_chain_seeds_takes_numpy_integers_and_zero():
+    assert derive_chain_seeds(5, 0) == []
+    assert derive_chain_seeds(5, np.int64(3)) == derive_chain_seeds(5, 3)
 
 
 def _stream_instance(name):
@@ -616,6 +651,121 @@ def test_sample_block_core_matches_per_step_kernel_on_small_classes(seq, cfg, pr
 
 
 # ---------------------------------------------------------------------------
+# The start state initial_state keeps
+# ---------------------------------------------------------------------------
+
+
+def _fresh_start(seq):
+    """The start state built with no memo."""
+    if isinstance(seq, DirectedDegreeBiSequence):
+        return to_bipartite_representation(construct_directed(seq))
+    return construct_bipartite(seq)
+
+
+START_CASES = [
+    (lambda: BipartiteDegreeSequence((3, 2, 2, 1, 1), (2, 2, 2, 2, 1)), "bipartite"),
+    (lambda: DirectedDegreeBiSequence((2, 2, 2, 2, 1, 1), (2, 2, 1, 2, 2, 1)), "directed"),
+]
+
+
+@pytest.mark.parametrize("make, kind", START_CASES, ids=["bipartite", "directed"])
+def test_sample_on_equal_sequences_matches_a_fresh_build(make, kind, monkeypatch):
+    first, second = make(), make()
+    assert first == second and first is not second
+    cfg = ChainConfig(seed=11, samples=4, burn_in=60, thinning=30, chain_kind=kind)
+    runs = [sample(seq, (), cfg) for seq in (first, second, first)]
+    fresh = _fresh_start(make())
+    monkeypatch.setattr(chain, "initial_state", lambda *args: fresh.copy())
+    keys, stats = _per_step_sample(make(), cfg, np.random.default_rng(11))
+    for res in runs:
+        assert [r.key() for r in res.realizations] == keys
+        assert res.stats.as_dict() == stats
+
+
+@pytest.mark.parametrize("make, kind", START_CASES, ids=["bipartite", "directed"])
+def test_initial_state_copies_are_the_callers_own(make, kind):
+    seq = make()
+    fresh = _fresh_start(seq)
+    cfg = ChainConfig(seed=2, samples=3, burn_in=0, thinning=40, chain_kind=kind)
+    for _ in range(2):
+        start = chain.initial_state(seq, (), kind)
+        assert start == fresh
+        start.matrix[:] = 1 - start.matrix  # in place, no longer a realization
+        res = sample(seq, (), cfg)
+        assert res.realizations[0] == fresh
+        for r in res.realizations:
+            r.matrix[:] = 0
+    assert chain.initial_state(make(), (), kind) == fresh
+
+
+def test_initial_state_keys_on_sequence_matching_and_kind(monkeypatch):
+    built = []
+
+    def counted(seq, forbidden=()):
+        built.append((seq, forbidden))
+        return construct_bipartite(seq, forbidden)
+
+    monkeypatch.setattr(chain, "construct_bipartite", counted)
+    monkeypatch.setattr(chain, "_start", (None, None))
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    cycle = ((0, 1), (1, 2), (2, 0))
+    calls = [
+        ((), "bipartite"),
+        ((), "bipartite"),
+        (DIAG3, "directed"),
+        (list(reversed(DIAG3)), "directed"),
+        (cycle, "directed"),
+        ((), "bipartite"),
+    ]
+    for forbidden, kind in calls:
+        r = chain.initial_state(seq, forbidden, kind)
+        assert r == construct_bipartite(seq, forbidden)
+        assert chain._start[0] == (seq, r.forbidden, kind)
+    # one entry: a key comes back only by building again
+    assert built == [(seq, ()), (seq, DIAG3), (seq, cycle), (seq, ())]
+    d = DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1))
+    chain.initial_state(d, (), "directed")
+    chain.initial_state(d, DIAG3, "directed")
+    assert chain._start[0] == (seq, DIAG3, "directed") and len(built) == 5
+    # the digraph and its bipartite representation share one start state
+    assert chain.initial_state(seq, DIAG3, "directed") == to_bipartite_representation(
+        construct_directed(d)
+    )
+    assert len(built) == 5
+
+
+def test_initial_state_checks_every_call():
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    d = DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1))
+    infeasible = [
+        (BipartiteDegreeSequence((3, 1), (2, 2, 0)), "bipartite"),
+        (DirectedDegreeBiSequence((1, 0), (1, 0)), "directed"),  # only a loop
+    ]
+    mismatched = [
+        (seq, (), "directed", "restricted kernel requires a forbidden matching"),
+        (seq, DIAG3, "bipartite", "bipartite kernel requires an empty forbidden set"),
+        (d, (), "bipartite", "directed bi-sequences require chain_kind='directed'"),
+        (d, [(0, 1)], "directed", "forbids exactly the diagonal"),
+        (seq, [(0, 0), (1, 0)], "directed", "partial matching"),
+    ]
+    for good, forbidden, kind in [(seq, (), "bipartite"), (d, (), "directed")]:
+        for _ in range(2):
+            chain.initial_state(good, forbidden, kind)
+            for bad, bad_kind in infeasible:
+                for _ in range(2):
+                    with pytest.raises(InfeasibleSequenceError):
+                        chain.initial_state(bad, (), bad_kind)
+            chain.initial_state(good, forbidden, kind)
+            for bad, bad_forbidden, bad_kind, message in mismatched:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=message):
+                        chain.initial_state(bad, bad_forbidden, bad_kind)
+                    cfg = ChainConfig(seed=0, samples=1, burn_in=0, chain_kind=bad_kind)
+                    with pytest.raises(ValueError, match=message):
+                        sample(bad, bad_forbidden, cfg)
+
+
+# ---------------------------------------------------------------------------
 # The block decoder on constructed words, checked against the scalar draws
 # ---------------------------------------------------------------------------
 
@@ -754,6 +904,23 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
         assert bg.state == {"pos": used, "has_uint32": has_out, "uinteger": half_out}
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
         assert rejected, "no Lemire rejection stopped a block"
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("c6", [False, True])
+def test_walk_increments_fit_a_byte(c6, lazy):
+    # the walk reads _Decoder.inc as bytes; every class a step can take
+    # advances it by at least one half and at most 255
+    for n in range(2, 6):
+        for m in range(2, 6):
+            seq = BipartiteDegreeSequence((0,) * n, (0,) * m)
+            forbidden = tuple((i, i) for i in range(min(n, m))) if c6 else ()
+            r = BipartiteRealization(seq, np.zeros((n, m)), forbidden)
+            dec = chain._Decoder(r, lazy, c6)
+            taken = ([0] if dec.hold else []) + [1] + ([dec.c6_class] if c6 else [])
+            inc = dec.inc[taken]
+            assert inc.min() >= 1 and inc.max() <= 255, (n, m)
+            assert inc.max() <= 2 * dec.most + 1  # a step reads at most `most` words
 
 
 def _session_against_loop(r, c6, lazy, segments, words, has):
