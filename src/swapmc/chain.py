@@ -53,13 +53,14 @@ bit-identical to the per-step functions, which stay as the reference.
 Other generators take the per-step path.
 
 Every chain starts from :func:`initial_state`, which builds the
-deterministic start realization once per sequence, forbidden matching and
-chain kind, and hands each call its own copy: the K chains of one run, or
-of repeated runs on one sequence, pay for one construction.
+deterministic start realization once per sequence and forbidden matching,
+keeps the last one built, and hands each call its own copy: the K chains
+of one run, or of repeated runs on one sequence, pay for one construction.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -304,13 +305,16 @@ class _Decoder:
         # A step of a class with h halves, from half-buffer flag f, uses b
         # branch words (none when every step proposes) and (h - f + 1) // 2
         # more, and leaves the flag (h - f) % 2.  The walk's state is
-        # 2 * word position + flag.  A class a step can take advances it by
-        # 1 to 9, so the walk reads the increments as bytes.
+        # 2 * word position + flag.  With two or more vertices per class a
+        # step advances it by 0 to 9 (1 to 9 for a class a step can take),
+        # so the walk reads the increments as bytes.
         step = [
             [(b + (h - f + 1) // 2, (h - f) % 2) if h else (b, f) for f in (0, 1)]
             for h in self.halves.tolist()
         ]
-        self.inc = np.array([[2 * w + g - f for f, (w, g) in enumerate(row)] for row in step])
+        self.inc = np.array(
+            [[2 * w + g - f for f, (w, g) in enumerate(row)] for row in step], np.uint8
+        )
         possible = ([0] if lazy else []) + [1] + ([self.c6_class] if c6 else [])
         self.most = max(step[c][f][0] for c in possible for f in (0, 1))
         # (i, i2, j, j2) -> flat cells (i,j), (i2,j2) twice, (i,j2), (i2,j) twice
@@ -339,7 +343,7 @@ class _Decoder:
         cls = (words >= np.uint64(self.hold)).astype(np.intp)
         if self.c4_below is not None:
             cls[words >= np.uint64(self.c4_below)] = self.c6_class
-        inc = self.inc.take(cls, axis=0).astype(np.uint8).tobytes()
+        inc = self.inc.take(cls, axis=0).tobytes()
         s = has  # see __init__
         states = np.fromiter([has] + [s := s + inc[s] for _ in range(todo)], np.intp, todo + 1)
         first = states[:-1] >> 1  # each step's first word
@@ -568,9 +572,9 @@ def default_burn_in(r: BipartiteRealization) -> int:
     return 10 * int(r.matrix.sum()) * max(r.n, r.m)
 
 
-# ((sequence, forbidden matching, chain kind), its start realization): the
-# last start state built, which initial_state only ever copies
-_start = (None, None)
+# The last start state built, keyed by its sequence and canonical forbidden
+# matching; initial_state only ever copies it
+_start = functools.lru_cache(maxsize=1)(construct_bipartite)
 
 
 def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
@@ -579,11 +583,11 @@ def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
     A directed bi-sequence runs on its bipartite representation, so its
     ``forbidden`` must be empty or exactly the diagonal.  The input and the
     kernel are checked on every call.  The realization itself is built once
-    per (sequence, forbidden matching, chain kind): the last one built is
-    kept, and each call gets a fresh copy of it, so K chains on one
-    sequence pay for one construction.
+    per sequence and forbidden matching, which also decide the kernel: the
+    last one built stays in memory (``n * m`` bytes) until a call on
+    another sequence replaces it, and each call gets a fresh copy of it, so
+    K chains on one sequence pay for one construction.
     """
-    global _start
     if isinstance(seq, DirectedDegreeBiSequence):
         if chain_kind != "directed":
             raise ValueError("directed bi-sequences require chain_kind='directed'")
@@ -597,10 +601,7 @@ def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
         raise ValueError("bipartite kernel requires an empty forbidden set")
     if chain_kind == "directed" and not forbidden:
         raise ValueError("restricted kernel requires a forbidden matching")
-    key = (seq, forbidden, chain_kind)
-    if _start[0] != key:
-        _start = key, construct_bipartite(seq, forbidden)
-    return _start[1].copy()
+    return _start(seq, forbidden).copy()
 
 
 def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> SampleResult:
@@ -610,7 +611,7 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     ``burn_in=0`` emits the deterministic initial realization first.  That
     realization comes from :func:`initial_state`, which checks the input
     and the kernel on every call but builds the start state once per
-    sequence, forbidden matching and chain kind.
+    sequence and forbidden matching.
     Identical configs produce bit-identical output.  ``rng`` overrides the
     generator derived from ``config.seed`` (used for multi-chain runs).
     With a ``numpy.random.Generator`` on ``PCG64``, one :class:`_Session`

@@ -698,40 +698,44 @@ def test_initial_state_copies_are_the_callers_own(make, kind):
     assert chain.initial_state(make(), (), kind) == fresh
 
 
-def test_initial_state_keys_on_sequence_matching_and_kind(monkeypatch):
-    built = []
+def _start_calls(*args):
+    """initial_state(*args), with the (hits, misses) of its start-state cache."""
+    before = chain._start.cache_info()
+    r = chain.initial_state(*args)
+    after = chain._start.cache_info()
+    assert after.currsize == 1  # one entry at most
+    return r, (after.hits - before.hits, after.misses - before.misses)
 
-    def counted(seq, forbidden=()):
-        built.append((seq, forbidden))
-        return construct_bipartite(seq, forbidden)
 
-    monkeypatch.setattr(chain, "construct_bipartite", counted)
-    monkeypatch.setattr(chain, "_start", (None, None))
+def test_initial_state_keys_on_sequence_and_matching():
+    chain._start.cache_clear()
     seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
     cycle = ((0, 1), (1, 2), (2, 0))
+    kept, built = (1, 0), (0, 1)
     calls = [
-        ((), "bipartite"),
-        ((), "bipartite"),
-        (DIAG3, "directed"),
-        (list(reversed(DIAG3)), "directed"),
-        (cycle, "directed"),
-        ((), "bipartite"),
+        ((), "bipartite", built),
+        ((), "bipartite", kept),
+        (DIAG3, "directed", built),
+        (list(reversed(DIAG3)), "directed", kept),
+        (cycle, "directed", built),
+        ((), "bipartite", built),  # one entry: a key comes back only by building again
     ]
-    for forbidden, kind in calls:
-        r = chain.initial_state(seq, forbidden, kind)
+    for forbidden, kind, counts in calls:
+        r, seen = _start_calls(seq, forbidden, kind)
         assert r == construct_bipartite(seq, forbidden)
-        assert chain._start[0] == (seq, r.forbidden, kind)
-    # one entry: a key comes back only by building again
-    assert built == [(seq, ()), (seq, DIAG3), (seq, cycle), (seq, ())]
+        assert seen == counts
+    # the canonical matching decides the kernel, so the chain kind needs no
+    # place in the key: a kind that does not fit raises before the lookup
+    for forbidden, kind in [((), "directed"), (DIAG3, "bipartite")]:
+        chain.initial_state(seq, forbidden, "directed" if forbidden else "bipartite")
+        with pytest.raises(ValueError, match="kernel requires"):
+            chain.initial_state(seq, forbidden, kind)
     d = DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1))
-    chain.initial_state(d, (), "directed")
-    chain.initial_state(d, DIAG3, "directed")
-    assert chain._start[0] == (seq, DIAG3, "directed") and len(built) == 5
+    assert _start_calls(d, (), "directed")[1] == kept
+    assert _start_calls(d, DIAG3, "directed")[1] == kept
     # the digraph and its bipartite representation share one start state
-    assert chain.initial_state(seq, DIAG3, "directed") == to_bipartite_representation(
-        construct_directed(d)
-    )
-    assert len(built) == 5
+    r, seen = _start_calls(seq, DIAG3, "directed")
+    assert r == to_bipartite_representation(construct_directed(d)) and seen == kept
 
 
 def test_initial_state_checks_every_call():
@@ -909,18 +913,27 @@ def test_decode_matches_scalar_draws_on_constructed_words(rows, cols, kind, has,
 @pytest.mark.parametrize("lazy", [True, False])
 @pytest.mark.parametrize("c6", [False, True])
 def test_walk_increments_fit_a_byte(c6, lazy):
-    # the walk reads _Decoder.inc as bytes; every class a step can take
-    # advances it by at least one half and at most 255
+    # the walk reads _Decoder.inc as bytes; every increment, recomputed here
+    # from its class's halves, lies in 0..255, and every class a step can
+    # take advances the walk by at least one half
+    b = int(lazy or c6)
     for n in range(2, 6):
         for m in range(2, 6):
             seq = BipartiteDegreeSequence((0,) * n, (0,) * m)
             forbidden = tuple((i, i) for i in range(min(n, m))) if c6 else ()
             r = BipartiteRealization(seq, np.zeros((n, m)), forbidden)
             dec = chain._Decoder(r, lazy, c6)
-            taken = ([0] if dec.hold else []) + [1] + ([dec.c6_class] if c6 else [])
-            inc = dec.inc[taken]
-            assert inc.min() >= 1 and inc.max() <= 255, (n, m)
-            assert inc.max() <= 2 * dec.most + 1  # a step reads at most `most` words
+            want = np.array(
+                [
+                    [2 * (b + (h - f + 1) // 2) + (h - f) % 2 - f if h else 2 * b for f in (0, 1)]
+                    for h in dec.halves.tolist()
+                ]
+            )
+            assert want.min() >= 0 and want.max() <= 255, (n, m)
+            assert dec.inc.dtype == np.uint8 and np.array_equal(dec.inc, want), (n, m)
+            taken = want[([0] if dec.hold else []) + [1] + ([dec.c6_class] if c6 else [])]
+            assert taken.min() >= 1, (n, m)
+            assert taken.max() <= 2 * dec.most + 1  # a step reads at most `most` words
 
 
 def _session_against_loop(r, c6, lazy, segments, words, has):
