@@ -650,10 +650,12 @@ def derive_chain_seeds(seed: int, count: int) -> list[int]:
 
     Chain ``i`` receives the 64-bit state generated by the ``i``-th child of
     ``numpy.random.SeedSequence(seed)``, so streams are independent and the
-    derivation is part of the reproducibility contract.  ``count`` takes
-    anything ``operator.index`` accepts and must be at least 0; anything
-    else is a ``ValueError``.
+    derivation is part of the reproducibility contract.  ``seed`` and
+    ``count`` take anything ``operator.index`` accepts and must be at least
+    0; anything else is a ``ValueError``, for ``seed`` the one
+    :class:`ChainConfig` raises.
     """
+    seed = ChainConfig(seed=seed, samples=1).seed  # ChainConfig's checks and messages
     try:
         count = operator.index(count)
     except TypeError as exc:

@@ -41,7 +41,7 @@ from .errors import (
     InfeasibleSequenceError,
     RepairError,
 )
-from .io import load_realization, load_sequence, realization_to_json
+from .io import _text_lines, load_realization, load_sequence, realization_to_json
 from .oracle import (
     POSITION_BUDGET,
     STATE_BUDGET,
@@ -138,14 +138,7 @@ def _emit_sample(real, fmt: str, chain_idx: int, k: int, directed: bool) -> str:
         doc["chain"] = chain_idx
         doc["sample"] = k
         return json.dumps(doc, sort_keys=True)
-    lines = [f"# chain {chain_idx} sample {k}"]
-    if fmt == "matrix":
-        lines.extend(" ".join(str(int(x)) for x in row) for row in real.matrix)
-    elif isinstance(real, DirectedRealization):
-        lines.extend(f"{i + 1} -> {j + 1}" for i, j in real.arcs())
-    else:
-        lines.extend(f"{u + 1} {v + 1}" for u, v in real.edges())
-    return "\n".join(lines)
+    return "\n".join([f"# chain {chain_idx} sample {k}", *_text_lines(real, fmt)])
 
 
 def cmd_sample(args) -> int:
@@ -170,12 +163,14 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         _err("config", exc)
         return 2
-    results = [sample(seq, (), cfg) for cfg in configs]
-    for chain_idx, result in enumerate(results, start=1):
+    summaries = []
+    for chain_idx, cfg in enumerate(configs, start=1):
+        result = sample(seq, (), cfg)
         for k, state in enumerate(result.realizations, start=1):
             print(_emit_sample(state, args.format, chain_idx, k, directed))
-    for chain_idx, result in enumerate(results, start=1):
-        summary = {"chain": chain_idx, **result.stats.as_dict()}
+        summaries.append({"chain": chain_idx, **result.stats.as_dict()})
+        del result, state  # drop this chain's samples before the next chain runs
+    for summary in summaries:
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return 0
 

@@ -207,24 +207,29 @@ def load_realization(path) -> BipartiteRealization | DirectedRealization:
         return parse_realization(fh.read())
 
 
+def _text_lines(real, fmt: str) -> list[str]:
+    """The matrix rows ('matrix'), or the 1-based edges or arcs ('edges')."""
+    if fmt == "matrix":
+        return [" ".join(str(int(x)) for x in row) for row in real.matrix]
+    if fmt != "edges":
+        raise ValueError(f"unknown format {fmt!r}")
+    if isinstance(real, DirectedRealization):
+        return [f"{i + 1} -> {j + 1}" for i, j in real.arcs()]
+    return [f"{u + 1} {v + 1}" for u, v in real.edges()]
+
+
 def format_realization(real, fmt: str = "edges") -> str:
     """Render a realization as 'edges', 'matrix', or 'json' text."""
     if fmt == "json":
         return json.dumps(realization_to_json(real), sort_keys=True)
-    if fmt == "matrix":
-        return "\n".join(" ".join(str(int(x)) for x in row) for row in real.matrix) + "\n"
-    if fmt != "edges":
-        raise ValueError(f"unknown format {fmt!r}")
-    out = [format_sequence(real.seq).rstrip("\n")]
-    if isinstance(real, DirectedRealization):
-        out.extend(f"{i + 1} -> {j + 1}" for i, j in real.arcs())
-    else:
-        if real.forbidden:
-            out.append(
+    head = []
+    if fmt == "edges":
+        head.append(format_sequence(real.seq).rstrip("\n"))
+        if not isinstance(real, DirectedRealization) and real.forbidden:
+            head.append(
                 "forbidden: " + " ".join(f"{u + 1}:{v + 1}" for u, v in real.forbidden)
             )
-        out.extend(f"{u + 1} {v + 1}" for u, v in real.edges())
-    return "\n".join(out) + "\n"
+    return "\n".join(head + _text_lines(real, fmt)) + "\n"
 
 
 def realization_to_json(real) -> dict:

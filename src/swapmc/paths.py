@@ -110,9 +110,12 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
 
     Circuits are extracted starting from the lowest-indexed row with unused
     difference chords, always leaving a row along its lowest-indexed unused
-    X-chord and a column along its lowest-indexed unused Y-chord; each closed
-    circuit is then split into simple cycles by popping at the first vertex
-    revisit.  The result is a pure function of (X, Y).
+    X-chord and a column along its lowest-indexed unused Y-chord.  The walk
+    stacks its vertices, and the first revisit of a vertex pops the stack
+    above its earlier visit as one simple cycle (the stack stays
+    duplicate-free, and even length keeps the rest alternating), rotated to
+    start at a row so that its first chord is an X-chord.  The result is a
+    pure function of (X, Y).
     """
     _check_compatible(x, y)
     xonly = (x.matrix == 1) & (y.matrix == 0)
@@ -132,50 +135,28 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
 
     cycles: list[Cycle] = []
     for start in range(x.n):
-        while x_ptr[start] < len(x_adj[start]):
-            # Walk one alternating closed circuit from `start`, rows at even positions.
-            walk = [start]
-            u = start
-            while True:
-                v = x_adj[u][x_ptr[u]]
-                x_ptr[u] += 1
-                walk.append(v)
-                u2 = y_adj[v][y_ptr[v]]
-                y_ptr[v] += 1
-                if u2 == start and x_ptr[start] == len(x_adj[start]):
-                    break
-                walk.append(u2)
-                u = u2
-            cycles.extend(_split_circuit(walk))
+        # start's circuits in turn, each popping back to [start]; index parity = side
+        stack = [start]
+        pos = {(0, start): 0}
+        u = start
+        while u != start or x_ptr[start] < len(x_adj[start]):
+            v = x_adj[u][x_ptr[u]]
+            x_ptr[u] += 1
+            u = y_adj[v][y_ptr[v]]
+            y_ptr[v] += 1
+            for key in ((1, v), (0, u)):
+                s = pos.get(key)
+                if s is None:
+                    pos[key] = len(stack)
+                    stack.append(key[1])
+                    continue
+                k = s + (s & 1)  # the popped cycle's first row
+                us, vs = stack[k::2], stack[k + 1 :: 2] + stack[s:k]
+                cycles.append(Cycle(us=tuple(us), vs=tuple(vs), first_is_x=True))
+                for i in range(s + 1, len(stack)):
+                    del pos[i & 1, stack[i]]
+                del stack[s + 1 :]
     return CycleDecomposition(tuple(cycles))
-
-
-def _split_circuit(walk: list[int]) -> list[Cycle]:
-    """Split a closed alternating circuit into simple cycles.
-
-    ``walk`` is the closed walk w_0 .. w_{L-1} with rows at even positions;
-    it leaves every row along an X-chord.  A vertex is keyed by its position
-    parity, which on the stack equals its side.  Popping at the first vertex
-    revisit keeps the stack duplicate-free, so every popped cycle is simple,
-    and even length (the walk is bipartite) keeps the splice alternating.
-    Each cycle is rotated to start at a row, so its first chord is an X-chord.
-    """
-    cycles: list[Cycle] = []
-    stack: list[int] = []
-    pos: dict[tuple[int, int], int] = {}
-    for t, w in enumerate(walk + walk[:1]):
-        s = pos.get((t & 1, w))
-        if s is None:
-            pos[t & 1, w] = len(stack)
-            stack.append(w)
-            continue
-        k = s + (s & 1)  # the popped cycle's first row
-        us, vs = stack[k::2], stack[k + 1 :: 2] + stack[s:k]
-        cycles.append(Cycle(us=tuple(us), vs=tuple(vs), first_is_x=True))
-        for i in range(s + 1, len(stack)):
-            del pos[i & 1, stack[i]]
-        del stack[s + 1 :]
-    return cycles
 
 
 def milestones(

@@ -501,25 +501,12 @@ def try_c6_swap(r: BipartiteRealization, us, vs) -> SwapMove | None:
     if {px, py, pz} != {int(v) for v in vs} or len(set(vs)) < 3:
         return None
     M = r.matrix
-    # Hexagon x, pz, y, px, z, py; opposite pairs (x,px), (y,py), (z,pz).
-    if (
-        M[x, pz]
-        and M[y, px]
-        and M[z, py]
-        and not M[y, pz]
-        and not M[z, px]
-        and not M[x, py]
-    ):
-        return SwapMove.c6((x, y, z), (pz, px, py))
-    if (
-        M[x, py]
-        and M[z, px]
-        and M[y, pz]
-        and not M[z, py]
-        and not M[y, px]
-        and not M[x, pz]
-    ):
-        return SwapMove.c6((x, z, y), (py, px, pz))
+    # The hexagon runs x, pz, y, px, z, py or the reverse way; opposite pairs
+    # (x,px), (y,py), (z,pz).  Either way v_i is the partner of u_{i-1}, and
+    # the move lowers (u_i, v_i) and raises (u_{i+1}, v_i) as apply_move does.
+    for hu, hv in (((x, y, z), (pz, px, py)), ((x, z, y), (py, px, pz))):
+        if all(M[hu[i], hv[i]] and not M[hu[(i + 1) % 3], hv[i]] for i in range(3)):
+            return SwapMove.c6(hu, hv)
     return None
 
 

@@ -316,9 +316,21 @@ def test_derive_chain_seeds_rejects_a_bad_count(count):
         derive_chain_seeds(0, count)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "3", -1])
+def test_derive_chain_seeds_rejects_a_bad_seed(seed):
+    # None drew the seeds from OS entropy; the others raised numpy's errors
+    with pytest.raises(ValueError) as want:
+        ChainConfig(seed=seed, samples=1)
+    with pytest.raises(ValueError) as got:
+        derive_chain_seeds(seed, 2)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("seed must be")
+
+
 def test_derive_chain_seeds_takes_numpy_integers_and_zero():
     assert derive_chain_seeds(5, 0) == []
     assert derive_chain_seeds(5, np.int64(3)) == derive_chain_seeds(5, 3)
+    assert derive_chain_seeds(np.uint8(5), 3) == derive_chain_seeds(5, 3)
 
 
 def _stream_instance(name):

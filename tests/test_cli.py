@@ -1,8 +1,11 @@
 import hashlib
 import json
+import weakref
 
 import pytest
 
+import swapmc.cli
+from swapmc.chain import sample
 from swapmc.cli import main
 
 TRIANGLE = "out: 1 1 1\nin: 1 1 1\n"
@@ -173,9 +176,53 @@ def test_sample_matrix_format(capsys, k22_file):
         "0",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "# chain 1 sample 1"
-    assert lines[1] in ("1 0", "0 1")
+    assert out == "# chain 1 sample 1\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "edges",
+            "# chain 1 sample 1\n1 -> 2\n2 -> 3\n3 -> 1\n"
+            "# chain 1 sample 2\n1 -> 3\n2 -> 1\n3 -> 2\n",
+        ),
+        (
+            "matrix",
+            "# chain 1 sample 1\n0 1 0\n0 0 1\n1 0 0\n"
+            "# chain 1 sample 2\n0 0 1\n1 0 0\n0 1 0\n",
+        ),
+    ],
+)
+def test_sample_digraph_text_formats(capsys, triangle_file, fmt, expected):
+    args = ("--seed", "0", "--count", "2", "--thin", "3", "--burn-in", "4", "--format", fmt)
+    code, out, err = run(capsys, "sample", triangle_file, *args)
+    assert code == 0
+    assert out == expected
+    assert err == (
+        '{"applied_c4": 0, "applied_c6": 2, "chain": 1, "lazy": 2, '
+        '"proposal_illegal": 3, "steps": 7}\n'
+    )
+
+
+def test_sample_prints_each_chain_before_the_next_one_runs(capsys, monkeypatch, k22_file):
+    args = ("sample", k22_file, "--seed", "5", "--count", "2", "--chains", "3")
+    _, expected_out, expected_err = run(capsys, *args)
+    chunks, matrices = [], []
+
+    def recorded(*a):
+        chunks.append(capsys.readouterr().out)  # what was printed since the last chain began
+        assert all(ref() is None for ref in matrices)  # no earlier chain's samples are kept
+        result = sample(*a)
+        matrices.extend(weakref.ref(r.matrix) for r in result.realizations)
+        return result
+
+    monkeypatch.setattr(swapmc.cli, "sample", recorded)
+    assert main(list(args)) == 0
+    out, err = capsys.readouterr()
+    assert [c.count("# chain") for c in chunks] == [0, 2, 2]
+    assert "".join(chunks) + out == expected_out
+    assert err == expected_err
 
 
 def test_sample_multi_chain_ordered(capsys, k22_file):
@@ -194,6 +241,14 @@ def test_sample_bad_config(capsys, k22_file):
     code, out, err = run(capsys, "sample", k22_file, "--seed", "1", "--count", "0")
     assert code == 2
     assert err.startswith("error: config:")
+
+
+def test_sample_bad_seed_reads_the_same_for_one_and_two_chains(capsys, k22_file):
+    # two chains used to print numpy's "expected non-negative integer"
+    for chains in ("1", "2"):
+        code, out, err = run(capsys, "sample", k22_file, "--seed", "-1", "--chains", chains)
+        assert (code, out) == (2, "")
+        assert err == "error: config: seed must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize("chains", ["0", "-1"])

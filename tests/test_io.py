@@ -4,7 +4,9 @@ import pytest
 
 from swapmc import (
     BipartiteDegreeSequence,
+    BipartiteRealization,
     DirectedDegreeBiSequence,
+    DirectedRealization,
     FormatError,
     construct_bipartite,
     construct_directed,
@@ -147,7 +149,27 @@ def test_realization_parse_errors():
 def test_matrix_and_json_formats():
     seq = BipartiteDegreeSequence((1, 1), (1, 1))
     r = construct_bipartite(seq)
-    assert format_realization(r, "matrix").count("\n") == 2
+    assert format_realization(r, "matrix") == "1 0\n0 1\n"
+    assert format_realization(r) == "U: 1 1\nV: 1 1\n1 1\n2 2\n"
+    starred = BipartiteRealization(
+        BipartiteDegreeSequence((2, 1, 1), (1, 2, 1)),
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+        [(2, 0), (0, 2)],
+    )
+    assert format_realization(starred, "matrix") == "1 1 0\n0 1 0\n0 0 1\n"
+    assert format_realization(starred, "edges") == (
+        "U: 2 1 1\nV: 1 2 1\nforbidden: 1:3 3:1\n1 1\n1 2\n2 2\n3 3\n"
+    )
+    d = DirectedRealization(
+        DirectedDegreeBiSequence((2, 1, 1, 1), (1, 2, 1, 1)),
+        [[0, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    )
+    assert format_realization(d, "matrix") == "0 1 0 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
+    assert format_realization(d) == (
+        "out: 2 1 1 1\nin: 1 2 1 1\n1 -> 2\n1 -> 4\n2 -> 1\n3 -> 2\n4 -> 3\n"
+    )
+    with pytest.raises(ValueError, match="unknown format"):
+        format_realization(d, "csv")
     doc = json.loads(format_realization(r, "json"))
     assert doc == realization_to_json(r)
     assert doc["u_degrees"] == [1, 1]

@@ -1098,8 +1098,16 @@ def _reference_instances():
 
 
 def test_decompose_matches_the_labelled_reference():
+    seq5x7 = BipartiteDegreeSequence((3, 2, 3, 2, 2), (2, 2, 1, 2, 2, 2, 1))
+    seq6x4 = BipartiteDegreeSequence((2, 1, 2, 1, 2, 2), (3, 2, 3, 2))
+    general = ((0, 2), (1, 0), (3, 3), (4, 1))  # partial and off the diagonal
+    more = [(seq5x7, ()), (seq6x4, ()), (seq6x4, general), (seq5x7, ((0, 6), (2, 0), (4, 3)))]
+    pairs = itertools.chain(
+        _reference_instances(),
+        (_randomized_pair(seq, forbidden, seed) for seq, forbidden in more for seed in range(16)),
+    )
     cycles = 0
-    for x, y in _reference_instances():
+    for x, y in pairs:
         dec = decompose(x, y)
         assert dec == _decompose_with_labels(x, y)
         cycles += len(dec.cycles)

@@ -27,6 +27,7 @@ from swapmc import (
     try_c4_swap,
     try_c6_swap,
 )
+from swapmc.oracle import StateSpace
 from swapmc.realization import partner_arrays
 
 DIAG3 = tuple((i, i) for i in range(3))
@@ -416,3 +417,59 @@ def test_constructor_canonicalises_numpy_forbidden_pairs():
         BipartiteRealization(seq, np.eye(3), ((0, 1), (2, 1)))
     with pytest.raises(ValueError, match="outside 3x3 grid"):
         BipartiteRealization(seq, np.eye(3), ((0, 3),))
+
+
+def _try_c6_swap_two_tests(r, us, vs):
+    """Frozen copy of ``try_c6_swap`` with one alternation test per direction."""
+    x, y, z = sorted(us)
+    if len({x, y, z}) < 3:
+        return None
+    px, py, pz = r._fu[x], r._fu[y], r._fu[z]
+    if px < 0 or py < 0 or pz < 0:
+        return None
+    if {px, py, pz} != {int(v) for v in vs} or len(set(vs)) < 3:
+        return None
+    M = r.matrix
+    # Hexagon x, pz, y, px, z, py; opposite pairs (x,px), (y,py), (z,pz).
+    if (
+        M[x, pz]
+        and M[y, px]
+        and M[z, py]
+        and not M[y, pz]
+        and not M[z, px]
+        and not M[x, py]
+    ):
+        return SwapMove.c6((x, y, z), (pz, px, py))
+    if (
+        M[x, py]
+        and M[z, px]
+        and M[y, pz]
+        and not M[z, py]
+        and not M[y, px]
+        and not M[x, pz]
+    ):
+        return SwapMove.c6((x, z, y), (py, px, pz))
+    return None
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden",
+    [
+        (BipartiteDegreeSequence((1, 1, 1), (1, 1, 1)), DIAG3),
+        (BipartiteDegreeSequence((2, 2, 2, 1), (2, 2, 1, 2)), tuple((i, i) for i in range(4))),
+        (BipartiteDegreeSequence((1, 1, 2, 2), (2, 2, 1, 1)), ((0, 1), (1, 3), (2, 0), (3, 2))),
+    ],
+)
+def test_try_c6_swap_matches_the_two_test_copy(seq, forbidden):
+    # every state, every ordered pair of row and column triples, repeats included;
+    # the last two instances have hexagons whose lowered cells are all edges
+    # while a raised cell is one too
+    directions = set()
+    for r in StateSpace(seq, forbidden).states:
+        for us in itertools.product(range(r.n), repeat=3):
+            for vs in itertools.product(range(r.m), repeat=3):
+                mv = try_c6_swap(r, us, vs)
+                assert mv == _try_c6_swap_two_tests(r, us, vs)
+                if mv is not None:
+                    directions.add(mv.us == tuple(sorted(mv.us)))
+    assert directions == {True, False}  # both hexagon directions are reached
