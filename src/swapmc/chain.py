@@ -71,7 +71,6 @@ from .realization import (
     BipartiteRealization,
     SwapMove,
     _restricted_form,
-    canonical_forbidden,
     construct_bipartite,
     try_c4_swap,
     try_c6_swap,
@@ -588,15 +587,9 @@ def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
     another sequence replaces it, and each call gets a fresh copy of it, so
     K chains on one sequence pay for one construction.
     """
-    if isinstance(seq, DirectedDegreeBiSequence):
-        if chain_kind != "directed":
-            raise ValueError("directed bi-sequences require chain_kind='directed'")
-        seq, diag = _restricted_form(seq)
-        if canonical_forbidden(forbidden, seq.n, seq.m) not in ((), diag):
-            raise ValueError("a directed bi-sequence forbids exactly the diagonal")
-        forbidden = diag
-    else:
-        forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
+    if isinstance(seq, DirectedDegreeBiSequence) and chain_kind != "directed":
+        raise ValueError("directed bi-sequences require chain_kind='directed'")
+    seq, forbidden = _restricted_form(seq, forbidden)
     if chain_kind == "bipartite" and forbidden:
         raise ValueError("bipartite kernel requires an empty forbidden set")
     if chain_kind == "directed" and not forbidden:
@@ -612,14 +605,14 @@ def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> Sa
     realization comes from :func:`initial_state`, which checks the input
     and the kernel on every call but builds the start state once per
     sequence and forbidden matching.
-    Identical configs produce bit-identical output.  ``rng`` overrides the
-    generator derived from ``config.seed`` (used for multi-chain runs).
-    With a ``numpy.random.Generator`` on ``PCG64``, one :class:`_Session`
-    runs the burn-in and every thinning gap, and the state is copied at each
-    segment's end: segments of at least ``_CROSSOVER`` steps run through the
-    block core, shorter ones on the per-step loop.  Under any other
-    generator every step runs the per-step loop.  Both consume the same
-    stream and give the same states.
+    Identical configs produce bit-identical output.  ``rng`` is for a
+    caller's own generator and overrides the one derived from
+    ``config.seed``.  With a ``numpy.random.Generator`` on ``PCG64``, one
+    :class:`_Session` runs the burn-in and every thinning gap, and the state
+    is copied at each segment's end: segments of at least ``_CROSSOVER``
+    steps run through the block core, shorter ones on the per-step loop.
+    Any other generator runs one step at a time on the per-step loop.  Both
+    consume the same stream and give the same states.
     """
     if config is None:
         raise ValueError("a ChainConfig is required")

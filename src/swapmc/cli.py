@@ -183,7 +183,7 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    bip, forbidden = _restricted_form(seq) if directed else (seq, ())
+    bip, forbidden = _restricted_form(seq)
     reals = enumerate_realizations(bip, forbidden, position_budget=args.budget)
     print(f"realizations: {len(reals)}")
     sep = "->" if directed else ":"  # arc i->j is edge (i, j) of the representation
@@ -202,7 +202,7 @@ def cmd_diagnose(args) -> int:
         raise ValueError("horizon must be >= 0")
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    bip, forbidden = _restricted_form(seq) if directed else (seq, ())
+    bip, forbidden = _restricted_form(seq)
     kind = "directed" if directed else "bipartite"
     kernel = exact_transition_matrix(bip, forbidden, kind, state_budget=args.budget)
     N = kernel.size
@@ -235,12 +235,7 @@ def cmd_diagnose(args) -> int:
 
 
 def _move_line(i: int, mv) -> str:
-    if mv.kind == "c4":
-        (ua, ub), (va, vb) = mv.us, mv.vs
-        return f"move {i}: C4 {ua + 1} {ub + 1} {va + 1} {vb + 1}"
-    us = " ".join(str(u + 1) for u in mv.us)
-    vs = " ".join(str(v + 1) for v in mv.vs)
-    return f"move {i}: C6 {us} {vs}"
+    return f"move {i}: {mv.kind.upper()} " + " ".join(str(x + 1) for x in mv.us + mv.vs)
 
 
 def cmd_path(args) -> int:
@@ -266,8 +261,7 @@ def cmd_path(args) -> int:
     bad = verify_bad_positions(path, a, b)
     print(f"max-two-count: {bad.max_twos_direct}")
     print(f"max-minus-one-count: {bad.max_minus_ones_direct}")
-    bounds = bounds_of(a.seq)
-    rep = verify_repairs(path, a, b, bounds)
+    rep = verify_repairs(path, a, b)
     print(f"max-repair-switches: {rep.max_switches}")
     print(
         "max-repair-distance: "

@@ -28,6 +28,7 @@ from .errors import IllegalMoveError, RepairError
 from .realization import (
     BipartiteRealization,
     SwapMove,
+    _exact_copy,
     apply_switch,
     canonical_forbidden,
     hamming_distance,
@@ -194,7 +195,7 @@ class AuxiliaryMatrix:
 
     def __init__(self, seq, matrix, forbidden=(), *, validate=True):
         self.seq = seq
-        self.matrix = np.array(matrix, dtype=np.int16, copy=True)
+        self.matrix = _exact_copy(matrix, np.int16)
         self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
         self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
         if validate:
@@ -228,10 +229,8 @@ class AuxiliaryMatrix:
 
     def render(self) -> str:
         rows = []
-        for i in range(self.seq.n):
-            cells = []
-            for j in range(self.seq.m):
-                cells.append("*" if self.is_star(i, j) else f"{int(self.matrix[i, j]):2d}")
+        for i, row in enumerate(self.matrix.tolist()):
+            cells = ("*" if self.is_star(i, j) else c for j, c in enumerate(row))
             rows.append(" ".join(f"{c:>2}" for c in cells))
         return "\n".join(rows)
 
@@ -465,7 +464,6 @@ def build_canonical_path(
     and columns.  Every state is reached through ``apply_move``'s legality
     checks, so each is a valid realization without a separate validation.
     """
-    _check_compatible(x, y)
     z = x.copy()
     path = CanonicalPath(states=[x.copy()], moves=[], intermediate=[False], segments=[])
     for cyc in decompose(x, y).cycles:
@@ -701,20 +699,8 @@ def _find_detour(M, star, u0, v0, u_prime, v_prime):
     M[u1,v1]=1 with u1 in U', v1 in V'; M[u2,v2]=1 with M[u2,v1]=0 and
     M[u1,v2]=0, all positions unstarred."""
     n, m = M.shape
-    u_second = [
-        u
-        for u in range(n)
-        if u not in u_prime
-        and u != u0
-        and any(not star[u, v] and M[u, v] == 0 for v in v_prime)
-    ]
-    v_second = [
-        v
-        for v in range(m)
-        if v not in v_prime
-        and v != v0
-        and any(not star[u, v] and M[u, v] == 0 for u in u_prime)
-    ]
+    u_second = [u for u in range(n) if u not in u_prime and u != u0]
+    v_second = [v for v in range(m) if v not in v_prime and v != v0]
     for u2 in u_second:
         for v2 in v_second:
             if star[u2, v2] or M[u2, v2] != 1:
@@ -770,7 +756,8 @@ def verify_repairs(
     only bad entry is one -1 in one batch, by the direct exchange that the
     switch repair would pick.  The switch repair itself runs only for a
     target with a 2-entry or more than one -1, and for a -1 with no direct
-    exchange (the detour).
+    exchange (the detour).  ``bounds`` reaches only ``RepairError``
+    messages, which the report does not keep: it lists failed states.
     """
     report = RepairReport()
     star = _star_mask(x.forbidden, x.matrix.shape)

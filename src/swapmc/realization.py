@@ -134,6 +134,16 @@ class SwapMove:
         return SwapMove.switch(self.us, self.vs, -self.sign)
 
 
+def _exact_copy(matrix, dtype) -> np.ndarray:
+    """A fresh ``dtype`` copy of ``matrix``; ``ValueError`` if the cast wraps
+    or truncates an entry.  Only a cast between two dtypes compares."""
+    src = np.asarray(matrix)
+    out = src.astype(dtype)
+    if src.dtype != out.dtype and not np.array_equal(out, src):
+        raise ValueError(f"matrix entries do not fit {out.dtype} unchanged")
+    return out
+
+
 def apply_switch(M: np.ndarray, mv: SwapMove) -> None:
     """Add ``mv.sign`` at (r1,c1), (r2,c2) and subtract it at (r1,c2), (r2,c1).
 
@@ -164,7 +174,7 @@ class BipartiteRealization:
 
     def __init__(self, seq, matrix, forbidden=(), *, validate=True):
         self.seq = seq
-        self.matrix = np.array(matrix, dtype=np.uint8, copy=True)
+        self.matrix = _exact_copy(matrix, np.uint8)
         self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
         self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
         if validate:
@@ -300,7 +310,7 @@ class DirectedRealization:
 
     def __init__(self, seq: DirectedDegreeBiSequence, matrix, *, validate=True):
         self.seq = seq
-        self.matrix = np.array(matrix, dtype=np.uint8, copy=True)
+        self.matrix = _exact_copy(matrix, np.uint8)
         if validate:
             self.validate()
 
@@ -434,11 +444,17 @@ def construct_directed(seq: DirectedDegreeBiSequence) -> DirectedRealization:
 
 
 def _restricted_form(
-    seq: DirectedDegreeBiSequence,
+    seq, forbidden=()
 ) -> tuple[BipartiteDegreeSequence, tuple[tuple[int, int], ...]]:
-    """A bi-sequence as (out-degree rows x in-degree columns, diagonal)."""
-    bip = BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees)
-    return bip, tuple((i, i) for i in range(seq.n))
+    """``seq`` and its canonical forbidden matching as the chains run them: a
+    bi-sequence becomes out-degree rows x in-degree columns and forbids
+    exactly its diagonal, so its ``forbidden`` must be empty or that."""
+    if not isinstance(seq, DirectedDegreeBiSequence):
+        return seq, canonical_forbidden(forbidden, seq.n, seq.m)
+    diag = tuple((i, i) for i in range(seq.n))
+    if canonical_forbidden(forbidden, seq.n, seq.n) not in ((), diag):
+        raise ValueError("a directed bi-sequence forbids exactly the diagonal")
+    return BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees), diag
 
 
 def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:

@@ -408,7 +408,7 @@ def test_path_triangle(capsys, tmp_path):
     code, out, _ = run(capsys, "path", str(a), str(b))
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("move 1: C6")
+    assert lines[0] == "move 1: C6 1 3 2 2 1 3"
     assert "milestones: 0 1" in out
     assert "max-two-count: 0" in out
     assert "max-minus-one-count: 0" in out

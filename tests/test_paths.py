@@ -36,7 +36,14 @@ from swapmc import (
     verify_repairs,
 )
 from swapmc.errors import RepairError
-from swapmc.paths import _BLOCK, PathSegment, _aux_blocks, _direct_exchanges, _star_mask
+from swapmc.paths import (
+    _BLOCK,
+    PathSegment,
+    _aux_blocks,
+    _direct_exchanges,
+    _find_detour,
+    _star_mask,
+)
 
 DIAG3 = tuple((i, i) for i in range(3))
 DIAG = lambda n: tuple((i, i) for i in range(n))
@@ -298,7 +305,7 @@ def test_auxiliary_entry_cases():
     twos, ones = aux.bad_positions()
     assert twos == [(0, 0)]
     assert set(ones) == {(0, 1), (1, 0)}
-    assert "*" in str(aux)
+    assert str(aux) == " 2 -1  0\n-1  1  1\n *  1  0"
 
 
 def test_auxiliary_margins_along_paths():
@@ -964,6 +971,73 @@ def test_verify_repairs_matches_two_pass_on_constructed_blocks():
                     kinds.add("fails")
     # the direct exchange, the detour, two -1s and a failed repair
     assert kinds == {1, 2, "two -1s", "fails"}
+
+
+def _find_detour_prefiltered(M, star, u0, v0, u_prime, v_prime):
+    """``_find_detour`` as it was with row and column pre-filters: a second
+    row or column had to hold an unstarred 0 against V' or U' first."""
+    n, m = M.shape
+    u_second = [
+        u
+        for u in range(n)
+        if u not in u_prime
+        and u != u0
+        and any(not star[u, v] and M[u, v] == 0 for v in v_prime)
+    ]
+    v_second = [
+        v
+        for v in range(m)
+        if v not in v_prime
+        and v != v0
+        and any(not star[u, v] and M[u, v] == 0 for u in u_prime)
+    ]
+    for u2 in u_second:
+        for v2 in v_second:
+            if star[u2, v2] or M[u2, v2] != 1:
+                continue
+            for v1 in v_prime:
+                if star[u2, v1] or M[u2, v1] != 0:
+                    continue
+                for u1 in u_prime:
+                    if star[u1, v2] or M[u1, v2] != 0:
+                        continue
+                    if not star[u1, v1] and M[u1, v1] == 1:
+                        return u1, v1, u2, v2
+    return None
+
+
+def test_find_detour_matches_the_prefiltered_copy():
+    # No seeded path-audit pair reaches the detour, so it is drawn here:
+    # entries -1..2, mostly 0 and 1 as on a path, with random stars, and U',
+    # V' either as _repair derives them around a -1 at (u0, v0) or as
+    # arbitrary index lists.  A detour needs a row and a column outside
+    # U' + u0 and V' + v0, so the shapes start at 4.
+    found = []
+    entry = st.sampled_from((0, 1, 0, 1, 0, 1, -1, 2))
+    starred = st.sampled_from((False,) * 5 + (True,))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        n, m = data.draw(st.integers(4, 8)), data.draw(st.integers(4, 8))
+        M = np.array(data.draw(st.lists(entry, min_size=n * m, max_size=n * m)))
+        M = M.astype(np.int16).reshape(n, m)
+        star = np.array(data.draw(st.lists(starred, min_size=n * m, max_size=n * m)))
+        star = star.reshape(n, m)
+        u0, v0 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        if data.draw(st.booleans()):
+            M[u0, v0], star[u0, v0] = -1, False
+            u_prime = np.flatnonzero(~star[:, v0] & (M[:, v0] == 1)).tolist()
+            v_prime = np.flatnonzero(~star[u0] & (M[u0] == 1)).tolist()
+        else:
+            u_prime = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+            v_prime = data.draw(st.lists(st.integers(0, m - 1), unique=True))
+        quad = _find_detour(M, star, u0, v0, u_prime, v_prime)
+        assert quad == _find_detour_prefiltered(M, star, u0, v0, u_prime, v_prime)
+        found.append(quad is not None)
+
+    check()
+    assert sum(found) >= 10
 
 
 def test_verify_repairs_refuses_a_state_the_batch_cannot_repair():

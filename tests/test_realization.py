@@ -387,6 +387,22 @@ def test_validate_rejects_entries_outside_0_1():
         swapmc.DirectedRealization(d, [[0, 2], [0, 0]])
     with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
         swapmc.DirectedRealization(d, np.array([[0, 3], [0, -1]]).astype(np.uint8))
+    # A cast that would wrap an integer or truncate a float is refused, not
+    # stored as some other 0/1 matrix
+    one = BipartiteDegreeSequence((1, 1), (1, 1))
+    wraps = (np.array([[257, 0], [0, 1]]), np.array([[1.9, 0], [0, 1.2]]), [[-1, 0], [0, 1]])
+    for bad in wraps:
+        with pytest.raises(ValueError, match="do not fit uint8"):
+            BipartiteRealization(one, bad)
+    with pytest.raises(ValueError, match="do not fit uint8"):
+        swapmc.DirectedRealization(
+            DirectedDegreeBiSequence((1, 1), (1, 1)), np.array([[0, 513], [1, 0]])
+        )
+    with pytest.raises(ValueError, match="do not fit int16"):
+        swapmc.AuxiliaryMatrix(one, np.array([[65537, 0], [0, 1]]))
+    # Exact casts still pass
+    for good in (np.eye(2), np.eye(2, dtype=bool)):
+        assert BipartiteRealization(one, good).matrix.tolist() == [[1, 0], [0, 1]]
 
 
 def test_copy_is_equal_with_an_independent_matrix():
