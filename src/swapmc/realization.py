@@ -136,7 +136,7 @@ class SwapMove:
 
 def _exact_copy(matrix, dtype) -> np.ndarray:
     """A fresh ``dtype`` copy of ``matrix``; ``ValueError`` if the cast wraps
-    or truncates an entry.  Only a cast between two dtypes compares."""
+    or truncates an entry.  An input already of ``dtype`` is not compared."""
     src = np.asarray(matrix)
     out = src.astype(dtype)
     if src.dtype != out.dtype and not np.array_equal(out, src):
