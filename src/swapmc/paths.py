@@ -479,7 +479,7 @@ def build_canonical_path(
 
 
 # ---------------------------------------------------------------------------
-# Stacked auxiliary matrices
+# Path states in blocks
 # ---------------------------------------------------------------------------
 
 # States per audit block.  Each block also carries the next block's first
@@ -488,20 +488,45 @@ def build_canonical_path(
 _BLOCK = 16
 
 
-def _aux_blocks(
+def _aux_base(
     path: CanonicalPath, x: BipartiteRealization, y: BipartiteRealization
-):
-    """Yield ``(start, A)`` with ``A[k] = M_X + M_Y - M_Z`` (int16) for the
-    path states ``Z = G_{start+k}``, ``k`` up to ``_BLOCK`` inclusive.
-
-    Every block is written into the same buffer, so ``A`` is valid only
-    until the next block is drawn.  Raises ``ValueError`` unless the path
-    joins X to Y."""
+) -> np.ndarray:
+    """``M_X + M_Y`` (int16) as one row of n*m cells.  Raises ``ValueError``
+    unless the path joins X to Y."""
     _check_compatible(x, y)
     if path.states[0] != x or path.states[-1] != y:
         raise ValueError("the path does not join the audited pair")
-    base = x.matrix.astype(np.int16) + y.matrix
-    buf = np.empty((_BLOCK + 1, *base.shape), dtype=np.int16)
+    return np.add(x.matrix, y.matrix, dtype=np.int16).ravel()
+
+
+# The kinds of entry a of M_X + M_Y - M_Z that the audits count: a 2, a -1
+# and an entry outside {0, 1}.  Realizations hold uint8 cells, so
+# -255 <= a <= 510, and column a of _KINDS describes a (numpy wraps a
+# negative column index round to the end).
+_ENTRY = np.r_[0:511, -255:0]
+_KINDS = np.stack((_ENTRY == 2, _ENTRY == -1, (_ENTRY < 0) | (_ENTRY > 1)))
+_KINDS = _KINDS.astype(np.intp)
+
+
+def _state_blocks(path: CanonicalPath, x: BipartiteRealization, base: np.ndarray):
+    """Yield ``(start, S, counts, changes)`` for the path states
+    ``Z = G_{start+k}``, ``k`` up to ``_BLOCK`` inclusive.
+
+    ``S[k]`` holds the cells of ``G_{start+k}`` as one int16 row.  Every
+    block is written into the same buffer, so ``S`` is valid only until the
+    next block is drawn, and the caller may overwrite it.  ``changes =
+    (flat, aux)`` lists in row-major order the cells where a state differs
+    from the one before it: ``flat`` indexes ``S[1:]``, and ``aux[0]``,
+    ``aux[1]`` are the auxiliary entries ``base - Z`` there before and after
+    the change.  ``counts[:, k]`` holds the entries of each kind in
+    ``_KINDS`` for ``G_{start+k}``: counted in full for ``G_0`` only, then
+    carried through the changes from state to state and from block to
+    block."""
+    m = x.matrix.shape[1]
+    nm = base.size
+    pair = np.array([[0], [nm]])  # a change's index in S, before and after it
+    ends = np.arange(_BLOCK + 1) * nm  # where each state's changes end in S[1:]
+    buf = np.empty((_BLOCK + 1, nm), dtype=np.int16)
     states = path.states
     for start in range(0, len(states), _BLOCK):
         chunk = states[start : start + _BLOCK + 1]
@@ -509,9 +534,21 @@ def _aux_blocks(
         for z in chunk[:_BLOCK]:
             if z.seq is not x.seq or z.forbidden is not x.forbidden:
                 _check_compatible(x, z)
-        A = buf[: len(chunk)]
-        np.subtract(base, np.stack([z.matrix for z in chunk]), out=A)
-        yield start, A
+        S = buf[: len(chunk)]
+        np.concatenate([z.matrix for z in chunk], out=S.reshape(-1, m))
+        if not start:
+            carried = _KINDS.take(base - S[0], axis=1).sum(axis=1)
+        flat = (S[1:] != S[:-1]).ravel().nonzero()[0]
+        # Wrapping an index of S[1:] round base gives the change's cell.
+        aux = base.take(flat, mode="wrap") - S.take(flat + pair)
+        kinds = _KINDS.take(aux, axis=1)
+        run = np.empty((3, flat.size + 1), dtype=np.intp)
+        run[:, 0] = carried
+        np.subtract(kinds[:, 1], kinds[:, 0], out=run[:, 1:])
+        np.add.accumulate(run, axis=1, out=run)
+        counts = run.take(flat.searchsorted(ends[: len(chunk)]), axis=1)
+        carried = counts[:, -1]
+        yield start, S, counts, (flat, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -539,27 +576,23 @@ class BadPositionReport:
         return not self.violations
 
 
+# A state's bad-entry budget: at most two 2-entries and one -1-entry.
+_BUDGET = np.array([[2], [1]])
+
+
 def verify_bad_positions(
     path: CanonicalPath, x: BipartiteRealization, y: BipartiteRealization
 ) -> BadPositionReport:
     """Audit every path state's auxiliary matrix against the bad-entry bound."""
-    twos, minus = [], []
-    for _, A in _aux_blocks(path, x, y):
-        A = A[:_BLOCK]
-        twos.append((A == 2).sum(axis=(1, 2)))
-        minus.append((A == -1).sum(axis=(1, 2)))
-    n2, n1 = np.concatenate(twos), np.concatenate(minus)
+    blocks = _state_blocks(path, x, _aux_base(path, x, y))
+    counts = np.concatenate([c[:2, :_BLOCK] for _, _, c, _ in blocks], axis=1)
     inter = np.array(path.intermediate, dtype=bool)
-    within = (n2 <= 2) & (n1 <= 1)
+    over = (counts > _BUDGET).any(axis=0)
     # An intermediate is excused when its completion state is within budget.
-    completed = inter & np.append(within[1:], False)
-    return BadPositionReport(
-        max_twos_direct=int(n2[~inter].max(initial=0)),
-        max_minus_ones_direct=int(n1[~inter].max(initial=0)),
-        max_twos_intermediate=int(n2[inter].max(initial=0)),
-        max_minus_ones_intermediate=int(n1[inter].max(initial=0)),
-        violations=np.flatnonzero(~within & ~completed).tolist(),
-    )
+    over[:-1] &= ~inter[:-1] | over[1:]
+    direct = np.where(inter, 0, counts).max(axis=1).tolist()
+    mid = np.where(inter, counts, 0).max(axis=1).tolist()
+    return BadPositionReport(*direct, *mid, np.flatnonzero(over).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +793,31 @@ def verify_repairs(
     messages, which the report does not keep: it lists failed states.
     """
     report = RepairReport()
-    star = _star_mask(x.forbidden, x.matrix.shape)
-    u_deg, v_deg = np.array(x.seq.u_degrees), np.array(x.seq.v_degrees)
+    base = _aux_base(path, x, y)
+    n, m = x.matrix.shape
+    star = _star_mask(x.forbidden, (n, m))
+    starred = bool(x.forbidden)
     inter = path.intermediate
-    for start, A in _aux_blocks(path, x, y):
-        # The realization check of every clean target, once per block.
+    for start, S, counts, (flat, aux) in _state_blocks(path, x, base):
+        A = np.subtract(base, S, out=S).reshape(-1, n, m)  # S is read no more
+        # The realization check of every clean target: G_0's auxiliary
+        # matrix in full, then no change sets a starred cell or moves a
+        # margin (a state's changes sum to 0 in each row and column).
+        first_off = not start and (
+            tuple(A[0].sum(axis=1).tolist()) != x.seq.u_degrees
+            or tuple(A[0].sum(axis=0).tolist()) != x.seq.v_degrees
+            or (starred and A[0][star].any())
+        )
+        q, v = np.divmod(flat, m)  # q = k * n + u for a change into S[k + 1]
+        delta = aux[1] - aux[0]
         if (
-            (A.sum(axis=2) != u_deg).any()
-            or (A.sum(axis=1) != v_deg).any()
-            or A[:, star].any()
+            first_off
+            or (starred and star.take(flat, mode="wrap").any())
+            or np.bincount(q, delta).any()
+            or np.bincount(q // n * m + v, delta).any()
         ):
             raise ValueError("auxiliary margins or starred cells differ from X's")
-        # Entries lie in {-1, 0, 1, 2}; read as uint16, -1 and 2 exceed 1.
-        nbad = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
+        nbad = counts[2].tolist()
         ks = range(min(_BLOCK, len(A)))
         ts = [k + 1 if inter[start + k] else k for k in ks]
         direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
@@ -781,7 +826,8 @@ def verify_repairs(
             mid = t != k
             if t in direct:
                 report.max_switches = max(report.max_switches, 1)
-                dist = int(np.count_nonzero(A[k] != direct[t][0]))
+                # The exchange changes four cells of the target's own matrix.
+                dist = int(np.count_nonzero(A[k] != direct[t][0])) if mid else 4
             elif nbad[t]:
                 seg = path.segment_of(idx)
                 rows = seg.norm_us if seg else ()

@@ -136,9 +136,13 @@ class SwapMove:
 
 def _exact_copy(matrix, dtype) -> np.ndarray:
     """A fresh ``dtype`` copy of ``matrix``; ``ValueError`` if the cast wraps
-    or truncates an entry.  An input already of ``dtype`` is not compared."""
+    or truncates an entry, or cannot convert one at all (an integer beyond
+    int64, ``None``).  An input already of ``dtype`` is not compared."""
     src = np.asarray(matrix)
-    out = src.astype(dtype)
+    try:
+        out = src.astype(dtype)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"matrix entries do not fit {np.dtype(dtype)}") from exc
     if src.dtype != out.dtype and not np.array_equal(out, src):
         raise ValueError(f"matrix entries do not fit {out.dtype} unchanged")
     return out

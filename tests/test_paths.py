@@ -39,9 +39,10 @@ from swapmc.errors import RepairError
 from swapmc.paths import (
     _BLOCK,
     PathSegment,
-    _aux_blocks,
+    _check_compatible,
     _direct_exchanges,
     _find_detour,
+    _repair,
     _star_mask,
 )
 
@@ -668,11 +669,32 @@ def _verify_repairs_two_pass(path, x, y, bounds=None):
     return report
 
 
-def _random_paths(count=12):
-    seq = BipartiteDegreeSequence((2, 3, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2))
-    for forbidden in ((), DIAG(6)):
+_SEQ6 = BipartiteDegreeSequence((2, 3, 2, 3, 2, 2), (2, 3, 2, 3, 2, 2))
+
+
+def _relabelled_pair(seq, forbidden, seed):
+    """Two constructions on randomly relabelled rows and columns, mapped
+    back; a forbidden diagonal is relabelled by one permutation, so it stays."""
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        rows = rng.permutation(seq.n)
+        cols = rows if forbidden else rng.permutation(seq.m)
+        relabelled = BipartiteDegreeSequence(
+            tuple(seq.u_degrees[p] for p in rows), tuple(seq.v_degrees[p] for p in cols)
+        )
+        M = np.empty((seq.n, seq.m), dtype=np.uint8)
+        M[np.ix_(rows, cols)] = construct_bipartite(relabelled, forbidden).matrix
+        pair.append(BipartiteRealization(seq, M, forbidden))
+    return pair
+
+
+def _random_paths(
+    count=12, sequences=((_SEQ6, ()), (_SEQ6, DIAG(6))), pair=_randomized_pair
+):
+    for seq, forbidden in sequences:
         for seed in range(count):
-            x, y = _randomized_pair(seq, forbidden, seed)
+            x, y = pair(seq, forbidden, seed)
             yield x, y, build_canonical_path(x, y)
 
 
@@ -882,7 +904,7 @@ def _batch_against_repair(path, x, y):
     the detour or fails.  Returns how many targets the batch decided."""
     star = _star_mask(x.forbidden, x.matrix.shape)
     decided = 0
-    for start, A in _aux_blocks(path, x, y):
+    for start, A in _aux_blocks_full(path, x, y):
         counts = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
         bad = [t for t, count in enumerate(counts) if count]
         direct = _direct_exchanges(A, [t for t in bad if counts[t] == 1], star)
@@ -1070,6 +1092,266 @@ def test_block_audits_refuse_a_foreign_state():
     for audit in (verify_bad_positions, verify_repairs):
         with pytest.raises(ValueError, match="share degrees"):
             audit(path, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the audits against frozen copies of their full-matrix reductions
+# ---------------------------------------------------------------------------
+
+
+def _aux_blocks_full(path, x, y):
+    """The audits' block reader as it was: ``(start, A)`` with ``A[k] =
+    M_X + M_Y - M_Z`` (int16) for the path states ``Z = G_{start+k}``,
+    ``k`` up to ``_BLOCK`` inclusive, in one reused buffer."""
+    _check_compatible(x, y)
+    if path.states[0] != x or path.states[-1] != y:
+        raise ValueError("the path does not join the audited pair")
+    base = x.matrix.astype(np.int16) + y.matrix
+    buf = np.empty((_BLOCK + 1, *base.shape), dtype=np.int16)
+    states = path.states
+    for start in range(0, len(states), _BLOCK):
+        chunk = states[start : start + _BLOCK + 1]
+        for z in chunk[:_BLOCK]:
+            if z.seq is not x.seq or z.forbidden is not x.forbidden:
+                _check_compatible(x, z)
+        A = buf[: len(chunk)]
+        np.subtract(base, np.stack([z.matrix for z in chunk]), out=A)
+        yield start, A
+
+
+def _verify_bad_positions_full(path, x, y):
+    """``verify_bad_positions`` as it was, with each state's 2- and -1-counts
+    reduced over its full auxiliary matrix."""
+    twos, minus = [], []
+    for _, A in _aux_blocks_full(path, x, y):
+        A = A[:_BLOCK]
+        twos.append((A == 2).sum(axis=(1, 2)))
+        minus.append((A == -1).sum(axis=(1, 2)))
+    n2, n1 = np.concatenate(twos), np.concatenate(minus)
+    inter = np.array(path.intermediate, dtype=bool)
+    within = (n2 <= 2) & (n1 <= 1)
+    completed = inter & np.append(within[1:], False)
+    return BadPositionReport(
+        max_twos_direct=int(n2[~inter].max(initial=0)),
+        max_minus_ones_direct=int(n1[~inter].max(initial=0)),
+        max_twos_intermediate=int(n2[inter].max(initial=0)),
+        max_minus_ones_intermediate=int(n1[inter].max(initial=0)),
+        violations=np.flatnonzero(~within & ~completed).tolist(),
+    )
+
+
+def _verify_repairs_full(path, x, y, bounds=None):
+    """``verify_repairs`` as it was, with the margins, the starred cells and
+    the bad entries reduced over every state's full auxiliary matrix."""
+    report = RepairReport()
+    star = _star_mask(x.forbidden, x.matrix.shape)
+    u_deg, v_deg = np.array(x.seq.u_degrees), np.array(x.seq.v_degrees)
+    inter = path.intermediate
+    for start, A in _aux_blocks_full(path, x, y):
+        if (
+            (A.sum(axis=2) != u_deg).any()
+            or (A.sum(axis=1) != v_deg).any()
+            or A[:, star].any()
+        ):
+            raise ValueError("auxiliary margins or starred cells differ from X's")
+        nbad = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
+        ks = range(min(_BLOCK, len(A)))
+        ts = [k + 1 if inter[start + k] else k for k in ks]
+        direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
+        for k, t in zip(ks, ts):
+            idx = start + k
+            mid = t != k
+            if t in direct:
+                report.max_switches = max(report.max_switches, 1)
+                dist = int(np.count_nonzero(A[k] != direct[t][0]))
+            elif nbad[t]:
+                seg = path.segment_of(idx)
+                rows = seg.norm_us if seg else ()
+                cols = seg.norm_vs if seg else ()
+                corner = seg.corner if seg else None
+                try:
+                    realization, switches = _repair(
+                        A[t].copy(), star, x, rows, cols, corner, bounds
+                    )
+                except RepairError:
+                    report.failures.append(idx)
+                    continue
+                report.max_switches = max(report.max_switches, len(switches))
+                dist = int(np.count_nonzero(A[k] != realization.matrix))
+            elif mid:
+                dist = int(np.count_nonzero(A[k] != A[t]))
+            else:
+                continue
+            if mid:
+                report.max_distance_intermediate = max(
+                    report.max_distance_intermediate, dist
+                )
+            else:
+                report.max_distance_direct = max(report.max_distance_direct, dist)
+    return report
+
+
+def _outcome(audit, *args):
+    """The audit's report, or the type and message of the error it raises."""
+    try:
+        return audit(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _audits_match_frozen_copies(path, x, y):
+    bounds = bounds_of(x.seq)
+    assert _outcome(verify_bad_positions, path, x, y) == _outcome(
+        _verify_bad_positions_full, path, x, y
+    )
+    assert _outcome(verify_repairs, path, x, y, bounds) == _outcome(
+        _verify_repairs_full, path, x, y, bounds
+    )
+
+
+# path-audit's three sequences, the digraph in its bipartite representation
+_AUDIT_SEQUENCES = (
+    (BipartiteDegreeSequence((10,) * 60, (10,) * 60), ()),
+    (BipartiteDegreeSequence((5,) * 30, (5,) * 30), DIAG(30)),
+    (BipartiteDegreeSequence(*((6,) * 10 + (4,) * 10 + (2,) * 10,) * 2), ()),
+)
+
+
+def test_audits_match_frozen_copies_on_the_path_audit_sequences():
+    states = intermediates = repaired = 0
+    for x, y, path in _random_paths(2, _AUDIT_SEQUENCES, _relabelled_pair):
+        _audits_match_frozen_copies(path, x, y)
+        states += len(path.states)
+        intermediates += sum(path.intermediate)
+        repaired += len(_repaired_states(path, x, y))
+    assert states > 20 * _BLOCK and intermediates > 0 and repaired > 0
+
+
+def test_audits_match_frozen_copies_on_constructed_paths():
+    for x, y, path in _constructed_paths():
+        _audits_match_frozen_copies(path, x, y)
+
+
+def test_audits_match_frozen_copies_on_block_boundary_lengths():
+    # prefixes of one digraph path, so that the last block holds one state,
+    # a full block, or a full block and its overlap state
+    x, y = _digraph_30_pair()
+    full = build_canonical_path(x, y)
+    assert len(full.states) > 34
+    for length in (15, 16, 17, 33, 34):
+        end = full.states[length - 1]
+        inter = full.intermediate[: length - 1] + [False]
+        moves = full.moves[: length - 1]
+        path = CanonicalPath(full.states[:length], moves, inter, full.segments)
+        _audits_match_frozen_copies(path, x, end)
+
+
+_SMALL_SEQUENCES = (
+    (BipartiteDegreeSequence((2, 2, 2, 2), (2, 2, 2, 2)), ()),
+    (BipartiteDegreeSequence((3, 2, 2, 1, 1), (3, 2, 2, 1, 1)), DIAG(5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_audits_match_frozen_copies_on_drawn_state_sequences(data):
+    # realizations in any order, any double-step flags, and one unvalidated
+    # entry of 2: set alone (a margin moves), or by a switch with sign +1
+    # on a 1 (the margins stay)
+    seq, forbidden = data.draw(st.sampled_from(_SMALL_SEQUENCES))
+    zs = enumerate_realizations(seq, forbidden)
+    pick = st.integers(0, len(zs) - 1)
+    x, y = zs[data.draw(pick)], zs[data.draw(pick)]
+    if data.draw(st.booleans()):  # no 2-entry, so that the repairs run
+        zs = [z for z in zs if not auxiliary_matrix(x, y, z).bad_positions()[0]]
+    picks = data.draw(st.lists(st.integers(0, len(zs) - 1), max_size=38))
+    states = [z.copy() for z in (x, *(zs[i] for i in picks), y)]
+    at = data.draw(st.integers(0, len(states) - 1))
+    M = states[at].matrix
+    u0, v0 = data.draw(st.sampled_from(np.argwhere(M == 1).tolist()))
+    M[u0, v0] = 2
+    if data.draw(st.booleans()):
+        corners = [
+            (c, d)
+            for c, d in np.argwhere(M == 0).tolist()
+            if c != u0 and d != v0 and M[u0, d] == M[c, v0] == 1
+        ]
+        if corners:
+            c, d = data.draw(st.sampled_from(corners))
+            M[c, d] = 1
+            M[u0, d] = M[c, v0] = 0
+    states[at] = BipartiteRealization(seq, M, forbidden, validate=False)
+    inter = data.draw(
+        st.lists(st.booleans(), min_size=len(states) - 1, max_size=len(states) - 1)
+    )
+    path = CanonicalPath(states, [], inter + [False], [])
+    _audits_match_frozen_copies(path, states[0], states[-1])
+
+
+@pytest.mark.parametrize("where", [1, 15, 16, 17, -2])
+@pytest.mark.parametrize("breach", ["rows", "columns", "star"])
+def test_verify_repairs_refuses_a_state_off_the_margins_or_stars(where, breach):
+    # The state is left unvalidated.  A 1 moved along its column moves two
+    # row margins only, one moved along its row two column margins only, and
+    # a switch through a starred cell keeps every margin.
+    x, y = _digraph_30_pair()
+    path = build_canonical_path(x, y)
+    assert len(path.states) > 20
+    z = path.states[where]
+    M = z.matrix.copy()
+    free = ~_star_mask(x.forbidden, M.shape)
+    u, v = np.argwhere(M == 1)[0]
+    if breach == "rows":
+        w = np.flatnonzero((M[:, v] == 0) & free[:, v])[0]
+        M[u, v], M[w, v] = 0, 1
+    elif breach == "columns":
+        w = np.flatnonzero((M[u] == 0) & free[u])[0]
+        M[u, v], M[u, w] = 0, 1
+    else:
+        # a switch on rows u, c and columns u, d, with (u, u) starred
+        u, c, d = next(
+            (u, c, d)
+            for u, c, d in itertools.permutations(range(x.n), 3)
+            if M[c, u] == M[u, d] == 1 and M[c, d] == 0
+        )
+        M[u, u] = M[c, d] = 1
+        M[u, d] = M[c, u] = 0
+    path.states[where] = z._with_matrix(M)
+    with pytest.raises(ValueError, match="auxiliary margins or starred cells"):
+        verify_repairs(path, x, y)
+    _audits_match_frozen_copies(path, x, y)
+
+
+@pytest.mark.parametrize("breach", ["margins", "star"])
+def test_verify_repairs_checks_the_first_state_in_full(breach):
+    # Every state, X and Y among them, gets the same edit on cells that no
+    # move touches, so no change between states shows it; only the full
+    # check of G_0, whose auxiliary matrix is Y's, does.  The edit is an
+    # extra 1 (two margins move), or a switch through a starred cell (the
+    # margins stay).
+    x, y = _digraph_30_pair()
+    path = build_canonical_path(x, y)
+    stack = np.stack([z.matrix for z in path.states])
+    ones, zeros = (stack == 1).all(axis=0), (stack == 0).all(axis=0)
+    star = _star_mask(x.forbidden, x.matrix.shape)
+    if breach == "margins":
+        edit = {tuple(np.argwhere(zeros & ~star)[0]): 1}
+    else:
+        u, c, d = next(
+            (u, c, d)
+            for u, c, d in itertools.permutations(range(x.n), 3)
+            if zeros[u, u] and ones[c, u] and ones[u, d] and zeros[c, d]
+        )
+        edit = {(u, u): 1, (c, d): 1, (u, d): 0, (c, u): 0}
+    for i, z in enumerate(path.states):
+        M = z.matrix.copy()
+        for cell, value in edit.items():
+            M[cell] = value
+        path.states[i] = z._with_matrix(M)
+    x, y = path.states[0], path.states[-1]
+    with pytest.raises(ValueError, match="auxiliary margins or starred cells"):
+        verify_repairs(path, x, y)
+    _audits_match_frozen_copies(path, x, y)
 
 
 # ---------------------------------------------------------------------------

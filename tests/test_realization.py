@@ -405,6 +405,21 @@ def test_validate_rejects_entries_outside_0_1():
         assert BipartiteRealization(one, good).matrix.tolist() == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize(
+    "bad", [[[2**70, 0], [0, 1]], [[None, 0], [0, 1]]], ids=["beyond_int64", "none"]
+)
+def test_constructors_refuse_an_entry_numpy_cannot_cast(bad):
+    # numpy's cast raises OverflowError or TypeError here; every matrix
+    # constructor turns that into the ValueError of any other bad entry
+    one = BipartiteDegreeSequence((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="do not fit uint8"):
+        BipartiteRealization(one, bad)
+    with pytest.raises(ValueError, match="do not fit uint8"):
+        swapmc.DirectedRealization(DirectedDegreeBiSequence((1, 1), (1, 1)), bad)
+    with pytest.raises(ValueError, match="do not fit int16"):
+        swapmc.AuxiliaryMatrix(one, bad)
+
+
 def test_copy_is_equal_with_an_independent_matrix():
     seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
     r = BipartiteRealization(seq, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], DIAG3)
