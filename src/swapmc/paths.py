@@ -133,29 +133,31 @@ def decompose(x: BipartiteRealization, y: BipartiteRealization) -> CycleDecompos
         y_adj[v].append(u)
     x_ptr = [0] * x.n
     y_ptr = [0] * x.m
+    pos = ([-1] * x.n, [-1] * x.m)  # stack positions of rows, columns; -1 off it
 
     cycles: list[Cycle] = []
     for start in range(x.n):
-        # start's circuits in turn, each popping back to [start]; index parity = side
+        # start's circuits in turn, each popping back to [start]; index parity = side.
+        # They use all of start's chords, so no later walk meets its stale pos.
         stack = [start]
-        pos = {(0, start): 0}
+        pos[0][start] = 0
         u = start
         while u != start or x_ptr[start] < len(x_adj[start]):
             v = x_adj[u][x_ptr[u]]
             x_ptr[u] += 1
             u = y_adj[v][y_ptr[v]]
             y_ptr[v] += 1
-            for key in ((1, v), (0, u)):
-                s = pos.get(key)
-                if s is None:
-                    pos[key] = len(stack)
-                    stack.append(key[1])
+            for side, w in ((1, v), (0, u)):
+                s = pos[side][w]
+                if s < 0:
+                    pos[side][w] = len(stack)
+                    stack.append(w)
                     continue
                 k = s + (s & 1)  # the popped cycle's first row
                 us, vs = stack[k::2], stack[k + 1 :: 2] + stack[s:k]
                 cycles.append(Cycle(us=tuple(us), vs=tuple(vs), first_is_x=True))
                 for i in range(s + 1, len(stack)):
-                    del pos[i & 1, stack[i]]
+                    pos[i & 1][stack[i]] = -1
                 del stack[s + 1 :]
     return CycleDecomposition(tuple(cycles))
 
@@ -258,20 +260,20 @@ def cornerstone(state, cycle: Cycle) -> int:
     """Row of the cycle with minimal sum in the cycle submatrix; ties by index.
 
     ``state`` may be a realization or an auxiliary matrix; stars are excluded
-    from the row sums.  Path construction passes the auxiliary matrix
-    ``M_X + M_Y - M_Z`` of the milestone being swept, whose submatrix row
-    sums stay constant along the sweep.
+    from the row sums.  Path construction applies the same rule to the
+    auxiliary matrix ``M_X + M_Y - M_Z`` of the milestone being swept, whose
+    submatrix row sums stay constant along the sweep.
     """
-    matrix = state.matrix
-    forb_u = state._fu
+    return _cornerstone(state.matrix.tolist(), state._fu, cycle)
+
+
+def _cornerstone(rows: list[list[int]], forb_u, cycle: Cycle) -> int:
+    """``cornerstone`` on a matrix given as row lists, stars ``forb_u``."""
     cols = sorted(set(cycle.vs))
-    best_u = -1
-    best_sum = None
+    best_u, best_sum = -1, None
     for u in sorted(set(cycle.us)):
-        total = 0
-        for v in cols:
-            if forb_u[u] != v:
-                total += int(matrix[u, v])
+        row, star = rows[u], forb_u[u]
+        total = sum([row[v] for v in cols if v != star])
         if best_sum is None or total < best_sum:
             best_sum = total
             best_u = u
@@ -295,8 +297,8 @@ def _normalize_cycle(
     if corner not in cycle.us:
         raise ValueError("cornerstone must be a row of the cycle")
     k = cycle.us.index(corner)
-    us_r = list(cycle.us[k:]) + list(cycle.us[:k])
-    vs_r = list(cycle.vs[k:]) + list(cycle.vs[:k])
+    us_r = [int(u) for u in cycle.us[k:] + cycle.us[:k]]
+    vs_r = [int(v) for v in cycle.vs[k:] + cycle.vs[:k]]
     forward_edge = g.has_edge(us_r[0], vs_r[0])
     backward_edge = g.has_edge(us_r[0], vs_r[-1])
     if forward_edge == backward_edge:
@@ -354,24 +356,25 @@ def _sweep(z: BipartiteRealization, cycle: Cycle, corner: int, out):
     us, vs = _normalize_cycle(cycle, z, corner)
     ell = cycle.ell
     u1 = us[1]
+    row, star = z.matrix[u1], z._fu[u1]  # row: a view of u1's live cells
+    apply, copy = z.apply_move, z.copy
+    moves, states, inter = out.moves, out.states, out.intermediate
 
     def emit(mv: SwapMove, mid_double: bool) -> None:
-        z.apply_move(mv, inplace=True)
-        out.moves.append(mv)
-        out.states.append(z.copy())
-        out.intermediate.append(mid_double)
+        apply(mv, True)
+        moves.append(mv)
+        states.append(copy())
+        inter.append(mid_double)
 
     end = 1
     while True:
-        start = next(
-            (i for i in range(end + 1, ell + 1) if z.has_edge(u1, vs[i])), None
-        )
+        start = next((i for i in range(end + 1, ell + 1) if row[vs[i]]), None)
         if start is None:  # cannot happen on valid input
             raise IllegalMoveError("sweep lost its start chord")
         t = start
         while t > end:
-            if z.is_chord(u1, vs[t - 1]):
-                emit(SwapMove.c4((u1, us[t]), (vs[t], vs[t - 1])), False)
+            if vs[t - 1] != star:
+                emit(SwapMove("c4", (u1, us[t]), (vs[t], vs[t - 1])), False)
                 t -= 1
                 continue
             # Double-step: (u1, vs[t-1]) is forbidden, so (u1, vs[t-2]) is a
@@ -380,18 +383,18 @@ def _sweep(z: BipartiteRealization, cycle: Cycle, corner: int, out):
             q2 = (us[t - 1], vs[t])
             if not z.is_chord(*q1) and not z.is_chord(*q2):
                 emit(
-                    SwapMove.c6((u1, us[t], us[t - 1]), (vs[t], vs[t - 1], vs[t - 2])),
+                    SwapMove("c6", (u1, us[t], us[t - 1]), (vs[t], vs[t - 1], vs[t - 2])),
                     False,
                 )
             elif z.is_chord(*q1):
-                outer = SwapMove.c4((u1, us[t]), (vs[t], vs[t - 2]))
-                inner = SwapMove.c4((us[t - 1], us[t]), (vs[t - 2], vs[t - 1]))
+                outer = SwapMove("c4", (u1, us[t]), (vs[t], vs[t - 2]))
+                inner = SwapMove("c4", (us[t - 1], us[t]), (vs[t - 2], vs[t - 1]))
                 first, second = (outer, inner) if z.has_edge(*q1) else (inner, outer)
                 emit(first, True)
                 emit(second, False)
             else:
-                inner = SwapMove.c4((us[t], us[t - 1]), (vs[t - 1], vs[t]))
-                outer = SwapMove.c4((us[t - 1], u1), (vs[t - 2], vs[t]))
+                inner = SwapMove("c4", (us[t], us[t - 1]), (vs[t - 1], vs[t]))
+                outer = SwapMove("c4", (us[t - 1], u1), (vs[t - 2], vs[t]))
                 first, second = (inner, outer) if z.has_edge(*q2) else (outer, inner)
                 emit(first, True)
                 emit(second, False)
@@ -461,18 +464,24 @@ def build_canonical_path(
     ``decompose(x, y)`` in turn.  Before each sweep it is the milestone G
     being left, and the cycle's cornerstone is chosen by minimal row sum of
     the auxiliary matrix ``M_X + M_Y - M_G`` restricted to the cycle's rows
-    and columns.  Every state is reached through ``apply_move``'s legality
-    checks, so each is a valid realization without a separate validation.
+    and columns, kept as row lists from ``M_Y`` at G = X on: a sweep takes
+    its cycle's X-chords out of G and puts the Y-chords in, so it adds 1 on
+    the former and -1 on the latter.  Every state is reached through
+    ``apply_move``'s legality checks, so each is a valid realization.
     """
     z = x.copy()
     path = CanonicalPath(states=[x.copy()], moves=[], intermediate=[False], segments=[])
+    aux = y.matrix.tolist()
     for cyc in decompose(x, y).cycles:
-        corner = cornerstone(auxiliary_matrix(x, y, z), cyc)
+        corner = _cornerstone(aux, x._fu, cyc)
         first = len(path.states) - 1
         norm_us, norm_vs = _sweep(z, cyc, corner, path)
         path.segments.append(
             PathSegment(cyc, corner, norm_us, norm_vs, first, len(path.states) - 1)
         )
+        for u, v, w in zip(cyc.us, cyc.vs, cyc.us[1:] + cyc.us[:1]):
+            aux[u][v] += 1  # (u, v) is an X-chord, as decompose starts every cycle
+            aux[w][v] -= 1
     if not np.array_equal(z.matrix, y.matrix):  # pragma: no cover - guard
         raise IllegalMoveError("canonical path did not reach Y")
     return path
@@ -482,19 +491,24 @@ def build_canonical_path(
 # Path states in blocks
 # ---------------------------------------------------------------------------
 
-# States per audit block.  Each block also carries the next block's first
-# state, so a double-step intermediate and its completion state always share
-# a block, and an audit holds one block whatever the path's length.
-_BLOCK = 16
+# Cells per audit block: a block owns max(1, _BLOCK_CELLS // (n*m)) states
+# and carries the next block's first state, so a double-step intermediate
+# and its completion always share a block, and an audit holds one block.
+_BLOCK_CELLS = 1 << 16
 
 
 def _aux_base(
     path: CanonicalPath, x: BipartiteRealization, y: BipartiteRealization
 ) -> np.ndarray:
     """``M_X + M_Y`` (int16) as one row of n*m cells.  Raises ``ValueError``
-    unless the path joins X to Y."""
+    unless the path joins X to Y with one double-step flag per state."""
     _check_compatible(x, y)
-    if path.states[0] != x or path.states[-1] != y:
+    states, inter = path.states, path.intermediate
+    if not states or len(inter) != len(states):
+        raise ValueError(f"the path has {len(states)} states, {len(inter)} double-step flags")
+    if inter[-1]:
+        raise ValueError("the path's last state is an intermediate without completion")
+    if states[0] != x or states[-1] != y:
         raise ValueError("the path does not join the audited pair")
     return np.add(x.matrix, y.matrix, dtype=np.int16).ravel()
 
@@ -509,8 +523,8 @@ _KINDS = _KINDS.astype(np.intp)
 
 
 def _state_blocks(path: CanonicalPath, x: BipartiteRealization, base: np.ndarray):
-    """Yield ``(start, S, counts, changes)`` for the path states
-    ``Z = G_{start+k}``, ``k`` up to ``_BLOCK`` inclusive.
+    """Yield ``(start, owned, S, counts, changes)`` for the path states
+    ``Z = G_{start+k}``, ``k`` up to ``owned`` inclusive but in the last block.
 
     ``S[k]`` holds the cells of ``G_{start+k}`` as one int16 row.  Every
     block is written into the same buffer, so ``S`` is valid only until the
@@ -524,14 +538,15 @@ def _state_blocks(path: CanonicalPath, x: BipartiteRealization, base: np.ndarray
     block."""
     m = x.matrix.shape[1]
     nm = base.size
-    pair = np.array([[0], [nm]])  # a change's index in S, before and after it
-    ends = np.arange(_BLOCK + 1) * nm  # where each state's changes end in S[1:]
-    buf = np.empty((_BLOCK + 1, nm), dtype=np.int16)
+    block = max(1, _BLOCK_CELLS // nm)
     states = path.states
-    for start in range(0, len(states), _BLOCK):
-        chunk = states[start : start + _BLOCK + 1]
+    pair = np.array([[0], [nm]])  # a change's index in S, before and after it
+    ends = np.arange(min(block + 1, len(states))) * nm  # where each state's changes end in S[1:]
+    buf = np.empty((ends.size, nm), dtype=np.int16)
+    for start in range(0, len(states), block):
+        chunk = states[start : start + block + 1]
         # Path states share x's seq and forbidden objects through copy().
-        for z in chunk[:_BLOCK]:
+        for z in chunk[:block]:
             if z.seq is not x.seq or z.forbidden is not x.forbidden:
                 _check_compatible(x, z)
         S = buf[: len(chunk)]
@@ -548,7 +563,7 @@ def _state_blocks(path: CanonicalPath, x: BipartiteRealization, base: np.ndarray
         np.add.accumulate(run, axis=1, out=run)
         counts = run.take(flat.searchsorted(ends[: len(chunk)]), axis=1)
         carried = counts[:, -1]
-        yield start, S, counts, (flat, aux)
+        yield start, min(block, len(chunk)), S, counts, (flat, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +600,7 @@ def verify_bad_positions(
 ) -> BadPositionReport:
     """Audit every path state's auxiliary matrix against the bad-entry bound."""
     blocks = _state_blocks(path, x, _aux_base(path, x, y))
-    counts = np.concatenate([c[:2, :_BLOCK] for _, _, c, _ in blocks], axis=1)
+    counts = np.concatenate([c[:2, :owned] for _, owned, _, c, _ in blocks], axis=1)
     inter = np.array(path.intermediate, dtype=bool)
     over = (counts > _BUDGET).any(axis=0)
     # An intermediate is excused when its completion state is within budget.
@@ -798,7 +813,7 @@ def verify_repairs(
     star = _star_mask(x.forbidden, (n, m))
     starred = bool(x.forbidden)
     inter = path.intermediate
-    for start, S, counts, (flat, aux) in _state_blocks(path, x, base):
+    for start, owned, S, counts, (flat, aux) in _state_blocks(path, x, base):
         A = np.subtract(base, S, out=S).reshape(-1, n, m)  # S is read no more
         # The realization check of every clean target: G_0's auxiliary
         # matrix in full, then no change sets a starred cell or moves a
@@ -818,7 +833,7 @@ def verify_repairs(
         ):
             raise ValueError("auxiliary margins or starred cells differ from X's")
         nbad = counts[2].tolist()
-        ks = range(min(_BLOCK, len(A)))
+        ks = range(owned)
         ts = [k + 1 if inter[start + k] else k for k in ks]
         direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
         for k, t in zip(ks, ts):

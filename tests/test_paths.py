@@ -37,7 +37,7 @@ from swapmc import (
 )
 from swapmc.errors import RepairError
 from swapmc.paths import (
-    _BLOCK,
+    _BLOCK_CELLS,
     PathSegment,
     _check_compatible,
     _direct_exchanges,
@@ -814,19 +814,27 @@ def test_block_audits_match_references_on_random_pairs():
     assert intermediates > 0
 
 
-def test_block_audits_match_references_across_the_block_overlap():
-    # 16-vertex 3-regular digraph against a relabelling of itself: 33 states,
-    # and the intermediate at index 15 completes at index 16, which its block
-    # holds only as the overlap state
-    perm = [3, 10, 6, 8, 1, 14, 0, 7, 4, 13, 15, 2, 12, 5, 9, 11]
-    x, y = _permuted_directed_pair(16, 3, perm)
+def _block_states(x):
+    """States an audit block owns at x's shape."""
+    return max(1, _BLOCK_CELLS // x.matrix.size)
+
+
+def _digraph_pair(n, d, seed):
+    return _permuted_directed_pair(n, d, np.random.default_rng(seed).permutation(n).tolist())
+
+
+@pytest.mark.parametrize("n, d, seed", [(60, 3, 16), (30, 5, 100)])
+def test_block_audits_match_references_across_the_block_overlap(n, d, seed):
+    # a digraph against a relabelling of itself whose path has one double-step
+    # intermediate at a block's last owned index, B - 1; it completes at
+    # index B, which its block holds only as the overlap state
+    x, y = _digraph_pair(n, d, seed)
     path = build_canonical_path(x, y)
-    assert len(path.states) > _BLOCK + 1
-    at_overlap = [
-        i for i, mid in enumerate(path.intermediate) if mid and i % _BLOCK == _BLOCK - 1
-    ]
-    assert at_overlap == [_BLOCK - 1]
-    assert _BLOCK in _repaired_states(path, x, y)  # the completion needs a repair
+    B = _block_states(x)
+    assert len(path.states) > B + 1
+    at_overlap = [i for i, mid in enumerate(path.intermediate) if mid and i % B == B - 1]
+    assert at_overlap == [B - 1]
+    assert B in _repaired_states(path, x, y)  # the completion needs a repair
     _, rep = _audits_match_references(path, x, y)
     assert rep.ok and rep.max_distance_intermediate > 0
 
@@ -857,20 +865,29 @@ def test_block_audits_match_references_outside_the_spread_condition():
 def test_block_audits_match_references_on_the_60x60_regular_shape():
     x, y = _regular_60x60_pair()
     path = build_canonical_path(x, y)
-    assert len(path.states) > 10 * _BLOCK
+    assert len(path.states) > 10 * _block_states(x)
     assert _repaired_states(path, x, y)
     bad, rep = _audits_match_references(path, x, y)
     assert bad.ok and rep.ok
 
 
-def test_block_audits_memory_stays_one_block():
-    # stacking the whole path (about 2.7 MiB of int16 here) instead of one
-    # block would show
+_NONREGULAR_30 = BipartiteDegreeSequence(*((6,) * 10 + (4,) * 10 + (2,) * 10,) * 2)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [_regular_60x60_pair, lambda: _relabelled_pair(_NONREGULAR_30, (), 0)],
+    ids=["60x60-regular", "30x30-non-regular"],
+)
+def test_block_audits_memory_stays_one_block(pair):
+    # a block holds at most _BLOCK_CELLS owned cells at every shape (18 states
+    # at 60x60, 72 at 30x30); stacking the whole 60x60 path (about 2.7 MiB of
+    # int16) instead of one block would show
     import tracemalloc
 
-    x, y = _regular_60x60_pair()
+    x, y = pair()
     path = build_canonical_path(x, y)
-    assert len(path.states) >= 300
+    assert len(path.states) > _block_states(x) + 1  # a full block and its overlap
     bounds = bounds_of(x.seq)
     audits = (
         lambda: verify_bad_positions(path, x, y),
@@ -926,8 +943,7 @@ def _batch_against_repair(path, x, y):
 
 
 def _digraph_30_pair():
-    perm = np.random.default_rng(30).permutation(30).tolist()
-    return _permuted_directed_pair(30, 5, perm)
+    return _digraph_pair(30, 5, 30)
 
 
 def test_direct_exchanges_match_the_switch_repair():
@@ -1099,19 +1115,23 @@ def test_block_audits_refuse_a_foreign_state():
 # ---------------------------------------------------------------------------
 
 
+# The frozen block reader's states per block.
+_FROZEN_BLOCK = 16
+
+
 def _aux_blocks_full(path, x, y):
     """The audits' block reader as it was: ``(start, A)`` with ``A[k] =
     M_X + M_Y - M_Z`` (int16) for the path states ``Z = G_{start+k}``,
-    ``k`` up to ``_BLOCK`` inclusive, in one reused buffer."""
+    ``k`` up to ``_FROZEN_BLOCK`` inclusive, in one reused buffer."""
     _check_compatible(x, y)
     if path.states[0] != x or path.states[-1] != y:
         raise ValueError("the path does not join the audited pair")
     base = x.matrix.astype(np.int16) + y.matrix
-    buf = np.empty((_BLOCK + 1, *base.shape), dtype=np.int16)
+    buf = np.empty((_FROZEN_BLOCK + 1, *base.shape), dtype=np.int16)
     states = path.states
-    for start in range(0, len(states), _BLOCK):
-        chunk = states[start : start + _BLOCK + 1]
-        for z in chunk[:_BLOCK]:
+    for start in range(0, len(states), _FROZEN_BLOCK):
+        chunk = states[start : start + _FROZEN_BLOCK + 1]
+        for z in chunk[:_FROZEN_BLOCK]:
             if z.seq is not x.seq or z.forbidden is not x.forbidden:
                 _check_compatible(x, z)
         A = buf[: len(chunk)]
@@ -1124,7 +1144,7 @@ def _verify_bad_positions_full(path, x, y):
     reduced over its full auxiliary matrix."""
     twos, minus = [], []
     for _, A in _aux_blocks_full(path, x, y):
-        A = A[:_BLOCK]
+        A = A[:_FROZEN_BLOCK]
         twos.append((A == 2).sum(axis=(1, 2)))
         minus.append((A == -1).sum(axis=(1, 2)))
     n2, n1 = np.concatenate(twos), np.concatenate(minus)
@@ -1155,7 +1175,7 @@ def _verify_repairs_full(path, x, y, bounds=None):
         ):
             raise ValueError("auxiliary margins or starred cells differ from X's")
         nbad = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
-        ks = range(min(_BLOCK, len(A)))
+        ks = range(min(_FROZEN_BLOCK, len(A)))
         ts = [k + 1 if inter[start + k] else k for k in ks]
         direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
         for k, t in zip(ks, ts):
@@ -1213,18 +1233,18 @@ def _audits_match_frozen_copies(path, x, y):
 _AUDIT_SEQUENCES = (
     (BipartiteDegreeSequence((10,) * 60, (10,) * 60), ()),
     (BipartiteDegreeSequence((5,) * 30, (5,) * 30), DIAG(30)),
-    (BipartiteDegreeSequence(*((6,) * 10 + (4,) * 10 + (2,) * 10,) * 2), ()),
+    (_NONREGULAR_30, ()),
 )
 
 
 def test_audits_match_frozen_copies_on_the_path_audit_sequences():
-    states = intermediates = repaired = 0
+    blocks = intermediates = repaired = 0
     for x, y, path in _random_paths(2, _AUDIT_SEQUENCES, _relabelled_pair):
         _audits_match_frozen_copies(path, x, y)
-        states += len(path.states)
+        blocks += -(-len(path.states) // _block_states(x))
         intermediates += sum(path.intermediate)
         repaired += len(_repaired_states(path, x, y))
-    assert states > 20 * _BLOCK and intermediates > 0 and repaired > 0
+    assert blocks > 20 and intermediates > 0 and repaired > 0
 
 
 def test_audits_match_frozen_copies_on_constructed_paths():
@@ -1233,17 +1253,21 @@ def test_audits_match_frozen_copies_on_constructed_paths():
 
 
 def test_audits_match_frozen_copies_on_block_boundary_lengths():
-    # prefixes of one digraph path, so that the last block holds one state,
-    # a full block, or a full block and its overlap state
-    x, y = _digraph_30_pair()
-    full = build_canonical_path(x, y)
-    assert len(full.states) > 34
-    for length in (15, 16, 17, 33, 34):
-        end = full.states[length - 1]
-        inter = full.intermediate[: length - 1] + [False]
-        moves = full.moves[: length - 1]
-        path = CanonicalPath(full.states[:length], moves, inter, full.segments)
-        _audits_match_frozen_copies(path, x, end)
+    # prefixes of digraph paths, B states per block, so that the last block
+    # holds one state, two, a full block, or a full block and its overlap
+    # state; the 30x30 path is shorter than 2B + 1 states
+    for x, y in (_digraph_30_pair(), _digraph_pair(60, 3, 16)):
+        full = build_canonical_path(x, y)
+        B = _block_states(x)
+        assert len(full.states) > (B + 2 if x.n == 30 else 2 * B + 2)
+        for length in (B - 1, B, B + 1, B + 2, 2 * B + 1, 2 * B + 2):
+            if length > len(full.states):
+                break
+            end = full.states[length - 1]
+            inter = full.intermediate[: length - 1] + [False]
+            moves = full.moves[: length - 1]
+            path = CanonicalPath(full.states[:length], moves, inter, full.segments)
+            _audits_match_frozen_copies(path, x, end)
 
 
 _SMALL_SEQUENCES = (
@@ -1288,7 +1312,10 @@ def test_audits_match_frozen_copies_on_drawn_state_sequences(data):
     _audits_match_frozen_copies(path, states[0], states[-1])
 
 
-@pytest.mark.parametrize("where", [1, 15, 16, 17, -2])
+_B30 = _BLOCK_CELLS // (30 * 30)  # states per block at 30x30
+
+
+@pytest.mark.parametrize("where", [1, _B30 - 1, _B30, _B30 + 1, -2])
 @pytest.mark.parametrize("breach", ["rows", "columns", "star"])
 def test_verify_repairs_refuses_a_state_off_the_margins_or_stars(where, breach):
     # The state is left unvalidated.  A 1 moved along its column moves two
@@ -1296,7 +1323,7 @@ def test_verify_repairs_refuses_a_state_off_the_margins_or_stars(where, breach):
     # a switch through a starred cell keeps every margin.
     x, y = _digraph_30_pair()
     path = build_canonical_path(x, y)
-    assert len(path.states) > 20
+    assert len(path.states) > _B30 + 2
     z = path.states[where]
     M = z.matrix.copy()
     free = ~_star_mask(x.forbidden, M.shape)
@@ -1453,6 +1480,17 @@ def _reference_instances():
             yield _randomized_pair(seq, forbidden, seed)
 
 
+def _larger_instances():
+    """Relabelled pairs of three larger shapes: 20x20 4-regular, the 30-vertex
+    5-regular digraph in its bipartite representation and a non-regular
+    30x30 sequence."""
+    digraph = BipartiteDegreeSequence((5,) * 30, (5,) * 30)
+    twenty = BipartiteDegreeSequence((4,) * 20, (4,) * 20)
+    for seq, forbidden in ((twenty, ()), (digraph, DIAG(30)), (_NONREGULAR_30, ())):
+        for seed in range(4):
+            yield _relabelled_pair(seq, forbidden, seed)
+
+
 def test_decompose_matches_the_labelled_reference():
     seq5x7 = BipartiteDegreeSequence((3, 2, 3, 2, 2), (2, 2, 1, 2, 2, 2, 1))
     seq6x4 = BipartiteDegreeSequence((2, 1, 2, 1, 2, 2), (3, 2, 3, 2))
@@ -1461,6 +1499,7 @@ def test_decompose_matches_the_labelled_reference():
     pairs = itertools.chain(
         _reference_instances(),
         (_randomized_pair(seq, forbidden, seed) for seq, forbidden in more for seed in range(16)),
+        _larger_instances(),
     )
     cycles = 0
     for x, y in pairs:
@@ -1470,10 +1509,25 @@ def test_decompose_matches_the_labelled_reference():
     assert cycles > 0
 
 
+def _least_rows(aux, cycle):
+    """The cycle's rows of least submatrix row sum in ``aux``, stars excluded."""
+    cols = sorted(set(cycle.vs))
+    sums = {
+        u: sum(int(aux.matrix[u, v]) for v in cols if not aux.is_star(u, v))
+        for u in sorted(set(cycle.us))
+    }
+    return [u for u, total in sums.items() if total == min(sums.values())]
+
+
 def test_build_matches_the_three_pass_reference():
+    # the three-pass reference takes each cornerstone from a fresh
+    # auxiliary_matrix of its milestone, the builder from its running one
     kinds = set()
     intermediates = 0
-    for x, y in _reference_instances():
+    larger = {"cycles": 0, "ties": 0, "not lowest": 0}
+    cases = [(x, y, False) for x, y in _reference_instances()]
+    cases += [(x, y, True) for x, y in _larger_instances()]
+    for x, y, is_larger in cases:
         path = build_canonical_path(x, y)
         ref = _build_canonical_path_three_pass(x, y)
         assert [seg.cycle for seg in path.segments] == [seg.cycle for seg in ref.segments]
@@ -1483,8 +1537,15 @@ def test_build_matches_the_three_pass_reference():
         assert path.states == ref.states
         kinds.update(mv.kind for mv in path.moves)
         intermediates += sum(path.intermediate)
+        for seg in path.segments if is_larger else ():
+            least = _least_rows(auxiliary_matrix(x, y, path.states[seg.first_state]), seg.cycle)
+            assert seg.corner == least[0]
+            larger["cycles"] += 1
+            larger["ties"] += len(least) > 1
+            larger["not lowest"] += seg.corner != min(seg.cycle.us)
     assert kinds == {"c4", "c6"}
     assert intermediates > 0  # double-steps occur
+    assert larger["cycles"] >= 200 and larger["ties"] > 0 and larger["not lowest"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1505,6 +1566,28 @@ def test_audits_reject_a_path_built_on_another_pair():
         verify_repairs(path, x, w)
     with pytest.raises(ValueError, match="does not join"):
         verify_repairs(path, w, y)
+
+
+_MALFORMED = {
+    "no-states": "has 0 states",
+    "flag-short": r"has \d+ states, \d+ double-step flags",
+    "last-intermediate": "intermediate without completion",
+}
+
+
+@pytest.mark.parametrize("audit", [verify_bad_positions, verify_repairs], ids=["bad", "repair"])
+@pytest.mark.parametrize("malformed", list(_MALFORMED))
+def test_audits_refuse_a_malformed_path(audit, malformed):
+    x, y, path = next(_random_paths())
+    assert len(path.states) > 2
+    if malformed == "no-states":
+        path = CanonicalPath([], [], [], [])
+    elif malformed == "flag-short":
+        path.intermediate.pop()
+    else:
+        path.intermediate[-1] = True
+    with pytest.raises(ValueError, match=_MALFORMED[malformed]):
+        audit(path, x, y)
 
 
 # ---------------------------------------------------------------------------
