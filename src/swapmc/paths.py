@@ -480,7 +480,7 @@ def build_canonical_path(
             PathSegment(cyc, corner, norm_us, norm_vs, first, len(path.states) - 1)
         )
         for u, v, w in zip(cyc.us, cyc.vs, cyc.us[1:] + cyc.us[:1]):
-            aux[u][v] += 1  # (u, v) is an X-chord, as decompose starts every cycle
+            aux[u][v] += 1  # an X-chord: decompose starts every cycle on one
             aux[w][v] -= 1
     if not np.array_equal(z.matrix, y.matrix):  # pragma: no cover - guard
         raise IllegalMoveError("canonical path did not reach Y")
@@ -524,7 +524,7 @@ _KINDS = _KINDS.astype(np.intp)
 
 def _state_blocks(path: CanonicalPath, x: BipartiteRealization, base: np.ndarray):
     """Yield ``(start, owned, S, counts, changes)`` for the path states
-    ``Z = G_{start+k}``, ``k`` up to ``owned`` inclusive but in the last block.
+    ``Z = G_{start+k}``, ``k`` up to ``owned`` inclusive (exclusive in the last block).
 
     ``S[k]`` holds the cells of ``G_{start+k}`` as one int16 row.  Every
     block is written into the same buffer, so ``S`` is valid only until the
