@@ -12,12 +12,15 @@ states that move and a sorted lookup finds where they land, without ever
 invoking the chain's move-proposal logic.
 
 The kernel, connectivity and the TV curve never build a realization: the
-kernel keeps the neighbour pairs as index arrays and derives the rest from
-them -- the exact rationals (on first use), move-graph components
+kernel keeps the neighbour pairs as index arrays and the holding
+probabilities as a diagonal, and derives the rest from them -- the dense
+``P`` and the exact rationals (each on first read), move-graph components
 (vectorised label propagation), and the TV curve up to t = 2 (from ``P``'s
 sparse rows, its square a sparse product; later powers are dense because
-``P^3`` already is).  Connectivity of the 40 320 permutation matrices of an
-8x8 grid peaks at about 84 MiB.
+``P^3`` already is).  The last space of at most ``STATE_BUDGET`` states is
+kept, codes and neighbour pairs read-only, so the kernel and connectivity
+of one sequence enumerate it once.  Connectivity of the 40 320 permutation
+matrices of an 8x8 grid peaks at about 84 MiB.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ _TV_BLOCK = 1 << 16  # matrix entries per row block of the TV reduction (512 KiB
 _EXPAND_CELLS = 1 << 18  # candidate cells per expansion chunk of the enumeration
 _FLIP_CELLS = 1 << 17  # mask x state entries per chunk of the neighbour lookup
 
+# The last enumeration, if it has at most STATE_BUDGET states, else None:
+# ((seq, forbidden), codes, lookups), where lookups maps "c4" and "c6" to
+# that cycle kind's neighbour pairs once found.  One entry only.  Each space
+# reads it once and holds what it shares, so concurrent spaces can at worst
+# enumerate or look up the same thing twice.
+_enumerated = None
+
 
 # ---------------------------------------------------------------------------
 # State space and enumeration
@@ -68,9 +78,15 @@ class StateSpace:
     ``_EXPAND_CELLS`` cells.  Sorted ``codes`` are the canonical order (rows
     read as big-endian binary).  ``states`` builds the realization objects
     on first use only.  Raises ``BudgetExceededError`` above ``position_budget`` cells.
+
+    The last space enumerated is kept as the module's one record if it has
+    at most ``STATE_BUDGET`` states.  A new space of the same sequence and
+    forbidden matching shares its read-only ``codes`` and neighbour pairs
+    instead of enumerating again; each space still builds its own ``states``.
     """
 
     def __init__(self, seq, forbidden=(), *, position_budget: int = POSITION_BUDGET):
+        global _enumerated
         n, m = seq.n, seq.m
         if n * m > position_budget:
             raise BudgetExceededError(
@@ -78,6 +94,11 @@ class StateSpace:
             )
         self.seq = seq
         self.forbidden = canonical_forbidden(forbidden, n, m)
+        key = (seq, self.forbidden)
+        record = _enumerated
+        if record is not None and record[0] == key:
+            _, self.codes, self._lookups = record
+            return
         fu, _ = partner_arrays(self.forbidden, n, m)
         dtype = np.uint64 if n * m <= 64 else object
         small = np.min_scalar_type(-n)
@@ -101,6 +122,10 @@ class StateSpace:
                 kept.append((codes[lo + state] << m | bits[row], left[state, row]))
             codes, caps = (np.concatenate(part) for part in zip(*kept))
         self.codes = np.sort(codes[~caps.any(axis=1)])
+        self.codes.flags.writeable = False
+        self._lookups = {}
+        record = (key, self.codes, self._lookups)
+        _enumerated = record if len(self.codes) <= STATE_BUDGET else None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -138,20 +163,29 @@ class StateSpace:
         c4 moves flip the C(n,2) C(m,2) rectangles that miss every forbidden
         cell.  c6 moves, looked for only when ``c6`` is set, flip the hexagon
         that each 3-subset of the forbidden matching leaves in its 3x3 block.
+        Each kind is looked up once per enumeration, shared with every space
+        that shares the codes; the arrays are read-only.
         """
         n, m = self.seq.n, self.seq.m
-        forbidden = set(self.forbidden)
-        rectangles = [
-            cycle
-            for r1, r2 in combinations(range(n), 2)
-            for c1, c2 in combinations(range(m), 2)
-            if forbidden.isdisjoint(cycle := [(r1, c1), (r1, c2), (r2, c2), (r2, c1)])
-        ]
-        hexagons = [
-            [(u1, v2), (u1, v3), (u2, v3), (u2, v1), (u3, v1), (u3, v2)]
-            for (u1, v1), (u2, v2), (u3, v3) in (combinations(self.forbidden, 3) if c6 else ())
-        ]
-        return _flip_lookup(self.codes, rectangles, n, m), _flip_lookup(self.codes, hexagons, n, m)
+        lookups = self._lookups
+        if "c4" not in lookups:
+            forbidden = set(self.forbidden)
+            rectangles = [
+                cycle
+                for r1, r2 in combinations(range(n), 2)
+                for c1, c2 in combinations(range(m), 2)
+                if forbidden.isdisjoint(cycle := [(r1, c1), (r1, c2), (r2, c2), (r2, c1)])
+            ]
+            lookups["c4"] = _flip_lookup(self.codes, rectangles, n, m)
+        if not c6:
+            return lookups["c4"], (np.empty(0, dtype=np.intp),) * 2
+        if "c6" not in lookups:
+            hexagons = [
+                [(u1, v2), (u1, v3), (u2, v3), (u2, v1), (u3, v1), (u3, v2)]
+                for (u1, v1), (u2, v2), (u3, v3) in combinations(self.forbidden, 3)
+            ]
+            lookups["c6"] = _flip_lookup(self.codes, hexagons, n, m)
+        return lookups["c4"], lookups["c6"]
 
 
 def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +193,8 @@ def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray,
     cycle by cycle and ascending in i.  A cycle lists (row, column) cells,
     none forbidden, each sharing a row or a column with the next; flipping
     it keeps the margins exactly when the state's bits alternate around it,
-    so only those states are looked up among the sorted codes.
+    so only those states are looked up among the sorted codes.  The two
+    arrays are read-only.
     """
     bit = [[1 << (n * m - 1 - r * m - c) for r, c in cycle] for cycle in cycles]
     even, odd = (np.array([sum(b[k::2]) for b in bit], dtype=codes.dtype) for k in (0, 1))
@@ -175,7 +210,10 @@ def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray,
         if not np.array_equal(codes.take(j, mode="clip"), flipped):
             raise RuntimeError("a margin-preserving flip left the state space")
         found.append((i, j))
-    return tuple(np.concatenate(part) for part in zip(*found))
+    pairs = tuple(np.concatenate(part) for part in zip(*found))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def enumerate_realizations(
@@ -254,21 +292,31 @@ class ExactKernel:
     built on first read.  ``c4_pairs`` and ``c6_pairs`` are the ordered
     neighbour pairs ``(i, j)`` of each move kind as two index arrays; every
     pair is listed in both directions and the c6 arrays are empty unless
-    the kernel has c6 moves.
-    ``matrix`` holds the float64 probabilities: ``p_c4`` / ``p_c6`` at those
-    pairs (zero when the move kind cannot fire, e.g. c6 in the bipartite
-    kernel or with fewer than three vertices per class) and the exact
-    complement of each row on the diagonal, converted once.  The exact
-    rationals, ``rational_offdiag``, are built from the pairs on first use.
+    the kernel has c6 moves.  ``p_c4`` / ``p_c6`` are the probabilities at
+    those pairs (zero when the move kind cannot fire, e.g. c6 in the
+    bipartite kernel or with fewer than three vertices per class), and
+    ``diagonal`` holds the float64 exact complement of each row, converted
+    once.  The dense N x N ``matrix`` and the exact rationals,
+    ``rational_offdiag``, are built from these on first read.
     """
 
     space: StateSpace
-    matrix: np.ndarray
     chain_kind: str
     p_c4: Fraction
     p_c6: Fraction
     c4_pairs: tuple[np.ndarray, np.ndarray]
     c6_pairs: tuple[np.ndarray, np.ndarray]
+    diagonal: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        N = self.size
+        (i4, j4), (i6, j6) = self.c4_pairs, self.c6_pairs
+        P = np.zeros((N, N), dtype=np.float64)
+        P[i4, j4] = float(self.p_c4)
+        P[i6, j6] = float(self.p_c6)
+        np.fill_diagonal(P, self.diagonal)
+        return P
 
     @property
     def size(self) -> int:
@@ -331,23 +379,19 @@ def exact_transition_matrix(
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
     (i4, j4), (i6, j6) = space.pairs(chain_kind == "directed")
-    P = np.zeros((N, N), dtype=np.float64)
-    P[i4, j4] = float(p4)
-    P[i6, j6] = float(p6)
     # The diagonal is the exact complement of each row, converted once per
     # distinct pair of neighbour counts (k4, k6).
     counts = np.stack([np.bincount(i4, minlength=N), np.bincount(i6, minlength=N)], axis=1)
     distinct, which = np.unique(counts, axis=0, return_inverse=True)
     holding = [float(1 - int(k4) * p4 - int(k6) * p6) for k4, k6 in distinct]
-    np.fill_diagonal(P, np.array(holding, dtype=np.float64)[which.reshape(-1)])
     return ExactKernel(
         space=space,
-        matrix=P,
         chain_kind=chain_kind,
         p_c4=p4,
         p_c6=p6,
         c4_pairs=(i4, j4),
         c6_pairs=(i6, j6),
+        diagonal=np.array(holding, dtype=np.float64)[which.reshape(-1)],
     )
 
 
@@ -404,13 +448,13 @@ def _sparse_rows(kernel: ExactKernel):
     """``P``'s nonzeros as CSR rows ``(src, dst, value, start)``: the neighbour
     pairs and the diagonal, sorted stably by source, row ``r`` at entries
     ``start[r]:start[r + 1]``.  Off the diagonal the values are ``p_c4`` and
-    ``p_c6``; ``matrix`` is read on its diagonal only.
+    ``p_c6``, on it the kernel's ``diagonal``.
     """
     N = kernel.size
     (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
     src, dst = np.concatenate([i4, i6, np.arange(N)]), np.concatenate([j4, j6, np.arange(N)])
     p = np.repeat([float(kernel.p_c4), float(kernel.p_c6)], [len(i4), len(i6)])
-    value = np.concatenate([p, kernel.matrix.diagonal()])
+    value = np.concatenate([p, kernel.diagonal])
     order = np.argsort(src, kind="stable")
     start = np.zeros(N + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=N), out=start[1:])
@@ -448,7 +492,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
 
     Each ``0.5 * |dist - 1/N|`` row sum is reduced over cache-sized blocks
     of rows in one reused buffer.  Up to t = 2 the blocks come from ``P``'s
-    sparse rows and ``matrix`` is read on its diagonal only: at t = 0 and
+    sparse rows and the dense ``matrix`` is not built: at t = 0 and
     t = 1 a block is ``1/N`` with the gaps of the identity's or ``P``'s
     nonzeros written in, and ``P^2`` is a sparse product, kept whole only
     when ``horizon > 2``.  ``P^3`` is dense, so later powers are ``dist @ P``.
@@ -458,7 +502,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
         raise ValueError("horizon must be >= 0")
     if not kernel.size:
         raise ValueError("the kernel has no states")
-    P, N = kernel.matrix, kernel.size
+    N = kernel.size
     uniform = 1.0 / N
     rows = max(1, _TV_BLOCK // N)
     starts = range(0, N, rows)
@@ -492,7 +536,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
         dist = np.empty((N, N)) if horizon > 2 else None
         curve.append(worst(gaps(_square_blocks(N, csr, rows, dist))))
     for _ in range(3, horizon + 1):
-        dist = dist @ P
+        dist = dist @ kernel.matrix
         curve.append(worst(gaps(dist[lo : lo + rows] for lo in starts)))
     return curve
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import os
@@ -873,11 +872,108 @@ def test_tv_from_sparse_rows_matches_dense_rows_bit_for_bit(monkeypatch, seq, fo
 
 
 @_TV_INSTANCES
-def test_tv_to_horizon_2_reads_the_matrix_on_its_diagonal_only(seq, forbidden, kind, size):
+def test_tv_to_horizon_2_leaves_the_dense_matrix_unbuilt(seq, forbidden, kind, size):
     k = exact_transition_matrix(seq, forbidden, kind)
-    poisoned = k.matrix.copy()
-    poisoned[(poisoned == 0) & ~np.eye(size, dtype=bool)] = np.nan
-    blind = dataclasses.replace(k, matrix=poisoned)
-    assert [tv_from_kernel(blind, horizon) for horizon in range(3)] == [
-        tv_from_kernel(k, horizon) for horizon in range(3)
-    ]
+    curves = [tv_from_kernel(k, horizon) for horizon in range(3)]
+    assert "matrix" not in vars(k)
+    curves.append(tv_from_kernel(k, 3))
+    assert "matrix" in vars(k)
+    assert np.array_equal(k.matrix.diagonal(), k.diagonal)
+    assert curves == [_ref_tv_from_kernel(k, horizon) for horizon in range(4)]
+
+
+# ---------------------------------------------------------------------------
+# The one kept enumeration
+# ---------------------------------------------------------------------------
+
+# derangements of five: 44 states, with c4 and c6 neighbours
+DERANGEMENTS = (BipartiteDegreeSequence((1,) * 5, (1,) * 5), tuple((i, i) for i in range(5)))
+
+
+@pytest.fixture
+def no_record(monkeypatch):
+    monkeypatch.setattr(swapmc.oracle, "_enumerated", None)
+
+
+def test_a_space_of_the_same_key_shares_the_kept_codes(no_record):
+    seq, forbidden = DERANGEMENTS
+    first = StateSpace(seq, forbidden)
+    second = StateSpace(BipartiteDegreeSequence((1,) * 5, (1,) * 5), forbidden[::-1])
+    assert second.codes is first.codes
+    assert second.states == first.states
+    assert not set(map(id, second.states)) & set(map(id, first.states))
+    with pytest.raises(BudgetExceededError):
+        StateSpace(seq, forbidden, position_budget=24)
+    # a new key replaces the record
+    assert StateSpace(TRI, DIAG3).codes is swapmc.oracle._enumerated[1]
+    assert swapmc.oracle._enumerated[0] == (TRI, DIAG3)
+    third = StateSpace(seq, forbidden)
+    assert third.codes is not first.codes
+    _assert_same_array(third.codes, first.codes)
+
+
+def test_a_space_over_the_state_budget_leaves_no_record(no_record, monkeypatch):
+    StateSpace(TRI, DIAG3)
+    assert swapmc.oracle._enumerated is not None
+    # the 5040 permutation matrices of a 7x7 grid lie just over the budget
+    seven = BipartiteDegreeSequence((1,) * 7, (1,) * 7)
+    assert swap_graph_connected(seven, position_budget=49) == (True, 1)
+    assert swapmc.oracle._enumerated is None
+    monkeypatch.setattr(swapmc.oracle, "STATE_BUDGET", 1)
+    first = StateSpace(*DERANGEMENTS)
+    assert swapmc.oracle._enumerated is None
+    assert StateSpace(*DERANGEMENTS).codes is not first.codes
+
+
+def test_shared_codes_and_pairs_are_read_only(no_record):
+    k = exact_transition_matrix(*DERANGEMENTS, "directed")
+    space = StateSpace(*DERANGEMENTS)
+    assert space.codes is k.space.codes
+    (i4, j4), (i6, j6) = space.pairs(True)
+    assert i4 is k.c4_pairs[0] and i6 is k.c6_pairs[0]
+    for a in (space.codes, i4, j4, i6, j6):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, kind, moves, lengths",
+    [
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), "bipartite", "c4", [4]),
+        (*DERANGEMENTS, "directed", "c4+c6", [4, 6]),
+    ],
+    ids=["bipartite", "directed"],
+)
+def test_kernel_and_connectivity_look_up_each_cycle_kind_once(
+    no_record, monkeypatch, seq, forbidden, kind, moves, lengths
+):
+    lookup, cycle_lengths = swapmc.oracle._flip_lookup, []
+
+    def counted(codes, cycles, n, m):
+        cycle_lengths.append(len(cycles[0]))
+        return lookup(codes, cycles, n, m)
+
+    monkeypatch.setattr(swapmc.oracle, "_flip_lookup", counted)
+    k = exact_transition_matrix(seq, forbidden, kind)
+    assert swap_graph_connected(seq, forbidden, moves) == (True, 1)
+    assert swap_graph_connected(seq, forbidden, "c4") == _components(k.size, k.c4_pairs)
+    assert cycle_lengths == lengths
+
+
+def test_hexagons_after_rectangles_reuse_the_c4_lookup(no_record, monkeypatch):
+    lookup, calls = swapmc.oracle._flip_lookup, []
+
+    def counted(*args):
+        calls.append(args)
+        return lookup(*args)
+
+    monkeypatch.setattr(swapmc.oracle, "_flip_lookup", counted)
+    space = StateSpace(*DERANGEMENTS)
+    c4, none = space.pairs(False)
+    assert len(calls) == 1 and not len(none[0])
+    again, c6 = space.pairs(True)
+    assert again is c4 and len(calls) == 2 and len(c6[0])
+    expected = _ref_pairs(space, True)
+    for got_pair, expected_pair in zip((again, c6), expected):
+        for a, b in zip(got_pair, expected_pair):
+            _assert_same_array(a, b)

@@ -1115,23 +1115,23 @@ def test_block_audits_refuse_a_foreign_state():
 # ---------------------------------------------------------------------------
 
 
-# The frozen block reader's states per block.
-_FROZEN_BLOCK = 16
-
-
 def _aux_blocks_full(path, x, y):
-    """The audits' block reader as it was: ``(start, A)`` with ``A[k] =
-    M_X + M_Y - M_Z`` (int16) for the path states ``Z = G_{start+k}``,
-    ``k`` up to ``_FROZEN_BLOCK`` inclusive, in one reused buffer."""
+    """The audits' block reader as it was, on the live audits' blocks:
+    ``(start, A)`` with ``A[k] = M_X + M_Y - M_Z`` (int16) for the path
+    states ``Z = G_{start+k}``, ``k`` up to ``_block_states(x)`` inclusive,
+    in one reused buffer.  The repair audit checks a whole block's margins
+    before it repairs any state, so the block bounds decide which error a
+    path with two faults raises."""
     _check_compatible(x, y)
     if path.states[0] != x or path.states[-1] != y:
         raise ValueError("the path does not join the audited pair")
     base = x.matrix.astype(np.int16) + y.matrix
-    buf = np.empty((_FROZEN_BLOCK + 1, *base.shape), dtype=np.int16)
+    block = _block_states(x)
     states = path.states
-    for start in range(0, len(states), _FROZEN_BLOCK):
-        chunk = states[start : start + _FROZEN_BLOCK + 1]
-        for z in chunk[:_FROZEN_BLOCK]:
+    buf = np.empty((min(block + 1, len(states)), *base.shape), dtype=np.int16)
+    for start in range(0, len(states), block):
+        chunk = states[start : start + block + 1]
+        for z in chunk[:block]:
             if z.seq is not x.seq or z.forbidden is not x.forbidden:
                 _check_compatible(x, z)
         A = buf[: len(chunk)]
@@ -1144,7 +1144,7 @@ def _verify_bad_positions_full(path, x, y):
     reduced over its full auxiliary matrix."""
     twos, minus = [], []
     for _, A in _aux_blocks_full(path, x, y):
-        A = A[:_FROZEN_BLOCK]
+        A = A[: _block_states(x)]
         twos.append((A == 2).sum(axis=(1, 2)))
         minus.append((A == -1).sum(axis=(1, 2)))
     n2, n1 = np.concatenate(twos), np.concatenate(minus)
@@ -1175,7 +1175,7 @@ def _verify_repairs_full(path, x, y, bounds=None):
         ):
             raise ValueError("auxiliary margins or starred cells differ from X's")
         nbad = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
-        ks = range(min(_FROZEN_BLOCK, len(A)))
+        ks = range(min(_block_states(x), len(A)))
         ts = [k + 1 if inter[start + k] else k for k in ks]
         direct = _direct_exchanges(A, sorted({t for t in ts if nbad[t] == 1}), star)
         for k, t in zip(ks, ts):
@@ -1310,6 +1310,27 @@ def test_audits_match_frozen_copies_on_drawn_state_sequences(data):
     )
     path = CanonicalPath(states, [], inter + [False], [])
     _audits_match_frozen_copies(path, states[0], states[-1])
+
+
+def test_audits_match_frozen_copies_when_a_margin_breach_follows_a_repair():
+    # 19 states of 4x4 2-regular joining x to itself: state 15 is another
+    # realization, whose 2-entries need a cycle context to be repaired, and
+    # state 17 has a 2 set alone at (0, 2), off x's margins.  All 19 states
+    # share one block, so the margin guard refuses the path before any
+    # repair runs.
+    seq = BipartiteDegreeSequence((2,) * 4, (2,) * 4)
+    zs = enumerate_realizations(seq)
+    x = next(z for z in zs if z.matrix[0, 2] == 1)
+    states = [x.copy() for _ in range(19)]
+    states[15] = next(z for z in zs if z != x).copy()
+    M = x.matrix.copy()
+    M[0, 2] = 2
+    states[17] = BipartiteRealization(seq, M, validate=False)
+    path = CanonicalPath(states, [], [False] * 19, [])
+    assert _block_states(x) >= 19
+    with pytest.raises(ValueError, match="auxiliary margins or starred cells differ"):
+        verify_repairs(path, x, x, bounds_of(seq))
+    _audits_match_frozen_copies(path, x, x)
 
 
 _B30 = _BLOCK_CELLS // (30 * 30)  # states per block at 30x30
