@@ -124,8 +124,7 @@ class StateSpace:
         self.codes = np.sort(codes[~caps.any(axis=1)])
         self.codes.flags.writeable = False
         self._lookups = {}
-        record = (key, self.codes, self._lookups)
-        _enumerated = record if len(self.codes) <= STATE_BUDGET else None
+        _enumerated = (key, self.codes, self._lookups) if len(self) <= STATE_BUDGET else None
 
     def __len__(self) -> int:
         return len(self.codes)
