@@ -15,12 +15,13 @@ The kernel, connectivity and the TV curve never build a realization: the
 kernel keeps the neighbour pairs as index arrays and the holding
 probabilities as a diagonal, and derives the rest from them -- the dense
 ``P`` and the exact rationals (each on first read), move-graph components
-(vectorised label propagation), and the TV curve up to t = 2 (from ``P``'s
-sparse rows, its square a sparse product; later powers are dense because
-``P^3`` already is).  The last space of at most ``STATE_BUDGET`` states is
-kept, codes and neighbour pairs read-only, so the kernel and connectivity
-of one sequence enumerate it once.  Connectivity of the 40 320 permutation
-matrices of an 8x8 grid peaks at about 84 MiB.
+(vectorised label propagation), and the TV curve up to t = 2 (all three
+steps in one pass over row blocks of ``P``'s sparse rows, the square a
+sparse product; later powers are dense because ``P^3`` already is).  The
+last space of at most ``STATE_BUDGET`` states is kept, codes and neighbour
+pairs read-only, so the kernel and connectivity of one sequence enumerate
+it once.  Connectivity of the 40 320 permutation matrices of an 8x8 grid
+peaks at about 84 MiB.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
 
 POSITION_BUDGET = 36  # n*m cap for exhaustive enumeration
 STATE_BUDGET = 5000  # |G| cap for exact transition matrices
-_TV_BLOCK = 1 << 16  # matrix entries per row block of the TV reduction (512 KiB)
+_TV_BLOCK = 1 << 15  # matrix entries per row block of the TV reduction (256 KiB)
 _EXPAND_CELLS = 1 << 18  # candidate cells per expansion chunk of the enumeration
 _FLIP_CELLS = 1 << 17  # mask x state entries per chunk of the neighbour lookup
 
@@ -379,10 +380,12 @@ def exact_transition_matrix(
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
     (i4, j4), (i6, j6) = space.pairs(chain_kind == "directed")
     # The diagonal is the exact complement of each row, converted once per
-    # distinct pair of neighbour counts (k4, k6).
-    counts = np.stack([np.bincount(i4, minlength=N), np.bincount(i6, minlength=N)], axis=1)
-    distinct, which = np.unique(counts, axis=0, return_inverse=True)
-    holding = [float(1 - int(k4) * p4 - int(k6) * p6) for k4, k6 in distinct]
+    # distinct pair of neighbour counts (k4, k6), keyed as k4 * wide + k6.
+    k4, k6 = np.bincount(i4, minlength=N), np.bincount(i6, minlength=N)
+    wide = int(k6.max(initial=0)) + 1
+    distinct, which = np.unique(k4 * wide + k6, return_inverse=True)
+    classes = (divmod(key, wide) for key in distinct.tolist())
+    holding = [float(1 - q * p4 - r * p6) for q, r in classes]
     return ExactKernel(
         space=space,
         chain_kind=chain_kind,
@@ -390,7 +393,7 @@ def exact_transition_matrix(
         p_c6=p6,
         c4_pairs=(i4, j4),
         c6_pairs=(i6, j6),
-        diagonal=np.array(holding, dtype=np.float64)[which.reshape(-1)],
+        diagonal=np.array(holding, dtype=np.float64)[which],
     )
 
 
@@ -454,47 +457,28 @@ def _sparse_rows(kernel: ExactKernel):
     src, dst = np.concatenate([i4, i6, np.arange(N)]), np.concatenate([j4, j6, np.arange(N)])
     p = np.repeat([float(kernel.p_c4), float(kernel.p_c6)], [len(i4), len(i6)])
     value = np.concatenate([p, kernel.diagonal])
-    order = np.argsort(src, kind="stable")
+    # a stable sort of the same keys at the narrowest width (numpy
+    # radix-sorts keys of 16 bits or less) gives the same permutation
+    order = np.argsort(src.astype(np.min_scalar_type(N)), kind="stable")
     start = np.zeros(N + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=N), out=start[1:])
     return src[order], dst[order], value[order], start
-
-
-def _square_blocks(N: int, csr, rows: int, out: np.ndarray | None):
-    """Row blocks of ``P @ P``, ``rows`` rows each, from ``P``'s CSR rows.
-
-    Each block pairs every nonzero ``P[r, k]`` of its rows with every
-    nonzero ``P[k, c]`` of row ``k`` and sums the products into a dense
-    block with ``np.bincount``, in CSR order.  Row ``k`` is read from
-    ``(N, width)`` copies of ``dst`` and ``value`` padded with column 0 and
-    the value 0.0; adding 0.0 leaves every nonnegative sum's bits as they
-    are.  Each block is also copied into ``out`` when given.
-    """
-    src, dst, value, start = csr
-    slot = np.arange(len(src)) - start[src]
-    cols = np.zeros((N, int(slot.max()) + 1), dtype=np.intp)
-    vals = np.zeros(cols.shape)
-    cols[src, slot], vals[src, slot] = dst, value
-    for lo in range(0, N, rows):
-        hi = min(lo + rows, N)
-        a, b = start[lo], start[hi]
-        cell = ((src[a:b] - lo) * N)[:, None] + cols[dst[a:b]]
-        weight = value[a:b, None] * vals[dst[a:b]]
-        block = np.bincount(cell.ravel(), weight.ravel(), (hi - lo) * N).reshape(hi - lo, N)
-        if out is not None:
-            out[lo:hi] = block
-        yield block
 
 
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
 
     Each ``0.5 * |dist - 1/N|`` row sum is reduced over cache-sized blocks
-    of rows in one reused buffer.  Up to t = 2 the blocks come from ``P``'s
-    sparse rows and the dense ``matrix`` is not built: at t = 0 and
-    t = 1 a block is ``1/N`` with the gaps of the identity's or ``P``'s
-    nonzeros written in, and ``P^2`` is a sparse product, kept whole only
-    when ``horizon > 2``.  ``P^3`` is dense, so later powers are ``dist @ P``.
+    of rows.  Up to t = 2 one pass over the blocks reduces all three steps
+    from ``P``'s sparse rows, and the dense ``matrix`` is not built: at
+    t = 0 and t = 1 a block is ``1/N`` with the gaps of the identity's or
+    ``P``'s nonzeros written into one reused buffer, and the ``P^2`` block
+    pairs every nonzero ``P[r, k]`` of its rows with every nonzero
+    ``P[k, c]`` and sums the products with ``np.bincount``, in CSR order.
+    Row ``k`` is read from ``(N, width)`` copies of ``P``'s columns and
+    values padded with column 0 and the value 0.0; adding 0.0 leaves every
+    nonnegative sum's bits as they are.  The square is kept whole only when
+    ``horizon > 2``; ``P^3`` is dense, so later powers are ``dist @ P``.
     A kernel with no states has no distance to uniform: ``ValueError``.
     """
     if horizon < 0:
@@ -504,39 +488,52 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     N = kernel.size
     uniform = 1.0 / N
     rows = max(1, _TV_BLOCK // N)
-    starts = range(0, N, rows)
     buf = np.full((min(rows, N), N), uniform)
-    csr = src, dst, value, start = _sparse_rows(kernel)
-
-    def worst(blocks) -> float:
-        return max(float(0.5 * block.sum(axis=1).max()) for block in blocks)
-
-    def gaps(blocks):
-        for block in blocks:
-            out = buf[: len(block)]
-            yield np.abs(np.subtract(block, uniform, out=out), out=out)
-
-    def near_uniform(row_start, cell, gap):
-        # |dist - 1/N| for a dist that is 0 off its CSR entries; buf is
-        # 1/N throughout before and after
-        for lo in starts:
-            hi = min(lo + rows, N)
-            a, b = row_start[lo], row_start[hi]
-            at = cell[a:b] - lo * N
-            buf.reshape(-1)[at] = gap[a:b]
-            yield buf[: hi - lo]
-            buf.reshape(-1)[at] = uniform
-
-    diagonal = np.arange(N + 1)
-    curve = [worst(near_uniform(diagonal, diagonal * (N + 1), np.full(N, 1.0 - uniform)))]
-    if horizon >= 1:
-        curve.append(worst(near_uniform(start, src * N + dst, np.abs(value - uniform))))
+    flat = buf.reshape(-1)
+    src, dst, value, start = _sparse_rows(kernel)
+    gap = np.abs(value - uniform)
     if horizon >= 2:
-        dist = np.empty((N, N)) if horizon > 2 else None
-        curve.append(worst(gaps(_square_blocks(N, csr, rows, dist))))
+        slot = np.arange(len(src)) - start[src]
+        cols = np.zeros((N, int(slot.max()) + 1), dtype=np.intp)
+        vals = np.zeros(cols.shape)
+        cols[src, slot], vals[src, slot] = dst, value
+    dist = np.empty((N, N)) if horizon > 2 else None
+
+    def worst(block) -> float:
+        return float(0.5 * block.sum(axis=1).max())
+
+    curve = [0.0] * (min(horizon, 2) + 1)
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        a, b = start[lo], start[hi]
+        offset = (src[a:b] - lo) * N
+        # t = 0 and t = 1: |dist - 1/N| is 1/N off the identity's or P's
+        # nonzeros; buf is 1/N throughout before and after
+        diagonal = np.arange(lo, hi) * (N + 1) - lo * N
+        written = [(diagonal, 1.0 - uniform), (offset + dst[a:b], gap[a:b])]
+        for t, (at, held) in enumerate(written[: horizon + 1]):
+            flat[at] = held
+            curve[t] = max(curve[t], worst(buf[: hi - lo]))
+            flat[at] = uniform
+        if horizon >= 2:
+            cell = cols[dst[a:b]]
+            cell += offset[:, None]
+            weight = vals[dst[a:b]]
+            weight *= value[a:b, None]
+            block = np.bincount(cell.ravel(), weight.ravel(), (hi - lo) * N).reshape(hi - lo, N)
+            if dist is not None:
+                dist[lo:hi] = block
+            block -= uniform
+            np.abs(block, out=block)
+            curve[2] = max(curve[2], worst(block))
     for _ in range(3, horizon + 1):
         dist = dist @ kernel.matrix
-        curve.append(worst(gaps(dist[lo : lo + rows] for lo in starts)))
+        tv = 0.0
+        for lo in range(0, N, rows):
+            out = buf[: min(rows, N - lo)]
+            np.abs(np.subtract(dist[lo : lo + rows], uniform, out=out), out=out)
+            tv = max(tv, worst(out))
+        curve.append(tv)
     return curve
 
 

@@ -882,6 +882,67 @@ def test_tv_to_horizon_2_leaves_the_dense_matrix_unbuilt(seq, forbidden, kind, s
     assert curves == [_ref_tv_from_kernel(k, horizon) for horizon in range(4)]
 
 
+def _ref_sparse_rows(kernel):
+    """``P``'s CSR rows ordered by a stable sort of the int64 sources."""
+    N = kernel.size
+    (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
+    src = np.concatenate([i4, i6, np.arange(N)])
+    dst = np.concatenate([j4, j6, np.arange(N)])
+    p = [float(kernel.p_c4)] * len(i4) + [float(kernel.p_c6)] * len(i6)
+    value = np.array(p + kernel.diagonal.tolist())
+    order = np.argsort(src.astype(np.int64), kind="stable")
+    start = np.zeros(N + 1, dtype=np.intp)
+    start[1:] = np.cumsum(np.bincount(src, minlength=N))
+    return src[order], dst[order], value[order], start
+
+
+@_TV_INSTANCES
+def test_sparse_rows_keep_the_order_of_the_int64_sort(seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    # the sort key narrows to uint8 on the two small kernels, uint16 on the others
+    assert np.min_scalar_type(size) == (np.uint8 if size < 256 else np.uint16)
+    for got, expected in zip(swapmc.oracle._sparse_rows(k), _ref_sparse_rows(k)):
+        _assert_same_array(got, expected)
+
+
+# the two instances of the oracle-exact benchmark workload (seed 0)
+_ORACLE_EXACT = pytest.mark.parametrize(
+    "seq, forbidden, kind, size",
+    [
+        (BipartiteDegreeSequence((2,) * 5, (2,) * 5), (), "bipartite", 2040),
+        (
+            BipartiteDegreeSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
+            tuple((v, v) for v in range(6)),
+            "directed",
+            1519,
+        ),
+    ],
+    ids=["5x5-2-regular", "oracle-digraph"],
+)
+
+
+@_ORACLE_EXACT
+def test_holding_classes_match_the_rational_diagonal(seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    assert k.size == size
+    assert k.diagonal.dtype == np.float64
+    assert k.diagonal.tolist() == [float(k.rational_entry(i, i)) for i in range(size)]
+
+
+def test_tv_to_horizon_2_peaks_below_a_quarter_of_a_dense_matrix():
+    k = exact_transition_matrix(BipartiteDegreeSequence((2,) * 5, (2,) * 5), (), "bipartite")
+    assert k.size == 2040
+    tracemalloc.start()
+    try:
+        tv_from_kernel(k, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense N x N float64 array is 31.8 MiB; a whole-matrix P^2 would pass it
+    assert peak < 8 * 2**20
+    assert "matrix" not in vars(k)
+
+
 # ---------------------------------------------------------------------------
 # The one kept enumeration
 # ---------------------------------------------------------------------------
