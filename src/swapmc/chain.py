@@ -321,9 +321,7 @@ class _Decoder:
             [[m, 0, 0, m, 0, 0], [0, m, m, 0, m, m], [1, 0, 0, 0, 1, 1], [0, 1, 1, 1, 0, 0]]
         )
         self.fu = np.array(r._fu)
-        self.forbidden = np.zeros(n * m, bool)
-        for u, v in r.forbidden:
-            self.forbidden[u * m + v] = True
+        self.forbidden = r._stars().ravel()
 
     def decode(self, words, has: int, half: int, steps: int):
         """The draws of up to ``steps`` whole steps read from ``words``.

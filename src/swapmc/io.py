@@ -30,7 +30,7 @@ import numpy as np
 
 from .degrees import BipartiteDegreeSequence, DirectedDegreeBiSequence
 from .errors import FormatError
-from .realization import BipartiteRealization, DirectedRealization
+from .realization import BipartiteRealization, DirectedRealization, _restricted_form
 
 __all__ = [
     "parse_sequence",
@@ -173,10 +173,8 @@ def parse_realization(text: str) -> BipartiteRealization | DirectedRealization:
     seq = _build_sequence(fields)
     body = lines[consumed:]
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    if directed:
-        matrix = np.zeros((seq.n, seq.n), dtype=np.uint8)
-    else:
-        matrix = np.zeros((seq.n, seq.m), dtype=np.uint8)
+    grid = _restricted_form(seq)[0]
+    matrix = np.zeros((grid.n, grid.m), dtype=np.uint8)
     for line in body:
         toks = line.replace("->", " ").split()
         if len(toks) != 2:

@@ -363,8 +363,11 @@ def exact_transition_matrix(
     """
     if chain_kind not in ("bipartite", "directed"):
         raise ValueError("chain_kind must be 'bipartite' or 'directed'")
-    if chain_kind == "bipartite" and tuple(forbidden):
+    forbidden = tuple(forbidden)
+    if chain_kind == "bipartite" and forbidden:
         raise ValueError("the bipartite kernel has no forbidden positions")
+    if chain_kind == "directed" and not forbidden:
+        raise ValueError("restricted kernel requires a forbidden matching")
     space = StateSpace(seq, forbidden, position_budget=position_budget)
     N = len(space)
     if N > state_budget:

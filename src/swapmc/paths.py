@@ -28,11 +28,10 @@ from .errors import IllegalMoveError, RepairError
 from .realization import (
     BipartiteRealization,
     SwapMove,
-    _exact_copy,
+    _cells,
+    _Grid,
     apply_switch,
-    canonical_forbidden,
     hamming_distance,
-    partner_arrays,
 )
 
 __all__ = [
@@ -185,7 +184,7 @@ def milestones(
 # ---------------------------------------------------------------------------
 
 
-class AuxiliaryMatrix:
+class AuxiliaryMatrix(_Grid):
     """Entrywise M_X + M_Y - M_Z with starred (forbidden) positions.
 
     Entries lie in {-1, 0, 1, 2}; stars are excluded from arithmetic and
@@ -193,41 +192,16 @@ class AuxiliaryMatrix:
     M_X, which the constructor verifies.
     """
 
-    __slots__ = ("matrix", "forbidden", "seq", "_fu")
-
-    def __init__(self, seq, matrix, forbidden=(), *, validate=True):
-        self.seq = seq
-        self.matrix = _exact_copy(matrix, np.int16)
-        self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
-        self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
-        if validate:
-            self.validate()
-
-    def validate(self) -> None:
-        M = self.matrix
-        if M.shape != (self.seq.n, self.seq.m):
-            raise ValueError("auxiliary shape does not match the degree sequence")
-        if not np.isin(M, (-1, 0, 1, 2)).all():
-            raise ValueError("auxiliary entries must lie in {-1, 0, 1, 2}")
-        for u, v in self.forbidden:
-            if M[u, v] != 0:
-                raise ValueError("starred positions must carry no arithmetic value")
-        if tuple(M.sum(axis=1).tolist()) != self.seq.u_degrees:
-            raise ValueError("auxiliary row sums must match the degree sequence")
-        if tuple(M.sum(axis=0).tolist()) != self.seq.v_degrees:
-            raise ValueError("auxiliary column sums must match the degree sequence")
+    __slots__ = ()
+    _DTYPE, _CELLS = np.int16, (-1, 2)
+    _NOUN, _RANGE = "auxiliary", "lie in {-1, 0, 1, 2}"
 
     def is_star(self, u: int, v: int) -> bool:
         return self._fu[u] == v
 
     def bad_positions(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Positions of 2-entries and of -1-entries."""
-        twos = list(zip(*np.nonzero(self.matrix == 2)))
-        ones = list(zip(*np.nonzero(self.matrix == -1)))
-        return (
-            [(int(u), int(v)) for u, v in twos],
-            [(int(u), int(v)) for u, v in ones],
-        )
+        return _cells(self.matrix == 2), _cells(self.matrix == -1)
 
     def render(self) -> str:
         rows = []
@@ -245,10 +219,7 @@ def auxiliary_matrix(
     """``M_X + M_Y - M_Z`` over common degrees and forbidden matching."""
     _check_compatible(x, y)
     _check_compatible(x, z)
-    aux = AuxiliaryMatrix.__new__(AuxiliaryMatrix)
-    aux.seq, aux.forbidden, aux._fu = x.seq, x.forbidden, x._fu
-    aux.matrix = x.matrix.astype(np.int16) + y.matrix - z.matrix
-    return aux
+    return x._with_matrix(x.matrix.astype(np.int16) + y.matrix - z.matrix, AuxiliaryMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -647,26 +618,16 @@ def repair_to_realization(
         echoed in the message).
     """
     M = aux.matrix.astype(np.int16)
-    template = BipartiteRealization(
-        aux.seq, np.zeros(M.shape, dtype=np.uint8), aux.forbidden, validate=False
-    )
     realization, switches = _repair(
         M,
-        _star_mask(aux.forbidden, M.shape),
-        template,
+        aux._stars(),
+        aux,
         cycle_rows,
         cycle_cols,
         corner,
         bounds,
     )
     return RepairResult(realization, switches, hamming_distance(aux, realization))
-
-
-def _star_mask(forbidden, shape) -> np.ndarray:
-    star = np.zeros(shape, dtype=bool)
-    for u, v in forbidden:
-        star[u, v] = True
-    return star
 
 
 def _first_hit(hit: np.ndarray) -> tuple[int, int] | None:
@@ -678,7 +639,8 @@ def _first_hit(hit: np.ndarray) -> tuple[int, int] | None:
 def _repair(M, star, template, rows, cols, corner, bounds):
     """The switch repair of ``repair_to_realization`` on the int16 matrix
     ``M``, in place; ``star`` masks the forbidden cells.  Returns the
-    validated realization ``template._with_matrix(...)`` and the switches."""
+    validated realization that shares ``template``'s sequence and forbidden
+    matching, and the switches."""
     m = M.shape[1]
     switches: list[SwapMove] = []
 
@@ -737,7 +699,7 @@ def _repair(M, star, template, rows, cols, corner, bounds):
             apply_switch(M, mv2)
             switches.append(mv2)
 
-    realization = template._with_matrix(M.astype(np.uint8))
+    realization = template._with_matrix(M.astype(np.uint8), BipartiteRealization)
     realization.validate()
     return realization, switches
 
@@ -810,7 +772,7 @@ def verify_repairs(
     report = RepairReport()
     base = _aux_base(path, x, y)
     n, m = x.matrix.shape
-    star = _star_mask(x.forbidden, (n, m))
+    star = x._stars()
     starred = bool(x.forbidden)
     inter = path.intermediate
     for start, owned, S, counts, (flat, aux) in _state_blocks(path, x, base):

@@ -134,6 +134,12 @@ class SwapMove:
         return SwapMove.switch(self.us, self.vs, -self.sign)
 
 
+def _cells(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The (row, column) pairs of a matrix's nonzero cells, row by row."""
+    rows, cols = np.nonzero(mask)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def _exact_copy(matrix, dtype) -> np.ndarray:
     """A fresh ``dtype`` copy of ``matrix``; ``ValueError`` if the cast wraps
     or truncates an entry, or cannot convert one at all (an integer beyond
@@ -162,11 +168,106 @@ def apply_switch(M: np.ndarray, mv: SwapMove) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The grid core
+# ---------------------------------------------------------------------------
+
+
+class _Grid:
+    """An integer matrix on the grid of a degree sequence.
+
+    The invariant: n x m cells of type ``_DTYPE`` with entries in ``_CELLS``,
+    the row and column sums of ``_form``, and every forbidden cell 0.  ``seq``
+    is the sequence as given, which must be a ``_SEQ``, and ``_form`` with
+    ``forbidden`` is its :func:`_restricted_form`; ``_fu`` holds each row's
+    forbidden partner column, -1 where it has none.
+    """
+
+    __slots__ = ("seq", "matrix", "forbidden", "_fu", "_form")
+    _SEQ = BipartiteDegreeSequence
+    _DTYPE, _CELLS = np.uint8, (0, 1)
+    _NOUN, _RANGE = "incidence", "be 0 or 1"
+
+    def __init__(self, seq, matrix, forbidden=(), *, validate=True):
+        if not isinstance(seq, self._SEQ):
+            raise TypeError(
+                f"{type(self).__name__} needs a {self._SEQ.__name__}, "
+                f"not a {type(seq).__name__}"
+            )
+        self.seq = seq
+        self.matrix = _exact_copy(matrix, self._DTYPE)
+        self._form, self.forbidden = _restricted_form(seq, forbidden)
+        self._fu = partner_arrays(self.forbidden, self._form.n, self._form.m)[0]
+        if validate:
+            self.validate()
+
+    def _with_matrix(self, matrix: np.ndarray, cls=None):
+        """A ``cls`` (by default this one's class) holding ``matrix`` itself,
+        unvalidated, that shares every other field with this one."""
+        out = object.__new__(cls or type(self))
+        out.seq, out.forbidden, out._fu = self.seq, self.forbidden, self._fu
+        out._form, out.matrix = self._form, matrix
+        return out
+
+    def _stars(self) -> np.ndarray:
+        """The forbidden cells as a boolean mask of the matrix's shape."""
+        star = np.zeros(self.matrix.shape, dtype=bool)
+        for u, v in self.forbidden:
+            star[u, v] = True
+        return star
+
+    def validate(self) -> None:
+        M, form, noun = self.matrix, self._form, self._NOUN
+        if M.shape != (form.n, form.m):
+            raise ValueError(f"{noun} shape {M.shape} does not match degrees")
+        low, high = self._CELLS
+        # a floor of 0 needs no check: those cells are unsigned
+        if M.max(initial=low) > high or (low < 0 and M.min(initial=low) < low):
+            raise ValueError(f"{noun} entries must {self._RANGE}")
+        for u, v in self.forbidden:
+            if M[u, v]:
+                raise ValueError(f"{noun} entry on forbidden position ({u},{v})")
+        rows, cols = M.sum(axis=1).tolist(), M.sum(axis=0).tolist()
+        if tuple(rows) != form.u_degrees:
+            raise ValueError(f"{noun} row sums {rows} != {list(form.u_degrees)}")
+        if tuple(cols) != form.v_degrees:
+            raise ValueError(f"{noun} column sums {cols} != {list(form.v_degrees)}")
+
+
+class _State(_Grid):
+    """A realization: a 0/1 grid that is identified by its cells."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return self.seq.n
+
+    def key(self) -> bytes:
+        """Canonical hashable identity of the state (fixed degrees/forbidden)."""
+        return self.matrix.tobytes()
+
+    def copy(self):
+        """A new state with its own matrix; the immutable parts are shared."""
+        return self._with_matrix(self.matrix.copy())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.seq == other.seq
+            and self.forbidden == other.forbidden
+            and np.array_equal(self.matrix, other.matrix)
+        )
+
+    def __hash__(self):
+        return hash((self.seq, self.forbidden, self.key()))
+
+
+# ---------------------------------------------------------------------------
 # Bipartite realizations
 # ---------------------------------------------------------------------------
 
 
-class BipartiteRealization:
+class BipartiteRealization(_State):
     """A 0/1 incidence matrix realizing a bipartite degree sequence.
 
     Value-semantic: ``apply_move`` returns a fresh realization by default;
@@ -174,21 +275,9 @@ class BipartiteRealization:
     same legality checks and produce identical states.
     """
 
-    __slots__ = ("seq", "matrix", "forbidden", "_fu")
-
-    def __init__(self, seq, matrix, forbidden=(), *, validate=True):
-        self.seq = seq
-        self.matrix = _exact_copy(matrix, np.uint8)
-        self.forbidden = canonical_forbidden(forbidden, seq.n, seq.m)
-        self._fu = partner_arrays(self.forbidden, seq.n, seq.m)[0]
-        if validate:
-            self.validate()
+    __slots__ = ()
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.seq.n
 
     @property
     def m(self) -> int:
@@ -202,57 +291,13 @@ class BipartiteRealization:
         return self._fu[u] != v
 
     def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(self.matrix)
-        return list(zip(us.tolist(), vs.tolist()))
-
-    def key(self) -> bytes:
-        """Canonical hashable identity of the state (fixed degrees/forbidden)."""
-        return self.matrix.tobytes()
-
-    def copy(self) -> "BipartiteRealization":
-        """A new state with its own matrix; the immutable parts are shared."""
-        return self._with_matrix(self.matrix.copy())
-
-    def _with_matrix(self, matrix: np.ndarray) -> "BipartiteRealization":
-        """A state holding ``matrix`` itself, unvalidated, that shares
-        ``seq``, ``forbidden`` and ``_fu`` with this one."""
-        out = BipartiteRealization.__new__(BipartiteRealization)
-        out.seq, out.forbidden, out._fu = self.seq, self.forbidden, self._fu
-        out.matrix = matrix
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartiteRealization)
-            and self.seq == other.seq
-            and self.forbidden == other.forbidden
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self):
-        return hash((self.seq, self.forbidden, self.key()))
+        return _cells(self.matrix)
 
     def __repr__(self):
         return (
             f"BipartiteRealization(n={self.n}, m={self.m}, "
             f"edges={int(self.matrix.sum())}, forbidden={len(self.forbidden)})"
         )
-
-    def validate(self) -> None:
-        M = self.matrix
-        if M.shape != (self.seq.n, self.seq.m):
-            raise ValueError(f"matrix shape {M.shape} does not match degrees")
-        if M.max(initial=0) > 1:
-            raise ValueError("incidence entries must be 0 or 1")
-        rows = M.sum(axis=1)
-        cols = M.sum(axis=0)
-        if tuple(rows.tolist()) != self.seq.u_degrees:
-            raise ValueError(f"row sums {rows.tolist()} != u_degrees")
-        if tuple(cols.tolist()) != self.seq.v_degrees:
-            raise ValueError(f"column sums {cols.tolist()} != v_degrees")
-        for u, v in self.forbidden:
-            if M[u, v]:
-                raise ValueError(f"edge on forbidden position ({u},{v})")
 
     # -- moves ----------------------------------------------------------------
 
@@ -307,57 +352,23 @@ class BipartiteRealization:
 # ---------------------------------------------------------------------------
 
 
-class DirectedRealization:
-    """A loop-free digraph with prescribed out/in degrees (0/1 adjacency)."""
+class DirectedRealization(_State):
+    """A loop-free digraph with prescribed out/in degrees (0/1 adjacency):
+    the grid of out-degree rows and in-degree columns with the diagonal
+    forbidden."""
 
-    __slots__ = ("seq", "matrix")
+    __slots__ = ()
+    _SEQ = DirectedDegreeBiSequence
+    _NOUN = "adjacency"
 
     def __init__(self, seq: DirectedDegreeBiSequence, matrix, *, validate=True):
-        self.seq = seq
-        self.matrix = _exact_copy(matrix, np.uint8)
-        if validate:
-            self.validate()
-
-    @property
-    def n(self) -> int:
-        return self.seq.n
+        super().__init__(seq, matrix, validate=validate)
 
     def arcs(self) -> list[tuple[int, int]]:
-        src, dst = np.nonzero(self.matrix)
-        return list(zip(src.tolist(), dst.tolist()))
-
-    def key(self) -> bytes:
-        return self.matrix.tobytes()
-
-    def copy(self) -> "DirectedRealization":
-        return DirectedRealization(self.seq, self.matrix, validate=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirectedRealization)
-            and self.seq == other.seq
-            and np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self):
-        return hash((self.seq, self.key()))
+        return _cells(self.matrix)
 
     def __repr__(self):
         return f"DirectedRealization(n={self.n}, arcs={int(self.matrix.sum())})"
-
-    def validate(self) -> None:
-        n = self.seq.n
-        M = self.matrix
-        if M.shape != (n, n):
-            raise ValueError(f"adjacency shape {M.shape} does not match n={n}")
-        if not np.isin(M, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        if np.diagonal(M).any():
-            raise ValueError("loops are not allowed")
-        if tuple(M.sum(axis=1).tolist()) != self.seq.out_degrees:
-            raise ValueError("row sums do not match out_degrees")
-        if tuple(M.sum(axis=0).tolist()) != self.seq.in_degrees:
-            raise ValueError("column sums do not match in_degrees")
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +442,10 @@ def construct_bipartite(
         return BipartiteRealization(seq, _greedy_fill(seq))
     matrix = _kleitman_wang_fill(seq, forb)
     if matrix is None:
-        if seq.n == seq.m and forb == tuple((i, i) for i in range(seq.n)):
-            raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
+        if seq.n == seq.m:
+            digraph = DirectedDegreeBiSequence(seq.u_degrees, seq.v_degrees)
+            if forb == _restricted_form(digraph)[1]:
+                raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
         raise InfeasibleSequenceError("no realization avoids the forbidden matching")
     return BipartiteRealization(seq, matrix, forb)
 
@@ -467,18 +480,19 @@ def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:
     Vertices with zero out- or in-degree keep their (empty) row/column so
     that indices are stable under round-tripping.
     """
-    seq, diag = _restricted_form(d.seq)
-    return BipartiteRealization(seq, d.matrix, diag)
+    return BipartiteRealization(d._form, d.matrix, d.forbidden)
 
 
 def from_bipartite_representation(b: BipartiteRealization) -> DirectedRealization:
     """Inverse of :func:`to_bipartite_representation`."""
     if b.n != b.m:
         raise ValueError("representation must be square")
-    if b.forbidden != tuple((i, i) for i in range(b.n)):
-        raise ValueError("representation must forbid exactly the diagonal")
     seq = DirectedDegreeBiSequence(b.seq.u_degrees, b.seq.v_degrees)
-    return DirectedRealization(seq, b.matrix)
+    d = DirectedRealization(seq, b.matrix, validate=False)
+    if b.forbidden != d.forbidden:
+        raise ValueError("representation must forbid exactly the diagonal")
+    d.validate()
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +550,9 @@ def try_c6_swap(r: BipartiteRealization, us, vs) -> SwapMove | None:
 
 
 def _matrix_and_forbidden(obj):
-    if isinstance(obj, np.ndarray):
-        return obj, None
-    matrix = getattr(obj, "matrix", None)
-    if matrix is None:
-        return np.asarray(obj), None
-    return matrix, getattr(obj, "forbidden", None)
+    if isinstance(obj, _Grid) and not isinstance(obj, DirectedRealization):
+        return obj.matrix, obj.forbidden
+    return np.asarray(getattr(obj, "matrix", obj)), None  # a digraph counts its diagonal
 
 
 def hamming_distance(a, b) -> int:

@@ -192,6 +192,22 @@ def test_exact_matrix_rejects_forbidden_for_bipartite_kernel():
         exact_transition_matrix(TRI, DIAG3, "bipartite")
 
 
+def test_restricted_kernel_refuses_an_empty_forbidden_matching():
+    # With no forbidden matching the restricted kernel has no c6 pairs, so a
+    # quarter of every row's mass would be extra holding; sample() refuses
+    # the same input with the same message.
+    seq = BipartiteDegreeSequence((2, 2, 2), (2, 2, 2))
+    msg = "restricted kernel requires a forbidden matching"
+    for forbidden in ((), [], iter(())):
+        with pytest.raises(ValueError, match=msg):
+            exact_transition_matrix(seq, forbidden, "directed")
+        with pytest.raises(ValueError, match=msg):
+            tv_curve(seq, forbidden, "directed", horizon=2)
+    # a generator of forbidden cells is read once, not exhausted by the check
+    k = exact_transition_matrix(TRI, ((i, i) for i in range(3)), "directed")
+    assert k.space.forbidden == DIAG3 and k.size == 2
+
+
 def test_exact_matrix_state_budget():
     seq = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
     with pytest.raises(BudgetExceededError):
@@ -380,15 +396,17 @@ def _mask_pairs(space, c6):
 
 
 def _assert_matches_reference(seq, forbidden, position_budget=36):
-    kinds = ("directed",) if forbidden else ("bipartite", "directed")
-    for kind in kinds:
-        k = exact_transition_matrix(seq, forbidden, kind, position_budget=position_budget)
-        assert _mask_pairs(k.space, kind == "directed") == set(
-            _ref_classify_neighbors(k.states, kind == "directed")
-        )
-        P, offdiag = _ref_kernel(k.states, seq.n, seq.m, kind)
-        assert k.matrix.tobytes() == P.tobytes()
-        assert k.rational_offdiag == offdiag
+    # the restricted kernel needs a forbidden matching, the bipartite one none
+    kind, other = ("directed", "bipartite") if forbidden else ("bipartite", "directed")
+    with pytest.raises(ValueError):
+        exact_transition_matrix(seq, forbidden, other, position_budget=position_budget)
+    k = exact_transition_matrix(seq, forbidden, kind, position_budget=position_budget)
+    assert _mask_pairs(k.space, kind == "directed") == set(
+        _ref_classify_neighbors(k.states, kind == "directed")
+    )
+    P, offdiag = _ref_kernel(k.states, seq.n, seq.m, kind)
+    assert k.matrix.tobytes() == P.tobytes()
+    assert k.rational_offdiag == offdiag
     states = enumerate_realizations(seq, forbidden, position_budget=position_budget)
     # the states decoded from the codes are the valid realizations
     assert all(r == BipartiteRealization(seq, r.matrix, forbidden) for r in states)

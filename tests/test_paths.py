@@ -43,7 +43,6 @@ from swapmc.paths import (
     _direct_exchanges,
     _find_detour,
     _repair,
-    _star_mask,
 )
 
 DIAG3 = tuple((i, i) for i in range(3))
@@ -919,7 +918,7 @@ def _batch_against_repair(path, x, y):
     state holding a bad entry: a decided target has the reference's one
     switch and repaired matrix, and a lone -1 left out of the batch takes
     the detour or fails.  Returns how many targets the batch decided."""
-    star = _star_mask(x.forbidden, x.matrix.shape)
+    star = x._stars()
     decided = 0
     for start, A in _aux_blocks_full(path, x, y):
         counts = (A.view(np.uint16) > 1).sum(axis=(1, 2)).tolist()
@@ -1164,7 +1163,7 @@ def _verify_repairs_full(path, x, y, bounds=None):
     """``verify_repairs`` as it was, with the margins, the starred cells and
     the bad entries reduced over every state's full auxiliary matrix."""
     report = RepairReport()
-    star = _star_mask(x.forbidden, x.matrix.shape)
+    star = x._stars()
     u_deg, v_deg = np.array(x.seq.u_degrees), np.array(x.seq.v_degrees)
     inter = path.intermediate
     for start, A in _aux_blocks_full(path, x, y):
@@ -1347,7 +1346,7 @@ def test_verify_repairs_refuses_a_state_off_the_margins_or_stars(where, breach):
     assert len(path.states) > _B30 + 2
     z = path.states[where]
     M = z.matrix.copy()
-    free = ~_star_mask(x.forbidden, M.shape)
+    free = ~x._stars()
     u, v = np.argwhere(M == 1)[0]
     if breach == "rows":
         w = np.flatnonzero((M[:, v] == 0) & free[:, v])[0]
@@ -1381,7 +1380,7 @@ def test_verify_repairs_checks_the_first_state_in_full(breach):
     path = build_canonical_path(x, y)
     stack = np.stack([z.matrix for z in path.states])
     ones, zeros = (stack == 1).all(axis=0), (stack == 0).all(axis=0)
-    star = _star_mask(x.forbidden, x.matrix.shape)
+    star = x._stars()
     if breach == "margins":
         edit = {tuple(np.argwhere(zeros & ~star)[0]): 1}
     else:
