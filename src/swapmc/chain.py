@@ -206,30 +206,38 @@ def _check_kernel(r: BipartiteRealization, c6: bool) -> None:
         raise ValueError(f"{kind} kernel needs at least two vertices per class")
 
 
-def _step(r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool):
-    """The kernel behind both public step functions.
+def _kernel_step(
+    r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool, n: int, m: int
+):
+    """One kernel step on ``r``, already checked to fit the kernel, whose
+    shape ``n`` x ``m`` the caller reads once.
 
     ``c6`` selects the restricted kernel, whose non-holding mass is split
     evenly between a c4 and a c6 branch; without it every non-holding step
     proposes a c4-swap and no branch uniform is drawn when ``lazy`` is off.
     """
-    _check_kernel(r, c6)
     x = rng.random() if lazy or c6 else 1.0
     if lazy and x < 0.5:
         return r, _LAZY
     if not c6 or x < (0.75 if lazy else 0.5):
-        u1, u2 = _draw_pair(rng, r.n)
-        v1, v2 = _draw_pair(rng, r.m)
+        u1, u2 = _draw_pair(rng, n)
+        v1, v2 = _draw_pair(rng, m)
         mv = try_c4_swap(r, u1, u2, v1, v2)
         reason = "applied_c4"
-    elif r.n < 3 or r.m < 3:
+    elif n < 3 or m < 3:
         mv = None
     else:
-        mv = try_c6_swap(r, _draw_triple(rng, r.n), _draw_triple(rng, r.m))
+        mv = try_c6_swap(r, _draw_triple(rng, n), _draw_triple(rng, m))
         reason = "applied_c6"
     if mv is None:
         return r, _REJECTED
     return r.apply_move(mv, inplace=inplace), StepOutcome(True, mv, reason)
+
+
+def _step(r: BipartiteRealization, rng, lazy: bool, inplace: bool, c6: bool):
+    """The kernel behind both public step functions: the check, then one step."""
+    _check_kernel(r, c6)
+    return _kernel_step(r, rng, lazy, inplace, c6, r.n, r.m)
 
 
 def step_bipartite(
@@ -521,8 +529,10 @@ class _Session:
         # would speed up the benchmark's dir-small-emit (gaps of 10 steps).
         # That waits for the fix of ROADMAP item 1: the workload keeps every
         # emitted key until its run ends (perfbench/workloads.py,
-        # DirSmallEmit.check), about 0.034 MiB per op, so a faster op reads
-        # as peak_rss_mb growth against its 5 % bound.
+        # DirSmallEmit.check), so its peak_rss_mb grows with the ops a run
+        # completes: about 42.0 MiB plus 32 KiB per op (a fit over twenty
+        # 20 s runs of 165-384 ops, 2-core x86-64), so a faster op reads as
+        # growth against the metric's 5 % bound.
         if steps < _CROSSOVER:
             return self._per_step(steps)
         while steps:
@@ -553,10 +563,19 @@ class _Session:
 
 
 def _loop(r: BipartiteRealization, rng, steps: int, lazy: bool, c6: bool, stats) -> None:
-    """The per-step reference for :class:`_Session`, for any generator."""
+    """The per-step reference for :class:`_Session`, for any generator.
+
+    A step changes neither the shape of ``r`` nor its forbidden matching,
+    so the kernel is checked, and the shape read, once before the first
+    step; a segment of no steps checks nothing.
+    """
+    if not steps:
+        return
+    _check_kernel(r, c6)
+    n, m, record = r.n, r.m, stats.record
     for _ in range(steps):
-        _, out = _step(r, rng, lazy, True, c6)
-        stats.record(out)
+        _, out = _kernel_step(r, rng, lazy, True, c6, n, m)
+        record(out)
 
 
 @dataclass

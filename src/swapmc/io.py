@@ -30,7 +30,12 @@ import numpy as np
 
 from .degrees import BipartiteDegreeSequence, DirectedDegreeBiSequence
 from .errors import FormatError
-from .realization import BipartiteRealization, DirectedRealization, _restricted_form
+from .realization import (
+    BipartiteRealization,
+    DirectedRealization,
+    _restricted_form,
+    canonical_forbidden,
+)
 
 __all__ = [
     "parse_sequence",
@@ -153,7 +158,9 @@ def format_sequence(seq) -> str:
     )
 
 
-def _parse_forbidden(raw: str) -> list[tuple[int, int]]:
+def _parse_forbidden(raw: str, n: int, m: int) -> list[tuple[int, int]]:
+    """The 0-based pairs of a 'forbidden:' line on an ``n`` x ``m`` grid; a
+    pair outside the grid is named as the file numbers it, from 1."""
     pairs = []
     for tok in raw.split():
         if ":" not in tok:
@@ -163,6 +170,9 @@ def _parse_forbidden(raw: str) -> list[tuple[int, int]]:
             pairs.append((int(a) - 1, int(b) - 1))
         except ValueError as exc:
             raise FormatError(f"invalid forbidden pair {tok!r}") from exc
+    for u, v in sorted(pairs):
+        if not (0 <= u < n and 0 <= v < m):
+            raise FormatError(f"forbidden position ({u + 1},{v + 1}) outside {n}x{m} grid")
     return pairs
 
 
@@ -173,7 +183,7 @@ def parse_realization(text: str) -> BipartiteRealization | DirectedRealization:
     seq = _build_sequence(fields)
     body = lines[consumed:]
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    grid = _restricted_form(seq)[0]
+    grid, diagonal = _restricted_form(seq)
     matrix = np.zeros((grid.n, grid.m), dtype=np.uint8)
     for line in body:
         toks = line.replace("->", " ").split()
@@ -193,8 +203,17 @@ def parse_realization(text: str) -> BipartiteRealization | DirectedRealization:
         if directed:
             if "forbidden" in fields:
                 raise FormatError("directed realizations have an implicit forbidden set")
+            noun, forbidden = DirectedRealization._NOUN, diagonal
+        else:
+            pairs = _parse_forbidden(fields.get("forbidden", ""), grid.n, grid.m)
+            forbidden = canonical_forbidden(pairs, grid.n, grid.m)
+            noun = BipartiteRealization._NOUN
+        # checked before the constructor's validate, which numbers cells from 0
+        for u, v in forbidden:
+            if matrix[u, v]:
+                raise FormatError(f"{noun} entry on forbidden position ({u + 1},{v + 1})")
+        if directed:
             return DirectedRealization(seq, matrix)
-        forbidden = _parse_forbidden(fields.get("forbidden", ""))
         return BipartiteRealization(seq, matrix, forbidden)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -19,6 +19,7 @@ Moves come in three kinds:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,12 +484,25 @@ def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:
     return BipartiteRealization(d._form, d.matrix, d.forbidden)
 
 
+@functools.lru_cache(maxsize=1)
+def _digraph_template(seq: BipartiteDegreeSequence) -> DirectedRealization:
+    """An empty digraph whose out- and in-degrees are ``seq``'s row and column
+    degrees.  The last one built is kept, so the samples of one sequence
+    share its bi-sequence, margins, diagonal and partner tuple."""
+    digraph = DirectedDegreeBiSequence(seq.u_degrees, seq.v_degrees)
+    return DirectedRealization(digraph, np.zeros((seq.n, seq.m), np.uint8), validate=False)
+
+
 def from_bipartite_representation(b: BipartiteRealization) -> DirectedRealization:
-    """Inverse of :func:`to_bipartite_representation`."""
+    """Inverse of :func:`to_bipartite_representation`.
+
+    The digraph's sequence, margins and diagonal come from a kept template
+    for ``b.seq`` (see :func:`_digraph_template`); its matrix is a copy of
+    ``b.matrix``, and every call checks the diagonal and validates it.
+    """
     if b.n != b.m:
         raise ValueError("representation must be square")
-    seq = DirectedDegreeBiSequence(b.seq.u_degrees, b.seq.v_degrees)
-    d = DirectedRealization(seq, b.matrix, validate=False)
+    d = _digraph_template(b.seq)._with_matrix(_exact_copy(b.matrix, DirectedRealization._DTYPE))
     if b.forbidden != d.forbidden:
         raise ValueError("representation must forbid exactly the diagonal")
     d.validate()

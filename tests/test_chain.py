@@ -520,6 +520,66 @@ def test_sample_other_generators_take_the_per_step_loop(monkeypatch):
     assert res.stats.as_dict() == stats
 
 
+@pytest.mark.parametrize(
+    "burn_in, thinning, make, checks",
+    [
+        (0, 10, np.random.default_rng, 3),  # the empty burn-in checks nothing
+        (5, 10, np.random.default_rng, 4),
+        (100, 10, np.random.default_rng, 4),  # the block core's first pass checks once
+        (0, 10, lambda s: np.random.Generator(np.random.MT19937(s)), 3),
+        (100, 10, lambda s: np.random.Generator(np.random.MT19937(s)), 4),
+    ],
+)
+def test_loop_checks_the_kernel_once_per_non_empty_segment(
+    burn_in, thinning, make, checks, monkeypatch
+):
+    calls = []
+    check = chain._check_kernel
+
+    def counted(r, c6):
+        calls.append(c6)
+        check(r, c6)
+
+    monkeypatch.setattr(chain, "_check_kernel", counted)
+    d = DirectedDegreeBiSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2))
+    r, rng, stats = chain.initial_state(d, (), "directed"), make(4), chain.ChainStats()
+    chain._loop(r, rng, 0, True, True, stats)
+    assert calls == [] and stats.steps == 0 and rng.random() == make(4).random()
+    chain._loop(r, rng, 7, True, True, stats)
+    assert calls == [True] and stats.steps == 7
+    calls.clear()
+    cfg = ChainConfig(
+        seed=4, samples=4, burn_in=burn_in, thinning=thinning, chain_kind="directed"
+    )
+    res = sample(d, (), cfg, rng=make(4))
+    assert calls == [True] * checks
+    keys, stats = _per_step_sample(d, cfg, make(4))
+    assert [s.key() for s in res.realizations] == keys
+    assert res.stats.as_dict() == stats
+
+
+@pytest.mark.parametrize(
+    "state, c6",
+    [
+        (_matching_22(), True),
+        (_triangle_rep(), False),
+        (BipartiteRealization(BipartiteDegreeSequence((1,), (1,)), [[1]]), False),
+        (BipartiteRealization(BipartiteDegreeSequence((0,), (0,)), [[0]], [(0, 0)]), True),
+    ],
+    ids=["no-matching", "matching", "one-by-one", "one-by-one-forbidden"],
+)
+def test_loop_raises_the_step_error_on_a_mismatched_kernel(state, c6):
+    with pytest.raises(ValueError) as stepped:
+        chain._step(state.copy(), np.random.default_rng(0), True, True, c6)
+    r, rng, stats = state.copy(), np.random.default_rng(0), chain.ChainStats()
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError) as looped:
+        chain._loop(r, rng, 3, True, c6, stats)
+    assert type(looped.value) is type(stepped.value)
+    assert str(looped.value) == str(stepped.value)
+    assert rng.bit_generator.state == before and stats.steps == 0 and r == state
+
+
 class _CountedBits:
     """A bit generator wrapper that counts the raw words drawn through it."""
 
@@ -955,7 +1015,7 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
     steps of the block-core segments (at least ``_CROSSOVER`` steps) that
     start on words carried from the segment before, the steps whose draws
     met a Lemire rejection, and how many steps of block-core segments the
-    session ran through ``_step``."""
+    session ran through the per-step function ``_kernel_step``."""
     core, ref = r.copy(), r.copy()
     bg_core, bg_ref = _Served(words, has, 12345), _Served(words, has, 12345)
     stats_core, stats_ref = chain.ChainStats(), chain.ChainStats()
@@ -976,7 +1036,7 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
     rng_core = _ScalarDraws(bg_core)
     fallback = 0
     long = False
-    step = chain._step
+    step = chain._kernel_step
 
     def counted(r, rng, *args):
         nonlocal fallback
@@ -987,7 +1047,7 @@ def _session_against_loop(r, c6, lazy, segments, words, has):
     session = chain._Session(core, rng_core, lazy, c6, stats_core)
     carried, decoders = set(), {None}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chain, "_step", counted)
+        mp.setattr(chain, "_kernel_step", counted)
         try:
             for steps in segments:
                 long = steps >= chain._CROSSOVER
@@ -1057,7 +1117,7 @@ def test_block_core_matches_scalar_draws_on_constructed_words(
             words = _constructed_words(steps + block, 2500, zeros=0.05)
             fallback += _session_against_loop(r, c6, lazy, [steps], words, has)[2]
     if any(k & (k - 1) for k in (n, n - 1, m, m - 1)):
-        assert fallback > 0, "no rejected step ran through _step"
+        assert fallback > 0, "no rejected step ran through _kernel_step"
 
 
 @pytest.mark.parametrize("block", [7, 64, 2048])
@@ -1093,7 +1153,7 @@ def test_block_core_segments_match_scalar_draws_on_constructed_words(
             "no Lemire rejection at the first step of a block-core segment "
             "that starts on carried words"
         )
-        assert fallback > 0, "no rejected step ran through _step"
+        assert fallback > 0, "no rejected step ran through _kernel_step"
 
 
 # ---------------------------------------------------------------------------

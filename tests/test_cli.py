@@ -225,6 +225,26 @@ def test_sample_prints_each_chain_before_the_next_one_runs(capsys, monkeypatch, 
     assert err == expected_err
 
 
+# The bytes of `swapmc sample` on dir-small-emit's seed-0 sequence (the
+# benchmark's digraph relabelled by seed 0): SHA-256 of stdout, a NUL, stderr.
+DIR_SMALL_EMIT_0 = "out: 1 1 2 2 2 2\nin: 2 1 1 2 2 2\n"
+DIR_SAMPLE_DIGESTS = {
+    "json": "9f61e4e667b8cf13e7f0924076beaa6d5165613cb720ea403a2d0af890975f55",
+    "edges": "34e63fee556156f80cfb43615f1b7085650ffb646082e02e4ee67a1109fa8054",
+    "matrix": "dcddbadcf5e987ec9138a9f1b656f3a92f80ecc8fdfda0ae0505f3f4f35e6b56",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DIR_SAMPLE_DIGESTS))
+def test_sample_digraph_bytes_are_pinned(capsys, tmp_path, fmt):
+    p = tmp_path / "dse.deg"
+    p.write_text(DIR_SMALL_EMIT_0)
+    argv = ["--seed", "0", "--chains", "2", "--thin", "10", "--count", "25", "--format", fmt]
+    code, out, err = run(capsys, "sample", str(p), *argv)
+    assert code == 0 and len(err.splitlines()) == 2
+    assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == DIR_SAMPLE_DIGESTS[fmt]
+
+
 def test_sample_multi_chain_ordered(capsys, k22_file):
     args = ("sample", k22_file, "--seed", "5", "--count", "2", "--chains", "3")
     code1, out1, err1 = run(capsys, *args)
@@ -423,6 +443,36 @@ def test_path_mismatched_inputs(capsys, tmp_path):
     code, out, err = run(capsys, "path", str(a), str(b))
     assert code == 2
     assert err.startswith("error: parse:")
+
+
+@pytest.mark.parametrize(
+    "text, good, message",
+    [
+        (
+            "U: 1 1\nV: 1 1\nforbidden: 1:1\n1 1\n2 2\n",
+            "U: 1 1\nV: 1 1\nforbidden: 1:1\n1 2\n2 1\n",
+            "incidence entry on forbidden position (1,1)",
+        ),
+        (
+            "out: 1 1\nin: 1 1\n1 -> 1\n2 -> 2\n",
+            "out: 1 1\nin: 1 1\n1 -> 2\n2 -> 1\n",
+            "adjacency entry on forbidden position (1,1)",
+        ),
+        (
+            "U: 1 1\nV: 1 1\nforbidden: 3:1\n1 1\n2 2\n",
+            "U: 1 1\nV: 1 1\n1 2\n2 1\n",
+            "forbidden position (3,1) outside 2x2 grid",
+        ),
+    ],
+    ids=["incidence", "adjacency", "outside"],
+)
+def test_path_parse_errors_name_cells_from_1(capsys, tmp_path, text, good, message):
+    bad, fine = tmp_path / "bad.graph", tmp_path / "good.graph"
+    bad.write_text(text)
+    fine.write_text(good)
+    for argv in ((bad, fine), (fine, bad)):
+        code, out, err = run(capsys, "path", *map(str, argv))
+        assert (code, out, err) == (2, "", f"error: parse: {message}\n")
 
 
 def test_path_reproducible(capsys, tmp_path):

@@ -146,6 +146,46 @@ def test_realization_parse_errors():
         parse_realization("U: 1 1\nV: 1 1\nforbidden: 1-1\n1 1\n2 2\n")
 
 
+# Realization files number cells from 1, so their parse errors do too; the
+# library's own messages stay 0-based.
+ONE_BASED_ERRORS = [
+    (
+        "U: 1 1\nV: 1 1\nforbidden: 1:1\n1 1\n2 2\n",
+        "incidence entry on forbidden position (1,1)",
+    ),
+    ("out: 1 1\nin: 1 1\n1 -> 1\n2 -> 2\n", "adjacency entry on forbidden position (1,1)"),
+    (
+        "U: 1 1\nV: 1 1\nforbidden: 3:1\n1 1\n2 2\n",
+        "forbidden position (3,1) outside 2x2 grid",
+    ),
+    (
+        "U: 1 1 1\nV: 1 1 1\nforbidden: 3:1 1:2\n1 2\n2 3\n3 1\n",
+        "incidence entry on forbidden position (1,2)",
+    ),
+    (
+        "U: 1 1 1\nV: 1 1 1\nforbidden: 9:9 0:2\n1 1\n2 2\n3 3\n",
+        "forbidden position (0,2) outside 3x3 grid",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", ONE_BASED_ERRORS)
+def test_realization_parse_errors_name_cells_from_1(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_realization(text)
+    assert str(info.value) == message
+
+
+def test_library_errors_still_name_cells_from_0():
+    one = BipartiteDegreeSequence((1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"^incidence entry on forbidden position \(0,0\)$"):
+        BipartiteRealization(one, [[1, 0], [0, 1]], [(0, 0)])
+    with pytest.raises(ValueError, match=r"^adjacency entry on forbidden position \(0,0\)$"):
+        DirectedRealization(DirectedDegreeBiSequence((1, 1), (1, 1)), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^forbidden position \(2,0\) outside 2x2 grid$"):
+        BipartiteRealization(one, [[1, 0], [0, 1]], [(2, 0)])
+
+
 def test_matrix_and_json_formats():
     seq = BipartiteDegreeSequence((1, 1), (1, 1))
     r = construct_bipartite(seq)

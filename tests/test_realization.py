@@ -504,3 +504,114 @@ def test_try_c6_swap_matches_the_two_test_copy(seq, forbidden):
                 if mv is not None:
                     directions.add(mv.us == tuple(sorted(mv.us)))
     assert directions == {True, False}  # both hexagon directions are reached
+
+
+def _from_bipartite_representation_rebuilt(b):
+    """Frozen copy of ``from_bipartite_representation`` as it was before the
+    kept template: every call builds the bi-sequence and the grid afresh."""
+    if b.n != b.m:
+        raise ValueError("representation must be square")
+    seq = DirectedDegreeBiSequence(b.seq.u_degrees, b.seq.v_degrees)
+    d = swapmc.DirectedRealization(seq, b.matrix, validate=False)
+    if b.forbidden != d.forbidden:
+        raise ValueError("representation must forbid exactly the diagonal")
+    d.validate()
+    return d
+
+
+_FAULTS = (
+    "loop",
+    "margins",
+    "above-1",
+    "beyond-uint8",
+    "non-square",
+    "no-forbidden",
+    "part-diagonal",
+    "off-diagonal",
+)
+
+
+@st.composite
+def representations(draw):
+    """Bipartite grids that are a digraph's representation but for up to two
+    faults: a loop, wrong margins, an entry above 1 or beyond uint8, a
+    non-square shape, and a missing, partial or non-diagonal forbidden set."""
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    n = draw(st.integers(1, 4))
+    m = n + ("non-square" in faults)
+    M = np.array(draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m)))
+    M = M.reshape(n, m)
+    np.fill_diagonal(M, 0)
+    if "loop" in faults:
+        k = draw(st.integers(0, n - 1))
+        M[k, k] = 1
+    if "above-1" in faults:
+        M[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = 2
+    rows, cols = M.sum(axis=1).tolist(), M.sum(axis=0).tolist()
+    if "margins" in faults:  # equal sums, so the sequence itself is fine
+        i = draw(st.integers(0, n - 1))
+        rows[i] += 1
+        rows[i - 1 if rows[i - 1] else i] -= 1
+    diag = [(k, k) for k in range(n)]
+    forbidden = diag
+    if "no-forbidden" in faults:
+        forbidden = []
+    elif "part-diagonal" in faults:
+        forbidden = diag[1:]
+    elif "off-diagonal" in faults:
+        forbidden = [(k, (k + 1) % m) for k in range(n)]
+    seq = BipartiteDegreeSequence(tuple(rows), tuple(cols))
+    b = BipartiteRealization(seq, M, forbidden, validate=False)
+    if "beyond-uint8" in faults:
+        b.matrix = b.matrix.astype(np.int64)
+        b.matrix[0, -1] += 256
+    return b
+
+
+def _outcome(f, b):
+    try:
+        return f(b)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(representations())
+def test_from_representation_matches_its_frozen_copy(b):
+    expected = _outcome(_from_bipartite_representation_rebuilt, b)
+    got = _outcome(from_bipartite_representation, b)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert type(got) is swapmc.DirectedRealization
+    assert got == expected and got.seq == expected.seq
+    assert got.forbidden == expected.forbidden and got._fu == expected._fu
+    assert got._form == expected._form and got.matrix.dtype == expected.matrix.dtype
+    assert not np.shares_memory(got.matrix, b.matrix)
+
+
+def test_from_representation_keeps_no_stale_sequence():
+    seqs = [
+        DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+        DirectedDegreeBiSequence((2, 1, 1), (1, 1, 2)),
+        DirectedDegreeBiSequence((2, 2, 1, 1), (1, 2, 2, 1)),
+    ]
+    reps = [to_bipartite_representation(construct_directed(s)) for s in seqs]
+    for k in [0, 1, 0, 1, 2, 0, 2, 2, 1]:
+        d = from_bipartite_representation(reps[k])
+        assert d.seq == seqs[k] and d._form == reps[k].seq
+        assert np.array_equal(d.matrix, reps[k].matrix)
+
+
+def test_from_representation_copies_the_matrix():
+    seq = DirectedDegreeBiSequence((2, 1, 1), (1, 1, 2))
+    b = to_bipartite_representation(construct_directed(seq))
+    kept = b.matrix.copy()
+    d = from_bipartite_representation(b)
+    d.matrix[0, 1] ^= 1  # a write to the digraph leaves the representation
+    assert np.array_equal(b.matrix, kept)
+    b.matrix[1, 2] ^= 1  # and a write to the representation leaves the digraph
+    assert d.matrix[1, 2] == kept[1, 2]
+    b.matrix[1, 2] ^= 1
+    e = from_bipartite_representation(b)  # the same template, a clean matrix
+    assert np.array_equal(e.matrix, kept) and not np.shares_memory(e.matrix, d.matrix)
