@@ -98,7 +98,12 @@ class ChainConfig:
     This is NOT a rigorous mixing bound -- the chains are known to mix in
     polynomial time under the degree-spread conditions of
     :mod:`swapmc.conditions`, but no usable constants exist; calibrate with
-    :func:`swapmc.oracle.tv_curve` on small instances when in doubt.
+    :func:`swapmc.oracle.tv_curve` on small instances when in doubt.  On
+    an n x n d-regular sequence the default gives about ``10 * d**3``
+    expected swap proposals, whatever n is, so it under-mixes large sparse
+    sequences: on 200 x 200 3-regular it keeps 41-46 % of the start
+    state's edges, where a uniform sample keeps 1.5 %.  Set ``burn_in``
+    yourself on large sparse sequences.
     The integer fields take anything ``operator.index`` accepts and store
     it as an ``int``, and ``lazy`` must be a ``bool``; anything else is a
     ``ValueError``.

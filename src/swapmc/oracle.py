@@ -15,9 +15,11 @@ The kernel, connectivity and the TV curve never build a realization: the
 kernel keeps the neighbour pairs as index arrays and the holding
 probabilities as a diagonal, and derives the rest from them -- the dense
 ``P`` and the exact rationals (each on first read), move-graph components
-(vectorised label propagation), and the TV curve up to t = 2 (all three
-steps in one pass over row blocks of ``P``'s sparse rows, the square a
-sparse product; later powers are dense because ``P^3`` already is).  The
+and symmetry orbits (one vectorised label propagation), and the TV curve.
+Its entries up to t = 2 are exact and correctly rounded, read from one row
+per orbit of the relabellings that keep the degrees and the forbidden
+matching (integer sums over ``D P``'s sparse rows, the square a sparse
+product); later entries are dense floats, because ``P^3`` already is.  The
 last space of at most ``STATE_BUDGET`` states is kept, codes and neighbour
 pairs read-only, so the kernel and connectivity of one sequence enumerate
 it once.  Connectivity of the 40 320 permutation matrices of an 8x8 grid
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -400,20 +402,18 @@ def exact_transition_matrix(
     )
 
 
-def _components(size: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[bool, int]:
-    """(connected, component count) of the graph on ``range(size)`` whose
-    edges are the given ``(i, j)`` index arrays, each edge in both directions.
+def _labels(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each vertex's component label in the graph on ``range(size)`` whose
+    edges are ``(src[e], dst[e])``, each edge listed in both directions: the
+    smallest vertex of its component.
 
     Every vertex starts as its own label.  Each round lowers the label of
     every edge's source root to the edge's target label, then jumps
     pointers until each label is a root (``label[r] == r``).  Labels only
     fall and always name a vertex of the same component, so once a round
-    changes nothing every component carries one root label.
+    changes nothing every component carries one root label, its smallest
+    vertex (whose label can fall no lower).
     """
-    if size == 0:
-        return False, 0
-    src = np.concatenate([i for i, _ in pairs])
-    dst = np.concatenate([j for _, j in pairs])
     label = np.arange(size)
     while True:
         lowered = label.copy()
@@ -424,9 +424,19 @@ def _components(size: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[bool,
                 break
             lowered = jumped
         if np.array_equal(lowered, label):
-            break
+            return label
         label = lowered
-    components = int(np.count_nonzero(label == np.arange(size)))
+
+
+def _components(size: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[bool, int]:
+    """(connected, component count) of the graph on ``range(size)`` whose
+    edges are the given ``(i, j)`` index arrays, each edge in both
+    directions, from :func:`_labels`."""
+    if size == 0:
+        return False, 0
+    src = np.concatenate([i for i, _ in pairs])
+    dst = np.concatenate([j for _, j in pairs])
+    components = int(np.count_nonzero(_labels(size, src, dst) == np.arange(size)))
     return components == 1, components
 
 
@@ -449,17 +459,90 @@ def swap_graph_connected(
     return _components(len(space), *space.pairs(moves == "c4+c6"))
 
 
-def _sparse_rows(kernel: ExactKernel):
-    """``P``'s nonzeros as CSR rows ``(src, dst, value, start)``: the neighbour
-    pairs and the diagonal, sorted stably by source, row ``r`` at entries
-    ``start[r]:start[r + 1]``.  Off the diagonal the values are ``p_c4`` and
-    ``p_c6``, on it the kernel's ``diagonal``.
+def _relabellings(space: StateSpace) -> list[list[tuple[int, int]]]:
+    """Generators of the relabellings that keep the degrees and the
+    forbidden matching, so commute with either kernel: transpositions of
+    consecutive members of each class of unmatched rows of one degree, of
+    unmatched columns of one degree, and of matched rows of one (row
+    degree, partner-column degree), each row swapped with its partner
+    column too.  A generator is the bit-group swaps ``(shift, low)`` that
+    apply it to a code: the bits ``low`` trade places with ``low << shift``.
+    """
+    seq = space.seq
+    n, m = seq.n, seq.m
+    udeg, vdeg = seq.u_degrees, seq.v_degrees
+    fu, fv = partner_arrays(space.forbidden, n, m)
+    last_row = (1 << m) - 1
+    last_col = sum(1 << r * m for r in range(n))
+
+    def rows(a, b):
+        a, b = sorted((a, b))
+        return (b - a) * m, last_row << (n - 1 - b) * m
+
+    def cols(a, b):
+        a, b = sorted((a, b))
+        return b - a, last_col << m - 1 - b
+
+    classes = {}
+    for i in range(n):
+        key = ("row", udeg[i]) if fu[i] < 0 else ("matched", udeg[i], vdeg[fu[i]])
+        classes.setdefault(key, []).append(i)
+    for j in range(m):
+        if fv[j] < 0:
+            classes.setdefault(("column", vdeg[j]), []).append(j)
+    generators = []
+    for (kind, *_), members in classes.items():
+        for a, b in zip(members, members[1:]):
+            if kind == "row":
+                generators.append([rows(a, b)])
+            elif kind == "column":
+                generators.append([cols(a, b)])
+            else:
+                generators.append([rows(a, b), cols(fu[a], fu[b])])
+    return generators
+
+
+def _relabel(codes: np.ndarray, swaps, cells: int) -> np.ndarray:
+    """Every code's image under the bit-group swaps of one generator, in the
+    codes' own dtype (``np.uint64`` or Python ints)."""
+    for shift, low in swaps:
+        high = low << shift
+        keep = (1 << cells) - 1 ^ low ^ high
+        keep, low = (np.array(x, dtype=codes.dtype) for x in (keep, low))
+        codes = (codes & keep) | ((codes >> shift) & low) | ((codes & low) << shift)
+    return codes
+
+
+def _orbits(space: StateSpace) -> np.ndarray:
+    """Each state's orbit label under :func:`_relabellings`: the smallest
+    index in its orbit.  Each generator's image of every code is looked up
+    among the sorted codes, and the orbits are the components of the edges
+    ``(i, g(i))``, which list each edge both ways because ``g`` is an
+    involution.  Raises ``RuntimeError`` if an image leaves the space."""
+    codes, size = space.codes, len(space)
+    cells = space.seq.n * space.seq.m
+    index = np.arange(size)
+    src, dst = [index[:0]], [index[:0]]
+    for swaps in _relabellings(space):
+        image = _relabel(codes, swaps, cells)
+        j = np.searchsorted(codes, image)
+        if not np.array_equal(codes.take(j, mode="clip"), image):
+            raise RuntimeError("a relabelling left the state space")
+        src.append(index)
+        dst.append(j)
+    return _labels(size, np.concatenate(src), np.concatenate(dst))
+
+
+def _csr_rows(kernel: ExactKernel, c4, c6, diagonal):
+    """The kernel's nonzero cells as CSR rows ``(src, dst, value, start)``:
+    the neighbour pairs and the diagonal, sorted stably by source, row ``r``
+    at entries ``start[r]:start[r + 1]``.  Off the diagonal the values are
+    ``c4`` and ``c6``, on it ``diagonal``.
     """
     N = kernel.size
     (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
     src, dst = np.concatenate([i4, i6, np.arange(N)]), np.concatenate([j4, j6, np.arange(N)])
-    p = np.repeat([float(kernel.p_c4), float(kernel.p_c6)], [len(i4), len(i6)])
-    value = np.concatenate([p, kernel.diagonal])
+    value = np.concatenate([np.repeat([c4, c6], [len(i4), len(i6)]), diagonal])
     # a stable sort of the same keys at the narrowest width (numpy
     # radix-sorts keys of 16 bits or less) gives the same permutation
     order = np.argsort(src.astype(np.min_scalar_type(N)), kind="stable")
@@ -468,74 +551,102 @@ def _sparse_rows(kernel: ExactKernel):
     return src[order], dst[order], value[order], start
 
 
+def _sparse_rows(kernel: ExactKernel):
+    """``P``'s CSR rows: off the diagonal ``p_c4`` and ``p_c6`` as floats,
+    on it the kernel's ``diagonal``."""
+    return _csr_rows(kernel, float(kernel.p_c4), float(kernel.p_c6), kernel.diagonal)
+
+
+def _padded(src, dst, value, start) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows as ``(N, width)`` arrays of columns and values, each row in
+    its CSR order and padded with column 0 and the value 0.0."""
+    slot = np.arange(len(src)) - start[src]
+    cols = np.zeros((len(start) - 1, int(slot.max()) + 1), dtype=np.intp)
+    vals = np.zeros(cols.shape)
+    cols[src, slot], vals[src, slot] = dst, value
+    return cols, vals
+
+
+def _square_rows(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, scale=1.0) -> np.ndarray:
+    """Rows ``rows`` of ``scale`` times the square of the padded matrix, as a
+    dense block: every entry ``[r, k]`` is paired with every entry of row
+    ``k`` and the products are summed with ``np.bincount``, cell by cell in
+    the order of ``r``'s entries and then ``k``'s.  Padding adds 0.0, which
+    leaves every nonnegative sum's bits as they are."""
+    N = len(cols)
+    mid = cols[rows]
+    cell = cols[mid]
+    cell += (np.arange(len(rows)) * N)[:, None, None]
+    weight = vals[mid]
+    weight *= (scale * vals[rows])[:, :, None]
+    return np.bincount(cell.ravel(), weight.ravel(), len(rows) * N).reshape(-1, N)
+
+
 def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     """Worst-case TV distance to uniform after t exact steps, t = 0..horizon.
 
-    Each ``0.5 * |dist - 1/N|`` row sum is reduced over cache-sized blocks
-    of rows.  Up to t = 2 one pass over the blocks reduces all three steps
-    from ``P``'s sparse rows, and the dense ``matrix`` is not built: at
-    t = 0 and t = 1 a block is ``1/N`` with the gaps of the identity's or
-    ``P``'s nonzeros written into one reused buffer, and the ``P^2`` block
-    pairs every nonzero ``P[r, k]`` of its rows with every nonzero
-    ``P[k, c]`` and sums the products with ``np.bincount``, in CSR order.
-    Row ``k`` is read from ``(N, width)`` copies of ``P``'s columns and
-    values padded with column 0 and the value 0.0; adding 0.0 leaves every
-    nonnegative sum's bits as they are.  The square is kept whole only when
-    ``horizon > 2``; ``P^3`` is dense, so later powers are ``dist @ P``.
-    A kernel with no states has no distance to uniform: ``ValueError``.
+    Entries for t <= 2 are exact, correctly rounded, and read from one row
+    per orbit of the relabellings that commute with the kernel
+    (:func:`_orbits`): rows in one orbit have the same exact distance.  With
+    ``D`` the lcm of ``p_c4``'s and ``p_c6``'s denominators, ``A = D P`` is
+    an integer matrix and row ``r``'s distance at step t is ``S / (2 N D^t)``
+    with ``S = sum_c |N (A^t)[r, c] - D^t|``, an integer below ``2^53``, so
+    float64 sums of it are exact in any order; one Python ``int / int``
+    division of the largest ``S`` rounds it.  t = 1 reads each row's padded
+    nonzeros, and t = 2 the representatives' rows of the square, where only
+    cells above ``D^2`` count because rows of ``A^2`` sum to ``D^2``.
+    ``BudgetExceededError`` if ``2 N D^t`` reaches ``2^53``.
+
+    Entries for t >= 3 are floats from dense rows: the square of ``P``'s
+    float CSR rows over all rows, then ``dist @ P``, each reduced as
+    ``0.5 * |dist - 1/N|`` row sums over cache-sized blocks of rows.  A
+    kernel with no states has no distance to uniform: ``ValueError``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if not kernel.size:
         raise ValueError("the kernel has no states")
     N = kernel.size
-    uniform = 1.0 / N
+    curve = [(N - 1) / N]
+    if horizon == 0:
+        return curve
+    D = lcm(kernel.p_c4.denominator, kernel.p_c6.denominator)
+    bound = 2 * N * D ** min(horizon, 2)
+    if bound >= 1 << 53:
+        raise BudgetExceededError(f"exact TV needs 2*N*D^t = {bound} below 2^53")
+    a4, a6 = int(kernel.p_c4 * D), int(kernel.p_c6 * D)
+    k4 = np.bincount(kernel.c4_pairs[0], minlength=N)
+    k6 = np.bincount(kernel.c6_pairs[0], minlength=N)
+    cols, vals = _padded(*_csr_rows(kernel, a4, a6, D - k4 * a4 - k6 * a6))
+    reps = np.flatnonzero(_orbits(kernel.space) == np.arange(N))
+    # t = 1: |N a - D| over each row's padded slots, D for each other cell
+    s1 = np.abs(N * vals[reps] - D).sum(axis=1).max() + (N - cols.shape[1]) * D
+    curve.append(int(s1) / (2 * N * D))
     rows = max(1, _TV_BLOCK // N)
-    buf = np.full((min(rows, N), N), uniform)
-    flat = buf.reshape(-1)
-    src, dst, value, start = _sparse_rows(kernel)
-    gap = np.abs(value - uniform)
     if horizon >= 2:
-        slot = np.arange(len(src)) - start[src]
-        cols = np.zeros((N, int(slot.max()) + 1), dtype=np.intp)
-        vals = np.zeros(cols.shape)
-        cols[src, slot], vals[src, slot] = dst, value
-    dist = np.empty((N, N)) if horizon > 2 else None
-
-    def worst(block) -> float:
-        return float(0.5 * block.sum(axis=1).max())
-
-    curve = [0.0] * (min(horizon, 2) + 1)
+        # t = 2: sum_c |y_c - D^2| = 2 (N D^2 - sum_c min(y_c, D^2)), y = N A^2[r]
+        total = N * D * D
+        low = total
+        for lo in range(0, len(reps), rows):
+            block = _square_rows(cols, vals, reps[lo : lo + rows], N)
+            np.minimum(block, D * D, out=block)
+            low = min(low, int(block.sum(axis=1).min()))
+        curve.append((total - low) / total)
+    if horizon <= 2:
+        return curve
+    cols, vals = _padded(*_sparse_rows(kernel))
+    dist = np.empty((N, N))
     for lo in range(0, N, rows):
-        hi = min(lo + rows, N)
-        a, b = start[lo], start[hi]
-        offset = (src[a:b] - lo) * N
-        # t = 0 and t = 1: |dist - 1/N| is 1/N off the identity's or P's
-        # nonzeros; buf is 1/N throughout before and after
-        diagonal = np.arange(lo, hi) * (N + 1) - lo * N
-        written = [(diagonal, 1.0 - uniform), (offset + dst[a:b], gap[a:b])]
-        for t, (at, held) in enumerate(written[: horizon + 1]):
-            flat[at] = held
-            curve[t] = max(curve[t], worst(buf[: hi - lo]))
-            flat[at] = uniform
-        if horizon >= 2:
-            cell = cols[dst[a:b]]
-            cell += offset[:, None]
-            weight = vals[dst[a:b]]
-            weight *= value[a:b, None]
-            block = np.bincount(cell.ravel(), weight.ravel(), (hi - lo) * N).reshape(hi - lo, N)
-            if dist is not None:
-                dist[lo:hi] = block
-            block -= uniform
-            np.abs(block, out=block)
-            curve[2] = max(curve[2], worst(block))
+        dist[lo : lo + rows] = _square_rows(cols, vals, np.arange(lo, min(lo + rows, N)))
+    uniform = 1.0 / N
+    buf = np.empty((min(rows, N), N))
     for _ in range(3, horizon + 1):
         dist = dist @ kernel.matrix
         tv = 0.0
         for lo in range(0, N, rows):
             out = buf[: min(rows, N - lo)]
             np.abs(np.subtract(dist[lo : lo + rows], uniform, out=out), out=out)
-            tv = max(tv, worst(out))
+            tv = max(tv, float(0.5 * out.sum(axis=1).max()))
         curve.append(tv)
     return curve
 
@@ -551,7 +662,10 @@ def tv_curve(
     """Worst-case total-variation distance to uniform after t exact steps.
 
     Entry ``t`` is ``max_s TV(P^t[s, .], uniform)``; the sequence is
-    non-increasing because uniform is stationary for both kernels.
+    non-increasing because uniform is stationary for both kernels.  As in
+    :func:`tv_from_kernel`, entries for t <= 2 are exact, correctly rounded
+    and read from one row per symmetry orbit, and entries for t >= 3 are
+    dense floats.
     """
     kernel = exact_transition_matrix(
         seq, forbidden, chain_kind, state_budget=state_budget

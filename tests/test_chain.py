@@ -1204,3 +1204,36 @@ def test_one_step_law_chi_square_from_every_state(seq, forbidden, kind, size):
         total += stat
         df_total += df
     assert total <= _chi2_quantile(df_total, 3.72)  # about 1e-4 pooled
+
+
+# ---------------------------------------------------------------------------
+# The default burn-in on large sparse sequences
+# ---------------------------------------------------------------------------
+
+
+def _start_overlap(seq, kind, seed):
+    """The share of the start state's edges still present after
+    ``sample()``'s default burn-in."""
+    start = chain.initial_state(seq, (), kind)
+    (state,) = sample(seq, (), ChainConfig(seed=seed, samples=1, chain_kind=kind)).realizations
+    return int((start.matrix & state.matrix).sum()) / int(start.matrix.sum())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 22: the default burn-in makes about 10*d^3 swap proposals "
+    "whatever n is, so large sparse samples keep much of the start state",
+)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "seq, kind, uniform",
+    [
+        # under uniform a d-regular sequence keeps d/m of the start's edges,
+        # a d-regular digraph d/(n - 1)
+        (BipartiteDegreeSequence((3,) * 200, (3,) * 200), "bipartite", 3 / 200),
+        (DirectedDegreeBiSequence((3,) * 200, (3,) * 200), "directed", 3 / 199),
+    ],
+    ids=["bipartite-200x200-3-regular", "directed-200-3-regular"],
+)
+def test_default_burn_in_forgets_the_start_on_sparse_sequences(seq, kind, uniform, seed):
+    assert _start_overlap(seq, kind, seed) <= uniform + 0.05

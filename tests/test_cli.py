@@ -420,6 +420,49 @@ def test_diagnose_infeasible_exit_code(capsys, tmp_path):
     assert err == "error: infeasible: sequence admits no simple realization\n"
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "U: 2 2 2 2\nV: 2 2 2 2\n",
+            "states: 90\n"
+            "connected-c4: yes components=1\n"
+            "symmetry-residual: 0\n"
+            "row-sum-residual: 2.22044604925e-16\n"
+            "uniform-residual: 3.46944695195e-18\n"
+            "step,tv\n"
+            "0,0.988888888889\n"
+            "1,0.855555555556\n"
+            "2,0.833179012346\n"
+            "3,0.796334876543\n",
+        ),
+        # dir-small-emit's digraph for seed 0
+        (
+            "out: 1 1 2 2 2 2\nin: 2 1 1 2 2 2\n",
+            "states: 1519\n"
+            "connected-c4: yes components=1\n"
+            "connected-f-swaps: yes components=1\n"
+            "symmetry-residual: 0\n"
+            "row-sum-residual: 4.4408920985e-16\n"
+            "uniform-residual: 8.67361737988e-19\n"
+            "step,tv\n"
+            "0,0.999341672153\n"
+            "1,0.988841754444\n"
+            "2,0.988518143996\n"
+            "3,0.987948448514\n",
+        ),
+    ],
+    ids=["4x4-2-regular", "dir-small-emit-seed-0"],
+)
+def test_diagnose_prints_the_same_bytes_past_the_triangle(capsys, tmp_path, text, expected):
+    p = tmp_path / "seq.deg"
+    p.write_text(text)
+    code, out, err = run(capsys, "diagnose", str(p), "--horizon", "3")
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
 def test_path_triangle(capsys, tmp_path):
     a = tmp_path / "a.graph"
     b = tmp_path / "b.graph"

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -287,14 +289,17 @@ def test_tv_from_kernel_matches_matrix_powers():
 def test_sparse_square_matches_matrix_powers(seq, forbidden, kind):
     k = exact_transition_matrix(seq, forbidden, kind)
     uniform = 1.0 / k.size
+    exact = _ref_exact_tv(k)[0]
     for horizon in (2, 5):
         curve = tv_from_kernel(k, horizon)
         assert len(curve) == horizon + 1
         for t, tv in enumerate(curve):
             dist = np.linalg.matrix_power(k.matrix, t)
             expected = float(0.5 * np.abs(dist - uniform).sum(axis=1).max())
+            if t <= 2:
+                assert tv == exact[t]
             if t <= 1:
-                assert tv == expected
+                assert abs(tv - expected) <= 1e-15
             else:
                 assert abs(tv - expected) <= 1e-12
     # t = 2 alone reduces the sparse square's blocks; a longer horizon
@@ -883,10 +888,15 @@ def test_tv_from_sparse_rows_matches_dense_rows_bit_for_bit(monkeypatch, seq, fo
     if kind == "directed" and size > 2:
         assert 0 < k.p_c6 < Fraction(1, size) and len(k.c6_pairs[0])
     expected = [_ref_tv_from_kernel(k, horizon) for horizon in range(6)]
+    exact = _ref_exact_tv(k)[0]
     # one row, seven rows (a partial last block) and the default block
     for block in (1, 7 * size, swapmc.oracle._TV_BLOCK):
         monkeypatch.setattr(swapmc.oracle, "_TV_BLOCK", block)
-        assert [tv_from_kernel(k, horizon) for horizon in range(6)] == expected
+        curves = [tv_from_kernel(k, horizon) for horizon in range(6)]
+        # t <= 2 exact, t >= 3 the dense rows' floats bit for bit
+        assert [c[:3] for c in curves] == [exact[: horizon + 1] for horizon in range(6)]
+        assert all(abs(a - b) <= 1e-15 for c, e in zip(curves, expected) for a, b in zip(c[:3], e))
+        assert [c[3:] for c in curves] == [e[3:] for e in expected]
 
 
 @_TV_INSTANCES
@@ -897,7 +907,12 @@ def test_tv_to_horizon_2_leaves_the_dense_matrix_unbuilt(seq, forbidden, kind, s
     curves.append(tv_from_kernel(k, 3))
     assert "matrix" in vars(k)
     assert np.array_equal(k.matrix.diagonal(), k.diagonal)
-    assert curves == [_ref_tv_from_kernel(k, horizon) for horizon in range(4)]
+    expected = [_ref_tv_from_kernel(k, horizon) for horizon in range(4)]
+    exact = _ref_exact_tv(k)[0]
+    # t <= 2 exact, t >= 3 the dense rows' floats bit for bit
+    assert [c[:3] for c in curves] == [exact[: horizon + 1] for horizon in range(4)]
+    assert all(abs(a - b) <= 1e-15 for c, e in zip(curves, expected) for a, b in zip(c[:3], e))
+    assert [c[3:] for c in curves] == [e[3:] for e in expected]
 
 
 def _ref_sparse_rows(kernel):
@@ -1056,3 +1071,177 @@ def test_hexagons_after_rectangles_reuse_the_c4_lookup(no_record, monkeypatch):
     for got_pair, expected_pair in zip((again, c6), expected):
         for a, b in zip(got_pair, expected_pair):
             _assert_same_array(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Exact TV up to t = 2, read from one row per orbit
+# ---------------------------------------------------------------------------
+
+
+def _ref_exact_tv(kernel):
+    """Exact TV up to t = 2 from every row.  ``A = D P`` is built from the
+    pair arrays and squared by a dense float64 ``A @ A``, which is exact
+    because every partial sum is an integer below 2^53.  Returns the
+    correctly rounded curve and each row's ``S_t = 2 N D^t TV_t(row)``."""
+    N = kernel.size
+    D = math.lcm(kernel.p_c4.denominator, kernel.p_c6.denominator)
+    A = np.zeros((N, N))
+    (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
+    A[i4, j4] = int(kernel.p_c4 * D)
+    A[i6, j6] = int(kernel.p_c6 * D)
+    np.fill_diagonal(A, D - A.sum(axis=1))
+    S = [np.abs(N * power - D**t).sum(axis=1) for t, power in enumerate((np.eye(N), A, A @ A))]
+    return [int(s.max()) / (2 * N * D**t) for t, s in enumerate(S)], S
+
+
+def _fraction_tv(kernel, horizon):
+    """Worst-case TV from the kernel's rational entries, each step a sparse
+    product in ``Fraction``s, rounded once by ``float``."""
+    N = kernel.size
+    P = [{j: p for j in range(N) if (p := kernel.rational_entry(i, j))} for i in range(N)]
+    dist = [{i: Fraction(1)} for i in range(N)]
+    curve = []
+    for _ in range(horizon + 1):
+        gaps = [sum(abs(row.get(c, 0) - Fraction(1, N)) for c in range(N)) / 2 for row in dist]
+        curve.append(float(max(gaps)))
+        step = []
+        for row in dist:
+            out = {}
+            for k, x in row.items():
+                for c, p in P[k].items():
+                    out[c] = out.get(c, 0) + x * p
+            step.append(out)
+        dist = step
+    return curve
+
+
+@pytest.mark.parametrize(
+    "seq, forbidden, kind, size",
+    [
+        (TRI, DIAG3, "directed", 2),
+        (BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), (), "bipartite", 5),
+        (*DERANGEMENTS, "directed", 44),
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), "bipartite", 90),
+        (BipartiteDegreeSequence((2, 2), (2, 2)), (), "bipartite", 1),
+        # one row: p_c4 = 0, so D = 1
+        (BipartiteDegreeSequence((2,), (1, 1, 0)), (), "bipartite", 1),
+    ],
+    ids=["triangle", "5-states", "derangements", "4x4-2-regular", "one-state", "one-row"],
+)
+def test_tv_to_horizon_2_is_the_correctly_rounded_fraction(seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind)
+    assert k.size == size
+    if seq.n == 1:
+        assert k.p_c4 == 0
+    expected = _fraction_tv(k, 2)
+    curves = [tv_from_kernel(k, horizon) for horizon in range(3)]
+    assert curves == [expected[:1], expected[:2], expected]
+
+
+_ORBIT_INSTANCES = pytest.mark.parametrize(
+    "seq, forbidden, kind, size, orbits",
+    [
+        (BipartiteDegreeSequence((2,) * 5, (2,) * 5), (), "bipartite", 2040, 2),
+        (
+            BipartiteDegreeSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
+            tuple((v, v) for v in range(6)),
+            "directed",
+            1519,
+            257,
+        ),
+        (BipartiteDegreeSequence((2, 2, 1, 1, 2), (2, 1, 2, 2, 1)), (), "bipartite", 453, 8),
+        # a non-diagonal matching: matched rows 0 and 1 swap with columns 2 and 3
+        (BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), ((0, 2), (1, 3)), "directed", 16, 4),
+        # out 2 1 1 3 3 2 / in 3 2 1 2 3 1: no two vertices alike, every state its own orbit
+        (
+            BipartiteDegreeSequence((2, 1, 1, 3, 3, 2), (3, 2, 1, 2, 3, 1)),
+            tuple((v, v) for v in range(6)),
+            "directed",
+            478,
+            478,
+        ),
+        # 72 cells, object codes
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            "directed",
+            44,
+            2,
+        ),
+    ],
+    ids=["5x5-2-regular", "oracle-digraph", "5x5-453", "non-diagonal", "no-symmetry", "72-cells"],
+)
+
+
+def _kernel(seq, forbidden, kind, size):
+    k = exact_transition_matrix(seq, forbidden, kind, position_budget=72)
+    assert k.size == size
+    return k
+
+
+@_ORBIT_INSTANCES
+def test_tv_to_horizon_2_equals_the_all_rows_exact_reference(seq, forbidden, kind, size, orbits):
+    k = _kernel(seq, forbidden, kind, size)
+    assert tv_from_kernel(k, 2) == _ref_exact_tv(k)[0]
+
+
+@_ORBIT_INSTANCES
+def test_orbits_partition_the_states(seq, forbidden, kind, size, orbits):
+    label = swapmc.oracle._orbits(_kernel(seq, forbidden, kind, size).space)
+    assert label.shape == (size,)
+    # every state is labelled by the smallest state of its orbit
+    assert np.all(label <= np.arange(size))
+    assert np.array_equal(label[label], label)
+    roots = np.flatnonzero(label == np.arange(size))
+    assert len(roots) == orbits
+    assert np.bincount(np.searchsorted(roots, label)).sum() == size
+
+
+def _cells(codes, cells):
+    return np.array([[c >> cells - 1 - b & 1 for b in range(cells)] for c in codes.tolist()])
+
+
+@_ORBIT_INSTANCES
+def test_relabellings_map_the_codes_onto_themselves(seq, forbidden, kind, size, orbits):
+    k = _kernel(seq, forbidden, kind, size)
+    space, n, m = k.space, seq.n, seq.m
+    forbidden = set(space.forbidden)
+    codes = space.codes
+    label = swapmc.oracle._orbits(space)
+    for swaps in swapmc.oracle._relabellings(space):
+        # the generator moves each cell to one cell: rows by sigma, columns by tau
+        unit = np.array([1 << b for b in range(n * m)], dtype=codes.dtype)
+        image = _cells(swapmc.oracle._relabel(unit, swaps, n * m), n * m)
+        moved = np.argmax(image, axis=1)[::-1].reshape(n, m)
+        sigma, tau = moved[:, 0] // m, moved[0] % m
+        assert np.array_equal(moved, sigma[:, None] * m + tau[None, :])
+        assert [seq.u_degrees[i] for i in sigma] == list(seq.u_degrees)
+        assert [seq.v_degrees[j] for j in tau] == list(seq.v_degrees)
+        assert {(int(sigma[u]), int(tau[v])) for u, v in forbidden} == forbidden
+        # every code's image is the code of the relabelled matrix, in the space
+        image = swapmc.oracle._relabel(codes, swaps, n * m)
+        matrices = _cells(codes, n * m).reshape(-1, n, m)
+        relabelled = matrices[:, np.argsort(sigma)][:, :, np.argsort(tau)]
+        assert np.array_equal(_cells(image, n * m), relabelled.reshape(-1, n * m))
+        assert sorted(image.tolist()) == codes.tolist()
+        # the kernel commutes with it, and it keeps each orbit
+        j = np.searchsorted(codes, image)
+        assert np.array_equal(k.matrix[np.ix_(j, j)], k.matrix)
+        assert np.array_equal(label[j], label)
+
+
+@_ORBIT_INSTANCES
+def test_exact_row_distances_are_constant_on_each_orbit(seq, forbidden, kind, size, orbits):
+    k = _kernel(seq, forbidden, kind, size)
+    label = swapmc.oracle._orbits(k.space)
+    for s in _ref_exact_tv(k)[1]:
+        assert np.array_equal(s[label], s)
+
+
+def test_exact_tv_refuses_sums_past_2_to_the_53():
+    k = exact_transition_matrix(TRI, DIAG3, "directed")
+    # D = 2^26 with N = 2: 2 N D^2 = 2^54, while 2 N D = 2^28 is fine
+    wide = dataclasses.replace(k, p_c4=Fraction(1, 2**26))
+    assert len(tv_from_kernel(wide, 1)) == 2
+    with pytest.raises(BudgetExceededError, match="2\\^53"):
+        tv_from_kernel(wide, 2)
