@@ -16,10 +16,9 @@ kernel keeps the neighbour pairs as index arrays and the holding
 probabilities as a diagonal, and derives the rest from them -- the dense
 ``P`` and the exact rationals (each on first read), move-graph components
 and symmetry orbits (one vectorised label propagation), and the TV curve.
-Its entries up to t = 2 are exact and correctly rounded, read from one row
-per orbit of the relabellings that keep the degrees and the forbidden
-matching (integer sums over ``D P``'s sparse rows, the square a sparse
-product); later entries are dense floats, because ``P^3`` already is.  The
+The curve reads one table, ``D P``'s padded integer rows: exact, correctly
+rounded sums over one row per symmetry orbit up to t = 2, then dense floats
+from the table over ``D``, because ``P^3`` already is dense.  The
 last space of at most ``STATE_BUDGET`` states is kept, codes and neighbour
 pairs read-only, so the kernel and connectivity of one sequence enumerate
 it once.  Connectivity of the 40 320 permutation matrices of an 8x8 grid
@@ -297,9 +296,10 @@ class ExactKernel:
     the kernel has c6 moves.  ``p_c4`` / ``p_c6`` are the probabilities at
     those pairs (zero when the move kind cannot fire, e.g. c6 in the
     bipartite kernel or with fewer than three vertices per class), and
-    ``diagonal`` holds the float64 exact complement of each row, converted
-    once.  The dense N x N ``matrix`` and the exact rationals,
-    ``rational_offdiag``, are built from these on first read.
+    ``diagonal`` is each row's holding mass in ``D P`` over ``D`` (:func:`_holding`);
+    ``matrix`` and ``rational_offdiag`` are built on first read.
+    :func:`tv_from_kernel` reads the holding mass from ``p_c4``, ``p_c6`` and
+    the pair counts, so ``dataclasses.replace`` must keep ``diagonal`` in step.
     """
 
     space: StateSpace
@@ -384,13 +384,7 @@ def exact_transition_matrix(
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
     (i4, j4), (i6, j6) = space.pairs(chain_kind == "directed")
-    # The diagonal is the exact complement of each row, converted once per
-    # distinct pair of neighbour counts (k4, k6), keyed as k4 * wide + k6.
-    k4, k6 = np.bincount(i4, minlength=N), np.bincount(i6, minlength=N)
-    wide = int(k6.max(initial=0)) + 1
-    distinct, which = np.unique(k4 * wide + k6, return_inverse=True)
-    classes = (divmod(key, wide) for key in distinct.tolist())
-    holding = [float(1 - q * p4 - r * p6) for q, r in classes]
+    D, holding = _holding(p4, p6, i4, i6, N)
     return ExactKernel(
         space=space,
         chain_kind=chain_kind,
@@ -398,8 +392,19 @@ def exact_transition_matrix(
         p_c6=p6,
         c4_pairs=(i4, j4),
         c6_pairs=(i6, j6),
-        diagonal=np.array(holding, dtype=np.float64)[which],
+        diagonal=(holding / D).astype(np.float64, copy=False),
     )
+
+
+def _holding(p_c4: Fraction, p_c6: Fraction, i4: np.ndarray, i6: np.ndarray, size: int):
+    """``D``, the lcm of ``p_c4``'s and ``p_c6``'s denominators, and each row's
+    holding mass in ``D P``, ``D - k4 p_c4 D - k6 p_c6 D`` with ``k`` its count
+    among the sources ``i4`` / ``i6``.  IEEE 754 division of these exact float64
+    integers rounds ``holding / D`` correctly; from 2^53, Python ints' does."""
+    D = lcm(p_c4.denominator, p_c6.denominator)
+    wide = object if D >> 53 else np.int64
+    k4, k6 = (np.bincount(i, minlength=size).astype(wide, copy=False) for i in (i4, i6))
+    return D, D - k4 * int(p_c4 * D) - k6 * int(p_c6 * D)
 
 
 def _labels(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -533,38 +538,27 @@ def _orbits(space: StateSpace) -> np.ndarray:
     return _labels(size, np.concatenate(src), np.concatenate(dst))
 
 
-def _csr_rows(kernel: ExactKernel, c4, c6, diagonal):
-    """The kernel's nonzero cells as CSR rows ``(src, dst, value, start)``:
-    the neighbour pairs and the diagonal, sorted stably by source, row ``r``
-    at entries ``start[r]:start[r + 1]``.  Off the diagonal the values are
-    ``c4`` and ``c6``, on it ``diagonal``.
-    """
+def _table(kernel: ExactKernel) -> tuple[int, np.ndarray, np.ndarray]:
+    """``D`` and ``D P``'s rows as ``(N, width)`` arrays of columns and
+    integer values: the neighbour pairs, valued ``p_c4 D`` and ``p_c6 D``,
+    then the diagonal, valued by :func:`_holding`, sorted stably by source
+    row and padded with column 0 and the value 0.0."""
     N = kernel.size
     (i4, j4), (i6, j6) = kernel.c4_pairs, kernel.c6_pairs
+    D, holding = _holding(kernel.p_c4, kernel.p_c6, i4, i6, N)
     src, dst = np.concatenate([i4, i6, np.arange(N)]), np.concatenate([j4, j6, np.arange(N)])
-    value = np.concatenate([np.repeat([c4, c6], [len(i4), len(i6)]), diagonal])
+    a4, a6 = int(kernel.p_c4 * D), int(kernel.p_c6 * D)
+    value = np.concatenate([np.repeat([a4, a6], [len(i4), len(i6)]), holding])
     # a stable sort of the same keys at the narrowest width (numpy
     # radix-sorts keys of 16 bits or less) gives the same permutation
     order = np.argsort(src.astype(np.min_scalar_type(N)), kind="stable")
-    start = np.zeros(N + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=N), out=start[1:])
-    return src[order], dst[order], value[order], start
-
-
-def _sparse_rows(kernel: ExactKernel):
-    """``P``'s CSR rows: off the diagonal ``p_c4`` and ``p_c6`` as floats,
-    on it the kernel's ``diagonal``."""
-    return _csr_rows(kernel, float(kernel.p_c4), float(kernel.p_c6), kernel.diagonal)
-
-
-def _padded(src, dst, value, start) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows as ``(N, width)`` arrays of columns and values, each row in
-    its CSR order and padded with column 0 and the value 0.0."""
-    slot = np.arange(len(src)) - start[src]
-    cols = np.zeros((len(start) - 1, int(slot.max()) + 1), dtype=np.intp)
+    count = np.bincount(src, minlength=N)
+    src = src[order]
+    slot = np.arange(len(src)) - (np.cumsum(count) - count)[src]
+    cols = np.zeros((N, int(count.max())), dtype=np.intp)
     vals = np.zeros(cols.shape)
-    cols[src, slot], vals[src, slot] = dst, value
-    return cols, vals
+    cols[src, slot], vals[src, slot] = dst[order], value[order]
+    return D, cols, vals
 
 
 def _square_rows(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, scale=1.0) -> np.ndarray:
@@ -592,15 +586,15 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     an integer matrix and row ``r``'s distance at step t is ``S / (2 N D^t)``
     with ``S = sum_c |N (A^t)[r, c] - D^t|``, an integer below ``2^53``, so
     float64 sums of it are exact in any order; one Python ``int / int``
-    division of the largest ``S`` rounds it.  t = 1 reads each row's padded
-    nonzeros, and t = 2 the representatives' rows of the square, where only
-    cells above ``D^2`` count because rows of ``A^2`` sum to ``D^2``.
-    ``BudgetExceededError`` if ``2 N D^t`` reaches ``2^53``.
+    division of the largest ``S`` rounds it.  t = 1 reads the representatives'
+    rows of ``A``'s padded table (:func:`_table`), and t = 2 their rows of
+    its square, where only cells above ``D^2`` count because rows of ``A^2``
+    sum to ``D^2``.  ``BudgetExceededError`` if ``2 N D^t`` reaches ``2^53``.
 
-    Entries for t >= 3 are floats from dense rows: the square of ``P``'s
-    float CSR rows over all rows, then ``dist @ P``, each reduced as
-    ``0.5 * |dist - 1/N|`` row sums over cache-sized blocks of rows.  A
-    kernel with no states has no distance to uniform: ``ValueError``.
+    Entries for t >= 3 are floats from dense rows: the table over ``D`` is
+    ``P``'s rows, correctly rounded; its square over all rows, then ``dist @
+    P``, are reduced as ``0.5 * |dist - 1/N|`` row sums over cache-sized
+    blocks of rows.  A kernel with no states has no distance: ``ValueError``.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -610,14 +604,10 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
     curve = [(N - 1) / N]
     if horizon == 0:
         return curve
-    D = lcm(kernel.p_c4.denominator, kernel.p_c6.denominator)
+    D, cols, vals = _table(kernel)
     bound = 2 * N * D ** min(horizon, 2)
     if bound >= 1 << 53:
         raise BudgetExceededError(f"exact TV needs 2*N*D^t = {bound} below 2^53")
-    a4, a6 = int(kernel.p_c4 * D), int(kernel.p_c6 * D)
-    k4 = np.bincount(kernel.c4_pairs[0], minlength=N)
-    k6 = np.bincount(kernel.c6_pairs[0], minlength=N)
-    cols, vals = _padded(*_csr_rows(kernel, a4, a6, D - k4 * a4 - k6 * a6))
     reps = np.flatnonzero(_orbits(kernel.space) == np.arange(N))
     # t = 1: |N a - D| over each row's padded slots, D for each other cell
     s1 = np.abs(N * vals[reps] - D).sum(axis=1).max() + (N - cols.shape[1]) * D
@@ -634,7 +624,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
         curve.append((total - low) / total)
     if horizon <= 2:
         return curve
-    cols, vals = _padded(*_sparse_rows(kernel))
+    vals /= D  # P's rows, each value correctly rounded
     dist = np.empty((N, N))
     for lo in range(0, N, rows):
         dist[lo : lo + rows] = _square_rows(cols, vals, np.arange(lo, min(lo + rows, N)))
@@ -664,8 +654,8 @@ def tv_curve(
     Entry ``t`` is ``max_s TV(P^t[s, .], uniform)``; the sequence is
     non-increasing because uniform is stationary for both kernels.  As in
     :func:`tv_from_kernel`, entries for t <= 2 are exact, correctly rounded
-    and read from one row per symmetry orbit, and entries for t >= 3 are
-    dense floats.
+    and read from one row per symmetry orbit of ``D P``'s integer table,
+    and entries for t >= 3 are dense floats from that table divided by ``D``.
     """
     kernel = exact_transition_matrix(
         seq, forbidden, chain_kind, state_budget=state_budget

@@ -876,8 +876,15 @@ _TV_INSTANCES = pytest.mark.parametrize(
             "directed",
             1519,
         ),
+        # a non-diagonal matching with c6 moves: p_c4 = 1/240, p_c6 = 1/160, D = 480
+        (
+            BipartiteDegreeSequence((1, 2, 1, 2, 2), (2, 2, 2, 2)),
+            ((0, 1), (1, 3), (2, 0), (4, 2)),
+            "directed",
+            36,
+        ),
     ],
-    ids=["triangle", "4x4-2-regular", "5x5-453", "oracle-digraph"],
+    ids=["triangle", "4x4-2-regular", "5x5-453", "oracle-digraph", "5x4-non-diagonal"],
 )
 
 
@@ -932,16 +939,24 @@ def _ref_sparse_rows(kernel):
 @_TV_INSTANCES
 def test_sparse_rows_keep_the_order_of_the_int64_sort(seq, forbidden, kind, size):
     k = exact_transition_matrix(seq, forbidden, kind)
-    # the sort key narrows to uint8 on the two small kernels, uint16 on the others
+    # the sort key narrows to uint8 on the small kernels, uint16 on the others
     assert np.min_scalar_type(size) == (np.uint8 if size < 256 else np.uint16)
-    for got, expected in zip(swapmc.oracle._sparse_rows(k), _ref_sparse_rows(k)):
-        _assert_same_array(got, expected)
+    D, cols, vals = swapmc.oracle._table(k)
+    src, dst, value, start = _ref_sparse_rows(k)
+    slot = np.arange(len(src)) - start[src]
+    expected_cols = np.zeros((size, int(slot.max()) + 1), dtype=np.intp)
+    expected_vals = np.zeros(expected_cols.shape)
+    expected_cols[src, slot], expected_vals[src, slot] = dst, value
+    _assert_same_array(cols, expected_cols)
+    # integers, which over D round as float(Fraction) does
+    assert np.array_equal(vals, np.round(vals))
+    _assert_same_array(vals / D, expected_vals)
 
 
-# the two instances of the oracle-exact benchmark workload (seed 0)
-_ORACLE_EXACT = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "seq, forbidden, kind, size",
     [
+        # the two instances of the oracle-exact benchmark workload (seed 0)
         (BipartiteDegreeSequence((2,) * 5, (2,) * 5), (), "bipartite", 2040),
         (
             BipartiteDegreeSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
@@ -949,17 +964,38 @@ _ORACLE_EXACT = pytest.mark.parametrize(
             "directed",
             1519,
         ),
+        # unequal probabilities on a non-diagonal matching: p_c4 = 1/240, p_c6 = 1/160
+        (
+            BipartiteDegreeSequence((1, 2, 1, 2, 2), (2, 2, 2, 2)),
+            ((0, 1), (1, 3), (2, 0), (4, 2)),
+            "directed",
+            36,
+        ),
+        # 72 cells, object codes
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            "directed",
+            44,
+        ),
     ],
-    ids=["5x5-2-regular", "oracle-digraph"],
+    ids=["5x5-2-regular", "oracle-digraph", "5x4-non-diagonal", "72-cells"],
 )
-
-
-@_ORACLE_EXACT
 def test_holding_classes_match_the_rational_diagonal(seq, forbidden, kind, size):
-    k = exact_transition_matrix(seq, forbidden, kind)
+    k = exact_transition_matrix(seq, forbidden, kind, position_budget=72)
     assert k.size == size
     assert k.diagonal.dtype == np.float64
     assert k.diagonal.tolist() == [float(k.rational_entry(i, i)) for i in range(size)]
+
+
+def test_holding_divides_exactly_past_2_to_the_53():
+    # D = 3^35 > 2^53: the holding masses 3^35 - k no longer fit a float64,
+    # and int64 / int64 would round row 2 (k = 3) to 1.0
+    p, i4, i6 = Fraction(1, 3**35), np.array([0, 1, 1, 2, 2, 2]), np.array([], dtype=np.intp)
+    D, holding = swapmc.oracle._holding(p, Fraction(0), i4, i6, 4)
+    assert D == 3**35
+    assert holding.tolist() == [D - 1, D - 2, D - 3, D]
+    assert (holding / D).astype(np.float64).tolist() == [float(1 - k * p) for k in (1, 2, 3, 0)]
 
 
 def test_tv_to_horizon_2_peaks_below_a_quarter_of_a_dense_matrix():
