@@ -8,10 +8,7 @@ stuck; adding the c6-swap restores irreducibility.  This script shows the
 disconnection, the exact restricted kernel, and a sampling run.
 """
 
-import numpy as np
-
 from swapmc import (
-    BipartiteDegreeSequence,
     ChainConfig,
     DirectedDegreeBiSequence,
     construct_directed,
@@ -31,21 +28,18 @@ rep = to_bipartite_representation(d)
 print("bipartite representation (diagonal forbidden):")
 print(rep.matrix)
 
-seq = BipartiteDegreeSequence(bi.out_degrees, bi.in_degrees)
-diag = tuple((i, i) for i in range(3))
-
-ok4, comp4 = swap_graph_connected(seq, diag, moves="c4")
-ok6, comp6 = swap_graph_connected(seq, diag, moves="c4+c6")
+ok4, comp4 = swap_graph_connected(bi, moves="c4")
+ok6, comp6 = swap_graph_connected(bi, moves="c4+c6")
 print(f"\nc4 moves only:  connected={ok4} (components={comp4})")
 print(f"c4 + c6 moves:  connected={ok6} (components={comp6})")
 
-kernel = exact_transition_matrix(seq, diag, chain_kind="directed")
+kernel = exact_transition_matrix(bi, chain_kind="directed")
 print("\nexact restricted kernel over the two orientations:")
 print(kernel.matrix)
 print("per-neighbour probabilities: c4 =", kernel.p_c4, " c6 =", kernel.p_c6)
 
 print("\nworst-case TV distance to uniform (halves every step):")
-for t, tv in enumerate(tv_curve(seq, diag, "directed", horizon=8)):
+for t, tv in enumerate(tv_curve(bi, (), "directed", horizon=8)):
     print(f"  step {t}: {tv:.6f}")
 
 cfg = ChainConfig(seed=5, samples=6, burn_in=50, thinning=5, chain_kind="directed")

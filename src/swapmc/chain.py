@@ -66,11 +66,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degrees import DirectedDegreeBiSequence
 from .realization import (
     BipartiteRealization,
     SwapMove,
-    _restricted_form,
+    _fit_kernel,
+    _kernel_form,
     construct_bipartite,
     try_c4_swap,
     try_c6_swap,
@@ -203,11 +203,9 @@ def _draw_triple(rng, n: int) -> tuple[int, int, int]:
 
 
 def _check_kernel(r: BipartiteRealization, c6: bool) -> None:
-    kind = "restricted" if c6 else "bipartite"
-    if bool(r.forbidden) != c6:
-        need = "a forbidden matching" if c6 else "an empty forbidden set"
-        raise ValueError(f"{kind} kernel requires {need}")
+    _fit_kernel(r.forbidden, c6)
     if r.n < 2 or r.m < 2:
+        kind = "restricted" if c6 else "bipartite"
         raise ValueError(f"{kind} kernel needs at least two vertices per class")
 
 
@@ -609,14 +607,7 @@ def initial_state(seq, forbidden=(), chain_kind: str = "bipartite"):
     another sequence replaces it, and each call gets a fresh copy of it, so
     K chains on one sequence pay for one construction.
     """
-    if isinstance(seq, DirectedDegreeBiSequence) and chain_kind != "directed":
-        raise ValueError("directed bi-sequences require chain_kind='directed'")
-    seq, forbidden = _restricted_form(seq, forbidden)
-    if chain_kind == "bipartite" and forbidden:
-        raise ValueError("bipartite kernel requires an empty forbidden set")
-    if chain_kind == "directed" and not forbidden:
-        raise ValueError("restricted kernel requires a forbidden matching")
-    return _start(seq, forbidden).copy()
+    return _start(*_kernel_form(seq, forbidden, chain_kind)).copy()
 
 
 def sample(seq, forbidden=(), config: ChainConfig | None = None, rng=None) -> SampleResult:

@@ -53,7 +53,6 @@ from .oracle import (
 from .paths import build_canonical_path, verify_bad_positions, verify_repairs
 from .realization import (
     DirectedRealization,
-    _restricted_form,
     from_bipartite_representation,
     to_bipartite_representation,
 )
@@ -183,8 +182,7 @@ def cmd_sample(args) -> int:
 def cmd_enumerate(args) -> int:
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    bip, forbidden = _restricted_form(seq)
-    reals = enumerate_realizations(bip, forbidden, position_budget=args.budget)
+    reals = enumerate_realizations(seq, position_budget=args.budget)
     print(f"realizations: {len(reals)}")
     sep = "->" if directed else ":"  # arc i->j is edge (i, j) of the representation
     for r in reals:
@@ -202,9 +200,8 @@ def cmd_diagnose(args) -> int:
         raise ValueError("horizon must be >= 0")
     seq = load_sequence(args.seqfile)
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    bip, forbidden = _restricted_form(seq)
     kind = "directed" if directed else "bipartite"
-    kernel = exact_transition_matrix(bip, forbidden, kind, state_budget=args.budget)
+    kernel = exact_transition_matrix(seq, (), kind, state_budget=args.budget)
     N = kernel.size
     print(f"states: {N}")
     if not N:

@@ -34,7 +34,6 @@ from .realization import (
     BipartiteRealization,
     DirectedRealization,
     _restricted_form,
-    canonical_forbidden,
 )
 
 __all__ = [
@@ -183,7 +182,7 @@ def parse_realization(text: str) -> BipartiteRealization | DirectedRealization:
     seq = _build_sequence(fields)
     body = lines[consumed:]
     directed = isinstance(seq, DirectedDegreeBiSequence)
-    grid, diagonal = _restricted_form(seq)
+    grid = _restricted_form(seq)[0]
     matrix = np.zeros((grid.n, grid.m), dtype=np.uint8)
     for line in body:
         toks = line.replace("->", " ").split()
@@ -200,14 +199,11 @@ def parse_realization(text: str) -> BipartiteRealization | DirectedRealization:
             raise FormatError(f"duplicate edge: {line!r}")
         matrix[a, b] = 1
     try:
-        if directed:
-            if "forbidden" in fields:
-                raise FormatError("directed realizations have an implicit forbidden set")
-            noun, forbidden = DirectedRealization._NOUN, diagonal
-        else:
-            pairs = _parse_forbidden(fields.get("forbidden", ""), grid.n, grid.m)
-            forbidden = canonical_forbidden(pairs, grid.n, grid.m)
-            noun = BipartiteRealization._NOUN
+        if directed and "forbidden" in fields:
+            raise FormatError("directed realizations have an implicit forbidden set")
+        pairs = _parse_forbidden(fields.get("forbidden", ""), grid.n, grid.m)
+        forbidden = _restricted_form(seq, pairs)[1]  # a digraph's is its diagonal
+        noun = (DirectedRealization if directed else BipartiteRealization)._NOUN
         # checked before the constructor's validate, which numbers cells from 0
         for u, v in forbidden:
             if matrix[u, v]:

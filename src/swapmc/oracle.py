@@ -11,11 +11,13 @@ bits alternate around that cycle; a bitwise test over all codes finds the
 states that move and a sorted lookup finds where they land, without ever
 invoking the chain's move-proposal logic.
 
+Every entry point takes a bipartite sequence or a directed bi-sequence,
+the latter through its bipartite representation (the diagonal forbidden).
 The kernel, connectivity and the TV curve never build a realization: the
-kernel keeps the neighbour pairs as index arrays and the holding
-probabilities as a diagonal, and derives the rest from them -- the dense
-``P`` and the exact rationals (each on first read), move-graph components
-and symmetry orbits (one vectorised label propagation), and the TV curve.
+kernel keeps the neighbour pairs as index arrays and derives the rest from
+them -- the holding diagonal, the dense ``P`` and the exact rationals (each
+on first read), move-graph components and symmetry orbits (one vectorised
+label propagation), and the TV curve.
 The curve reads one table, ``D P``'s padded integer rows: exact, correctly
 rounded sums over one row per symmetry orbit up to t = 2, then dense floats
 from the table over ``D``, because ``P^3`` already is dense.  The
@@ -37,7 +39,7 @@ import numpy as np
 
 from .degrees import BipartiteDegreeSequence
 from .errors import BudgetExceededError
-from .realization import BipartiteRealization, canonical_forbidden, partner_arrays
+from .realization import BipartiteRealization, _kernel_form, _restricted_form, partner_arrays
 
 __all__ = [
     "POSITION_BUDGET",
@@ -71,7 +73,9 @@ _enumerated = None
 
 
 class StateSpace:
-    """Every realization of ``seq`` avoiding ``forbidden``, held as codes.
+    """Every realization of ``seq`` avoiding ``forbidden``, held as codes;
+    both are kept as their :func:`_restricted_form`, so a bi-sequence's
+    space is that of its bipartite representation.
 
     A state's code is its matrix read as one big-endian bit string, row 0
     first: ``np.uint64`` up to 64 cells, exact Python ints in an object
@@ -89,13 +93,13 @@ class StateSpace:
 
     def __init__(self, seq, forbidden=(), *, position_budget: int = POSITION_BUDGET):
         global _enumerated
+        seq, self.forbidden = _restricted_form(seq, forbidden)
         n, m = seq.n, seq.m
         if n * m > position_budget:
             raise BudgetExceededError(
                 f"{n}x{m} grid exceeds the enumeration budget of {position_budget} positions"
             )
         self.seq = seq
-        self.forbidden = canonical_forbidden(forbidden, n, m)
         key = (seq, self.forbidden)
         record = _enumerated
         if record is not None and record[0] == key:
@@ -240,12 +244,12 @@ def count_realizations(
     counting instead of construction); the two must agree, which the test
     suite uses as a cross-check.
     """
+    seq, forb = _restricted_form(seq, forbidden)
     n, m = seq.n, seq.m
     if n * m > position_budget:
         raise BudgetExceededError(
             f"{n}x{m} grid exceeds the counting budget of {position_budget} positions"
         )
-    forb = canonical_forbidden(forbidden, n, m)
     if not seq.fits_class_sizes:
         return 0
     _, fv = partner_arrays(forb, n, m)
@@ -295,11 +299,10 @@ class ExactKernel:
     pair is listed in both directions and the c6 arrays are empty unless
     the kernel has c6 moves.  ``p_c4`` / ``p_c6`` are the probabilities at
     those pairs (zero when the move kind cannot fire, e.g. c6 in the
-    bipartite kernel or with fewer than three vertices per class), and
-    ``diagonal`` is each row's holding mass in ``D P`` over ``D`` (:func:`_holding`);
-    ``matrix`` and ``rational_offdiag`` are built on first read.
-    :func:`tv_from_kernel` reads the holding mass from ``p_c4``, ``p_c6`` and
-    the pair counts, so ``dataclasses.replace`` must keep ``diagonal`` in step.
+    bipartite kernel or with fewer than three vertices per class).
+    ``diagonal``, each row's holding mass in ``D P`` over ``D``
+    (:func:`_holding`), ``matrix`` and ``rational_offdiag`` are derived from
+    them on first read, so a ``dataclasses.replace`` copy derives its own.
     """
 
     space: StateSpace
@@ -308,7 +311,11 @@ class ExactKernel:
     p_c6: Fraction
     c4_pairs: tuple[np.ndarray, np.ndarray]
     c6_pairs: tuple[np.ndarray, np.ndarray]
-    diagonal: np.ndarray
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        D, holding = _holding(self.p_c4, self.p_c6, self.c4_pairs[0], self.c6_pairs[0], self.size)
+        return (holding / D).astype(np.float64, copy=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -358,18 +365,17 @@ def exact_transition_matrix(
 ) -> ExactKernel:
     """Exact kernel over the enumerated realization set.
 
-    Off-diagonal entries are the exact jumping probabilities: with ``n=|U|``
-    and ``m=|V|``, ``1/(2 C(n,2) C(m,2))`` for the bipartite kernel, and
+    ``seq`` and ``forbidden`` must fit ``chain_kind`` as they must for
+    ``sample()`` (:func:`_kernel_form`); a ``DirectedDegreeBiSequence``
+    runs on its bipartite representation.  Off-diagonal entries are the
+    exact jumping probabilities: with ``n=|U|`` and ``m=|V|``,
+    ``1/(2 C(n,2) C(m,2))`` for the bipartite kernel, and
     ``1/(4 C(n,2) C(m,2))`` / ``1/(4 C(n,3) C(m,3))`` for the c4/c6 moves of
     the restricted kernel.  Diagonals absorb the rest; rows sum to one.
     """
     if chain_kind not in ("bipartite", "directed"):
         raise ValueError("chain_kind must be 'bipartite' or 'directed'")
-    forbidden = tuple(forbidden)
-    if chain_kind == "bipartite" and forbidden:
-        raise ValueError("the bipartite kernel has no forbidden positions")
-    if chain_kind == "directed" and not forbidden:
-        raise ValueError("restricted kernel requires a forbidden matching")
+    seq, forbidden = _kernel_form(seq, forbidden, chain_kind)
     space = StateSpace(seq, forbidden, position_budget=position_budget)
     N = len(space)
     if N > state_budget:
@@ -383,17 +389,8 @@ def exact_transition_matrix(
     else:
         p4 = Fraction(1, 4 * pairs) if pairs else Fraction(0)
         p6 = Fraction(1, 4 * triples) if triples else Fraction(0)
-    (i4, j4), (i6, j6) = space.pairs(chain_kind == "directed")
-    D, holding = _holding(p4, p6, i4, i6, N)
-    return ExactKernel(
-        space=space,
-        chain_kind=chain_kind,
-        p_c4=p4,
-        p_c6=p6,
-        c4_pairs=(i4, j4),
-        c6_pairs=(i6, j6),
-        diagonal=(holding / D).astype(np.float64, copy=False),
-    )
+    c4_pairs, c6_pairs = space.pairs(chain_kind == "directed")
+    return ExactKernel(space, chain_kind, p4, p6, c4_pairs, c6_pairs)
 
 
 def _holding(p_c4: Fraction, p_c6: Fraction, i4: np.ndarray, i6: np.ndarray, size: int):

@@ -443,10 +443,8 @@ def construct_bipartite(
         return BipartiteRealization(seq, _greedy_fill(seq))
     matrix = _kleitman_wang_fill(seq, forb)
     if matrix is None:
-        if seq.n == seq.m:
-            digraph = DirectedDegreeBiSequence(seq.u_degrees, seq.v_degrees)
-            if forb == _restricted_form(digraph)[1]:
-                raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
+        if seq.n == seq.m and forb == tuple((i, i) for i in range(seq.n)):
+            raise InfeasibleSequenceError("bi-sequence has no loop-free realization")
         raise InfeasibleSequenceError("no realization avoids the forbidden matching")
     return BipartiteRealization(seq, matrix, forb)
 
@@ -473,6 +471,26 @@ def _restricted_form(
     if canonical_forbidden(forbidden, seq.n, seq.n) not in ((), diag):
         raise ValueError("a directed bi-sequence forbids exactly the diagonal")
     return BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees), diag
+
+
+def _kernel_form(seq, forbidden, chain_kind: str):
+    """``seq`` and ``forbidden`` in :func:`_restricted_form`, refused unless
+    they fit the ``chain_kind`` kernel: a bi-sequence needs the restricted
+    one, and the matching must pass :func:`_fit_kernel`."""
+    if isinstance(seq, DirectedDegreeBiSequence) and chain_kind != "directed":
+        raise ValueError("directed bi-sequences require chain_kind='directed'")
+    seq, forbidden = _restricted_form(seq, forbidden)
+    _fit_kernel(forbidden, chain_kind == "directed")
+    return seq, forbidden
+
+
+def _fit_kernel(forbidden, c6: bool) -> None:
+    """The kernel-fit rule: the restricted kernel (``c6``) runs on a forbidden
+    matching, and the bipartite kernel on none."""
+    if c6 and not forbidden:
+        raise ValueError("restricted kernel requires a forbidden matching")
+    if forbidden and not c6:
+        raise ValueError("bipartite kernel requires an empty forbidden set")
 
 
 def to_bipartite_representation(d: DirectedRealization) -> BipartiteRealization:

@@ -174,7 +174,7 @@ SIGNATURES = {
     "io.realization_to_json": "(real) -> 'dict'",
     "oracle.ExactKernel": "(space: 'StateSpace', chain_kind: 'str', p_c4: 'Fraction', "
     "p_c6: 'Fraction', c4_pairs: 'tuple[np.ndarray, np.ndarray]', "
-    "c6_pairs: 'tuple[np.ndarray, np.ndarray]', diagonal: 'np.ndarray') -> None",
+    "c6_pairs: 'tuple[np.ndarray, np.ndarray]') -> None",
     "oracle.StateSpace": "(seq, forbidden=(), *, position_budget: 'int' = 36)",
     "oracle.count_realizations": "(seq: 'BipartiteDegreeSequence', forbidden=(), *, "
     "position_budget: 'int' = 36) -> 'int'",

@@ -1237,3 +1237,17 @@ def _start_overlap(seq, kind, seed):
 )
 def test_default_burn_in_forgets_the_start_on_sparse_sequences(seq, kind, uniform, seed):
     assert _start_overlap(seq, kind, seed) <= uniform + 0.05
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ChainConfig(seed=0, samples=1, burn_in=-1), "burn_in must be >= 0"),
+        (lambda: sample(BipartiteDegreeSequence((1, 1), (1, 1))), "a ChainConfig is required"),
+    ],
+    ids=["negative-burn-in", "no-config"],
+)
+def test_chain_argument_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

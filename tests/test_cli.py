@@ -488,6 +488,21 @@ def test_path_mismatched_inputs(capsys, tmp_path):
     assert err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize("first", ["directed", "bipartite"])
+def test_path_refuses_a_directed_and_a_bipartite_file(capsys, tmp_path, first):
+    files = {
+        "directed": TRIANGLE + "1 -> 2\n2 -> 3\n3 -> 1\n",
+        "bipartite": K22 + "1 1\n2 2\n",
+    }
+    paths = []
+    for kind in sorted(files, key=lambda kind: kind != first):
+        paths.append(tmp_path / f"{kind}.graph")
+        paths[-1].write_text(files[kind])
+    code, out, err = run(capsys, "path", *map(str, paths))
+    message = "error: parse: cannot mix directed and bipartite realization files\n"
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "text, good, message",
     [

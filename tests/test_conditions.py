@@ -308,3 +308,24 @@ def test_greenhill_sfragara_uses_the_largest_in_or_out_degree():
 def test_greenhill_sfragara_window():
     rep = greenhill_sfragara_directed(DirectedDegreeBiSequence((0, 0), (0, 0)))
     assert not rep.applicable and rep.holds is None and rep.verdict == "not applicable"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bipartite", 1, 0.5), "need n, m >= 2"),
+        (("bipartite", 4, 0.5, 1), "need n, m >= 2"),
+        (("directed", 4, 0.5, 5), "directed window has a single class size"),
+        (("directed", 1, 0.5), "need n >= 2"),
+    ],
+    ids=["bipartite-n", "bipartite-m", "directed-two-sizes", "directed-n"],
+)
+def test_erdos_renyi_window_size_checks(args, message):
+    with pytest.raises(ValueError) as info:
+        erdos_renyi_window(*args)
+    assert str(info.value) == message
+
+
+def test_erdos_renyi_window_bipartite_m_defaults_to_n():
+    assert erdos_renyi_window("bipartite", 40, 0.5) == erdos_renyi_window("bipartite", 40, 0.5, 40)
+    assert erdos_renyi_window("bipartite", 40, 0.5).m == 40

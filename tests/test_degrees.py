@@ -134,3 +134,23 @@ def test_directed_graphicality_matches_brute_force_small(n):
                 continue
             d = DirectedDegreeBiSequence(out, ind)
             assert is_directed_graphic(d) == ((out, ind) in profiles)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: BipartiteDegreeSequence((1.5, 1), (1, 1.5)),
+            "u_degrees must contain integers",
+        ),
+        (
+            lambda: DegreeBounds(c1=1, c2=1, d1=1, d2=1, n=0, m=2),
+            "class sizes must be positive",
+        ),
+    ],
+    ids=["non-integer-degree", "empty-class"],
+)
+def test_degrees_argument_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

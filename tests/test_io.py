@@ -112,6 +112,43 @@ def test_parse_degree_file_rejects_forbidden_line(text):
         parse_sequence(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_sequence, "U: 1 1\nV: 1 1\nu: 1 1\n", "duplicate header line 'u'"),
+        (parse_sequence, "out: 1 1\n", "directed input needs both 'out:' and 'in:' lines"),
+        (parse_sequence, "{}", "no degree header found (expected U:/V: or out:/in:)"),
+        (parse_realization, "1 2\n", "no degree header found (expected U:/V: or out:/in:)"),
+        (
+            parse_realization,
+            "U: 1 1\nV: 1 1\nforbidden: 1:x\n1 2\n2 1\n",
+            "invalid forbidden pair '1:x'",
+        ),
+        (parse_realization, "U: 1 1\nV: 1 1\n1 2 1\n2 1\n", "bad edge line: '1 2 1'"),
+        (parse_realization, "U: 1 1\nV: 1 1\n1 x\n2 1\n", "bad edge line: '1 x'"),
+        (
+            parse_realization,
+            "out: 1 1\nin: 1 1\nforbidden: 1:1 2:2\n1 -> 2\n2 -> 1\n",
+            "directed realizations have an implicit forbidden set",
+        ),
+    ],
+    ids=[
+        "duplicate-header",
+        "out-without-in",
+        "no-header-json",
+        "no-header-realization",
+        "forbidden-token",
+        "three-token-edge",
+        "non-integer-edge",
+        "forbidden-in-digraph",
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_sequence_round_trip():
     for text in ("U: 2 1 1\nV: 2 1 1\n", "out: 1 1 1\nin: 1 1 1\n"):
         seq = parse_sequence(text)

@@ -21,9 +21,12 @@ from swapmc import (
     BipartiteDegreeSequence,
     BipartiteRealization,
     BudgetExceededError,
+    ChainConfig,
+    DirectedDegreeBiSequence,
     count_realizations,
     enumerate_realizations,
     exact_transition_matrix,
+    sample,
     swap_graph_connected,
     tv_curve,
     tv_from_kernel,
@@ -190,8 +193,15 @@ def test_exact_matrix_general_forbidden_matching():
 
 
 def test_exact_matrix_rejects_forbidden_for_bipartite_kernel():
-    with pytest.raises(ValueError):
-        exact_transition_matrix(TRI, DIAG3, "bipartite")
+    # in sample()'s words
+    message = "bipartite kernel requires an empty forbidden set"
+    with pytest.raises(ValueError) as info:
+        sample(TRI, DIAG3, ChainConfig(seed=0, samples=1, burn_in=0))
+    assert str(info.value) == message
+    for call in (exact_transition_matrix, tv_curve):
+        with pytest.raises(ValueError) as info:
+            call(TRI, DIAG3, "bipartite")
+        assert str(info.value) == message
 
 
 def test_restricted_kernel_refuses_an_empty_forbidden_matching():
@@ -1281,3 +1291,125 @@ def test_exact_tv_refuses_sums_past_2_to_the_53():
     assert len(tv_from_kernel(wide, 1)) == 2
     with pytest.raises(BudgetExceededError, match="2\\^53"):
         tv_from_kernel(wide, 2)
+
+
+# ---------------------------------------------------------------------------
+# One route from a directed bi-sequence
+# ---------------------------------------------------------------------------
+
+_BI_SEQUENCES = pytest.mark.parametrize(
+    "bi",
+    [
+        DirectedDegreeBiSequence((1, 1, 1), (1, 1, 1)),
+        # the benchmark's digraph, N = 1519
+        DirectedDegreeBiSequence((1, 1, 2, 2, 2, 2), (2, 1, 1, 2, 2, 2)),
+        # a source with no in-arcs and a sink with no out-arcs, N = 7
+        DirectedDegreeBiSequence((2, 0, 1, 1, 2), (1, 1, 2, 0, 2)),
+    ],
+    ids=["triangle", "oracle-exact", "zero-degree"],
+)
+
+
+def _representation(bi):
+    """The bipartite representation of ``bi``, built by hand."""
+    diagonal = tuple((i, i) for i in range(bi.n))
+    return BipartiteDegreeSequence(bi.out_degrees, bi.in_degrees), diagonal
+
+
+def _oracle_outputs(monkeypatch, seq, forbidden):
+    """Every oracle entry point's output on one input, as comparable values;
+    each call enumerates afresh, so no call reads another's kept record."""
+
+    def fresh(call, *args):
+        monkeypatch.setattr(swapmc.oracle, "_enumerated", None)
+        return call(seq, forbidden, *args)
+
+    k = fresh(exact_transition_matrix, "directed")
+    arrays = (k.space.codes, *k.c4_pairs, *k.c6_pairs, k.diagonal)
+    return (
+        [(r.seq, r.forbidden, r.matrix.tobytes()) for r in fresh(enumerate_realizations)],
+        fresh(count_realizations),
+        [(a.dtype, a.tobytes()) for a in arrays],
+        (k.p_c4, k.p_c6),
+        fresh(swap_graph_connected, "c4"),
+        fresh(swap_graph_connected, "c4+c6"),
+        np.array(fresh(tv_curve, "directed", 5)).tobytes(),
+    )
+
+
+@_BI_SEQUENCES
+def test_every_oracle_entry_point_takes_a_bi_sequence(monkeypatch, bi):
+    got = _oracle_outputs(monkeypatch, bi, ())
+    assert got == _oracle_outputs(monkeypatch, *_representation(bi))
+    assert got == _oracle_outputs(monkeypatch, bi, _representation(bi)[1])
+
+
+@_BI_SEQUENCES
+def test_a_bi_sequence_shares_the_record_of_its_representation(no_record, bi):
+    space = StateSpace(bi)
+    assert (space.seq, space.forbidden) == _representation(bi)
+    assert StateSpace(*_representation(bi)).codes is space.codes
+
+
+@_BI_SEQUENCES
+@pytest.mark.parametrize(
+    "forbidden, kind, message",
+    [
+        ((), "bipartite", "directed bi-sequences require chain_kind='directed'"),
+        ([(0, 1)], "directed", "a directed bi-sequence forbids exactly the diagonal"),
+    ],
+    ids=["bipartite-kind", "off-diagonal"],
+)
+def test_the_oracle_refuses_a_bi_sequence_as_sample_does(bi, forbidden, kind, message):
+    calls = [
+        lambda: sample(bi, forbidden, ChainConfig(seed=0, samples=1, burn_in=0, chain_kind=kind)),
+        lambda: exact_transition_matrix(bi, forbidden, kind),
+        lambda: tv_curve(bi, forbidden, kind, horizon=1),
+    ]
+    if kind == "directed":
+        calls += [
+            lambda: enumerate_realizations(bi, forbidden),
+            lambda: count_realizations(bi, forbidden),
+            lambda: swap_graph_connected(bi, forbidden, "c4+c6"),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@_BI_SEQUENCES
+def test_a_replaced_kernel_derives_its_own_diagonal(bi):
+    k = exact_transition_matrix(bi, (), "directed")
+    before = k.diagonal.tolist()
+    half = dataclasses.replace(k, p_c4=k.p_c4 / 2)
+    assert half.diagonal.tolist() == [float(half.rational_entry(i, i)) for i in range(k.size)]
+    assert k.diagonal.tolist() == before
+    assert (half.diagonal.tolist() != before) == (len(k.c4_pairs[0]) > 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: swap_graph_connected(TRI, DIAG3, moves="c6"),
+            ValueError,
+            "moves must be 'c4' or 'c4+c6'",
+        ),
+        (
+            lambda: tv_from_kernel(exact_transition_matrix(TRI, DIAG3, "directed"), -1),
+            ValueError,
+            "horizon must be >= 0",
+        ),
+        (
+            lambda: count_realizations(BipartiteDegreeSequence((1,) * 7, (1,) * 7)),
+            BudgetExceededError,
+            "7x7 grid exceeds the counting budget of 36 positions",
+        ),
+    ],
+    ids=["unknown-moves", "negative-horizon", "counting-budget"],
+)
+def test_oracle_argument_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1625,3 +1625,48 @@ def test_auxiliary_matrix_sorts_an_unsorted_forbidden_set():
     assert got.realization == want.realization
     assert got.switches == want.switches == []
     assert got.distance == want.distance == 0
+
+
+def _permutation(*rows):
+    return BipartiteRealization(
+        BipartiteDegreeSequence((1, 1, 1), (1, 1, 1)), np.eye(3, dtype=np.uint8)[list(rows)]
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: milestones(
+                _permutation(0, 1, 2),
+                _permutation(1, 0, 2),
+                decompose(_permutation(0, 1, 2), _permutation(0, 2, 1)),
+            ),
+            ValueError,
+            "decomposition does not connect the two realizations",
+        ),
+        (
+            lambda: repair_to_realization(
+                AuxiliaryMatrix(
+                    BipartiteDegreeSequence((1, 2, 1), (2, 1, 1)),
+                    [[0, 0, 1], [2, 0, 0], [0, 1, 0]],
+                ),
+                (0, 1, 2),
+                (0, 1, 2),
+                corner=0,
+            ),
+            RepairError,
+            "2-entry at (1,0) outside the cornerstone row 0",
+        ),
+    ],
+    ids=["milestones-of-another-pair", "two-entry-off-the-cornerstone-row"],
+)
+def test_paths_argument_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_canonical_path_length_counts_its_moves():
+    path = build_canonical_path(_permutation(0, 1, 2), _permutation(1, 2, 0))
+    assert path.length == len(path.moves) == len(path.states) - 1 > 0

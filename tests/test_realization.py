@@ -615,3 +615,70 @@ def test_from_representation_copies_the_matrix():
     b.matrix[1, 2] ^= 1
     e = from_bipartite_representation(b)  # the same template, a clean matrix
     assert np.array_equal(e.matrix, kept) and not np.shares_memory(e.matrix, d.matrix)
+
+
+def _cycle():
+    """The directed 3-cycle 0 -> 1 -> 2 -> 0 in its bipartite representation."""
+    seq = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    return BipartiteRealization(seq, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], DIAG3)
+
+
+def _matching(forbidden):
+    return BipartiteRealization(
+        BipartiteDegreeSequence((1, 1), (1, 1)), [[0, 1], [1, 0]], forbidden
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: SwapMove.switch((0, 1), (0, 1), sign=0),
+            ValueError,
+            "switch sign must be +1 or -1",
+        ),
+        (
+            lambda: _cycle().apply_move(SwapMove.c6((0, 0, 1), (1, 2, 0))),
+            IllegalMoveError,
+            "c6 vertices must be distinct",
+        ),
+        (
+            lambda: _cycle().apply_move(SwapMove.c6((0, 1, 2), (0, 1, 2))),
+            IllegalMoveError,
+            "c6 opposite pairs must all be forbidden",
+        ),
+        (
+            lambda: _cycle().apply_move(SwapMove("c8", (0, 1), (0, 1))),
+            IllegalMoveError,
+            "unknown move kind 'c8'",
+        ),
+        (
+            lambda: BipartiteRealization(BipartiteDegreeSequence((1, 1), (2, 0)), [[0, 1], [1, 0]]),
+            ValueError,
+            "incidence column sums [1, 1] != [2, 0]",
+        ),
+        (
+            lambda: hamming_distance(_matching([(0, 0)]), _matching([(1, 1)])),
+            ValueError,
+            "forbidden sets differ",
+        ),
+    ],
+    ids=[
+        "switch-sign",
+        "c6-repeated-vertex",
+        "c6-chord-opposite",
+        "unknown-kind",
+        "column-sums",
+        "hamming-forbidden",
+    ],
+)
+def test_realization_argument_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_the_inverse_of_a_switch_flips_its_sign():
+    mv = SwapMove.switch((0, 1), (2, 3), sign=-1)
+    assert mv.inverse() == SwapMove.switch((0, 1), (2, 3), sign=1)
+    assert mv.inverse().inverse() == mv
