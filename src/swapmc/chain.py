@@ -67,8 +67,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .realization import (
+    CHAIN_KINDS,
     BipartiteRealization,
     SwapMove,
+    _check_chain_kind,
     _fit_kernel,
     _kernel_form,
     construct_bipartite,
@@ -86,8 +88,6 @@ __all__ = [
     "sample",
     "derive_chain_seeds",
 ]
-
-CHAIN_KINDS = ("bipartite", "directed")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ class ChainConfig:
             raise ValueError("thinning must be >= 1")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.chain_kind not in CHAIN_KINDS:
-            raise ValueError(f"chain_kind must be one of {CHAIN_KINDS}")
+        _check_chain_kind(self.chain_kind)
 
 
 @dataclass(frozen=True)

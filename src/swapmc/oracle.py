@@ -5,11 +5,13 @@ sampler's proposal code.  A :class:`StateSpace` enumerates realizations row
 by row, over whole arrays of partial states, into sorted *state codes* --
 each state's matrix read as one big-endian bit string -- and builds
 realization objects only when asked (a separate column-recursive counter
-recounts them).  A valid realization has a c4 (c6) neighbour across a
-rectangle (a 3x3 block minus its three forbidden cells) exactly when its
-bits alternate around that cycle; a bitwise test over all codes finds the
-states that move and a sorted lookup finds where they land, without ever
-invoking the chain's move-proposal logic.
+recounts them).  Whether a row may take a column subset is decided on
+per-state column bitmasks, one integer test per (state, subset).  A valid
+realization has a c4 (c6) neighbour across a rectangle (a 3x3 block minus
+its three forbidden cells) exactly when its bits alternate around that
+cycle; a bitwise test over all codes finds the states that move, and each
+cycle's states of one alternation pair by rank with those of the other,
+without ever invoking the chain's move-proposal logic.
 
 Every entry point takes a bipartite sequence or a directed bi-sequence,
 the latter through its bipartite representation (the diagonal forbidden).
@@ -31,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, lcm
 
 import numpy as np
 
-from .degrees import BipartiteDegreeSequence
+from .degrees import BipartiteDegreeSequence, DirectedDegreeBiSequence
 from .errors import BudgetExceededError
 from .realization import BipartiteRealization, _kernel_form, _restricted_form, partner_arrays
 
@@ -81,9 +83,16 @@ class StateSpace:
     first: ``np.uint64`` up to 64 cells, exact Python ints in an object
     array above.  Each row extends every margin-feasible partial state by
     each column subset it may take (``code << m | row``), in chunks of about
-    ``_EXPAND_CELLS`` cells.  Sorted ``codes`` are the canonical order (rows
-    read as big-endian binary).  ``states`` builds the realization objects
-    on first use only.  Raises ``BudgetExceededError`` above ``position_budget`` cells.
+    ``_EXPAND_CELLS`` cells.  A partial state keeps its column capacities,
+    and each chunk reads them as column bitmasks (:func:`_column_words`,
+    words of up to 64 columns): the row must take the columns whose
+    capacity equals the rows left, none that is full, and may take at most
+    so many columns of capacity 1 that the later rows still find enough
+    columns open (one ``np.bitwise_count``).  Only the extensions kept pay
+    for their new capacities, and the last row, which takes every column
+    left, for none.  Sorted ``codes`` are the canonical order (rows read as
+    big-endian binary).  ``states`` builds the realization objects on first
+    use only.  Raises ``BudgetExceededError`` above ``position_budget`` cells.
 
     The last space enumerated is kept as the module's one record if it has
     at most ``STATE_BUDGET`` states.  A new space of the same sequence and
@@ -108,6 +117,7 @@ class StateSpace:
         fu, _ = partner_arrays(self.forbidden, n, m)
         dtype = np.uint64 if n * m <= 64 else object
         small = np.min_scalar_type(-n)
+        word = np.min_scalar_type((1 << min(m, 64)) - 1).newbyteorder("<")
         udeg, vdeg = seq.u_degrees, seq.v_degrees
         suffix = list(accumulate(reversed(udeg), max))[::-1] + [0]
         # the partial states after each row: their codes and column capacities
@@ -117,17 +127,35 @@ class StateSpace:
             sets = list(combinations([j for j in range(m) if vdeg[j] and fu[i] != j], d))
             cand = np.array([[j in c for j in range(m)] for c in sets], dtype=small).reshape(-1, m)
             bits = np.array([sum(1 << (m - 1 - j) for j in c) for c in sets], dtype=dtype)
+            take = _column_words(cand != 0, word)
             step = max(1, _EXPAND_CELLS // max(1, len(sets) * m))
-            kept = [(codes[:0], caps[:0])]
+            kept, left = [codes[:0]], [caps[:0]]
             for lo in range(0, len(codes), step):
-                left = caps[lo : lo + step, None, :] - cand
-                ok = (left.min(axis=2) >= 0) & (left.max(axis=2) <= n - i - 1)
+                part = caps[lo : lo + step]
+                # the row takes the columns whose capacity is the rows left,
+                # and no full one: on these "shut" columns it takes "must"
+                must = part == n - i
+                shut, must = _column_words(must | (part == 0), word), _column_words(must, word)
+                ok = reduce(
+                    np.logical_and,
+                    ((t & s[:, None]) == u[:, None] for t, s, u in zip(take, shut, must)),
+                )
+                state, row = np.divmod(np.flatnonzero(ok), len(sets))
+                # capacities are at most 1 before the last row, which takes
+                # every column left: its states are complete
                 if i < n - 1:
-                    ok &= np.count_nonzero(left, axis=2) >= suffix[i + 1]
-                state, row = np.nonzero(ok)
-                kept.append((codes[lo + state] << m | bits[row], left[state, row]))
-            codes, caps = (np.concatenate(part) for part in zip(*kept))
-        self.codes = np.sort(codes[~caps.any(axis=1)])
+                    # later rows need suffix[i + 1] columns with capacity left
+                    spare = np.count_nonzero(part, axis=1) - suffix[i + 1]
+                    one = _column_words(part == 1, word)
+                    lost = reduce(
+                        np.add, (np.bitwise_count(t[row] & u[state]) for t, u in zip(take, one))
+                    )
+                    keep = lost <= spare[state]
+                    state, row = state[keep], row[keep]
+                    left.append(part[state] - cand[row])
+                kept.append(codes[lo + state] << m | bits[row])
+            codes, caps = np.concatenate(kept), np.concatenate(left)
+        self.codes = np.sort(codes)
         self.codes.flags.writeable = False
         self._lookups = {}
         _enumerated = (key, self.codes, self._lookups) if len(self) <= STATE_BUDGET else None
@@ -193,13 +221,26 @@ class StateSpace:
         return lookups["c4"], lookups["c6"]
 
 
+def _column_words(flags: np.ndarray, word: np.dtype) -> np.ndarray:
+    """Each row of a ``(k, m)`` boolean array as unsigned ``word``s, column
+    ``j`` at bit ``j % w`` of word ``j // w`` for ``w``-bit words: a
+    ``(words, k)`` array."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    if short := -packed.shape[1] % word.itemsize:
+        packed = np.concatenate([packed, np.zeros((len(packed), short), np.uint8)], axis=1)
+    return packed.view(word).T
+
+
 def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pairs (i, j) whose codes differ in exactly one cycle's cells,
     cycle by cycle and ascending in i.  A cycle lists (row, column) cells,
     none forbidden, each sharing a row or a column with the next; flipping
     it keeps the margins exactly when the state's bits alternate around it,
-    so only those states are looked up among the sorted codes.  The two
-    arrays are read-only.
+    and maps the states that show its even cells set onto those that show
+    its odd cells set.  Both agree on the cycle's cells, so the flip keeps
+    their order: a cycle's k-th even state pairs with its k-th odd state.
+    ``RuntimeError`` unless every such pair differs by the cycle's cells
+    (then every flip lands in the space).  The two arrays are read-only.
     """
     bit = [[1 << (n * m - 1 - r * m - c) for r, c in cycle] for cycle in cycles]
     even, odd = (np.array([sum(b[k::2]) for b in bit], dtype=codes.dtype) for k in (0, 1))
@@ -208,12 +249,19 @@ def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray,
     step = max(1, _FLIP_CELLS // max(1, len(codes)))
     for lo in range(0, len(cycles), step):
         held = codes & mask[lo : lo + step, None]
-        hit = (held == even[lo : lo + step, None]) | (held == odd[lo : lo + step, None])
-        which, i = np.divmod(np.flatnonzero(hit), len(codes))
-        flipped = codes[i] ^ mask[lo + which]
-        j = np.searchsorted(codes, flipped)
-        if not np.array_equal(codes.take(j, mode="clip"), flipped):
+        shows_even = held == even[lo : lo + step, None]
+        hit = np.flatnonzero(shows_even | (held == odd[lo : lo + step, None]))
+        which, i = np.divmod(hit, len(codes))
+        up = shows_even.ravel()[hit]
+        down = ~up
+        a, b, cycle = i[up], i[down], which[up]
+        if not (
+            np.array_equal(cycle, which[down])
+            and np.array_equal(codes[a] ^ mask[lo + cycle], codes[b])
+        ):
             raise RuntimeError("a margin-preserving flip left the state space")
+        j = np.empty_like(i)
+        j[up], j[down] = b, a
         found.append((i, j))
     pairs = tuple(np.concatenate(part) for part in zip(*found))
     for a in pairs:
@@ -222,7 +270,7 @@ def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray,
 
 
 def enumerate_realizations(
-    seq: BipartiteDegreeSequence,
+    seq: BipartiteDegreeSequence | DirectedDegreeBiSequence,
     forbidden=(),
     *,
     position_budget: int = POSITION_BUDGET,
@@ -233,7 +281,7 @@ def enumerate_realizations(
 
 
 def count_realizations(
-    seq: BipartiteDegreeSequence,
+    seq: BipartiteDegreeSequence | DirectedDegreeBiSequence,
     forbidden=(),
     *,
     position_budget: int = POSITION_BUDGET,
@@ -356,7 +404,7 @@ class ExactKernel:
 
 
 def exact_transition_matrix(
-    seq: BipartiteDegreeSequence,
+    seq: BipartiteDegreeSequence | DirectedDegreeBiSequence,
     forbidden=(),
     chain_kind: str = "bipartite",
     *,
@@ -373,8 +421,6 @@ def exact_transition_matrix(
     ``1/(4 C(n,2) C(m,2))`` / ``1/(4 C(n,3) C(m,3))`` for the c4/c6 moves of
     the restricted kernel.  Diagonals absorb the rest; rows sum to one.
     """
-    if chain_kind not in ("bipartite", "directed"):
-        raise ValueError("chain_kind must be 'bipartite' or 'directed'")
     seq, forbidden = _kernel_form(seq, forbidden, chain_kind)
     space = StateSpace(seq, forbidden, position_budget=position_budget)
     N = len(space)
@@ -443,7 +489,7 @@ def _components(size: int, *pairs: tuple[np.ndarray, np.ndarray]) -> tuple[bool,
 
 
 def swap_graph_connected(
-    seq: BipartiteDegreeSequence,
+    seq: BipartiteDegreeSequence | DirectedDegreeBiSequence,
     forbidden=(),
     moves: str = "c4",
     *,
@@ -639,7 +685,7 @@ def tv_from_kernel(kernel: ExactKernel, horizon: int) -> list[float]:
 
 
 def tv_curve(
-    seq: BipartiteDegreeSequence,
+    seq: BipartiteDegreeSequence | DirectedDegreeBiSequence,
     forbidden=(),
     chain_kind: str = "bipartite",
     horizon: int = 50,

@@ -47,6 +47,8 @@ __all__ = [
     "apply_switch",
 ]
 
+CHAIN_KINDS = ("bipartite", "directed")
+
 
 # ---------------------------------------------------------------------------
 # Forbidden partial matchings
@@ -475,13 +477,21 @@ def _restricted_form(
 
 def _kernel_form(seq, forbidden, chain_kind: str):
     """``seq`` and ``forbidden`` in :func:`_restricted_form`, refused unless
-    they fit the ``chain_kind`` kernel: a bi-sequence needs the restricted
-    one, and the matching must pass :func:`_fit_kernel`."""
+    ``chain_kind`` names a kernel (:func:`_check_chain_kind`) and they fit
+    it: a bi-sequence needs the restricted one, and the matching must pass
+    :func:`_fit_kernel`."""
+    _check_chain_kind(chain_kind)
     if isinstance(seq, DirectedDegreeBiSequence) and chain_kind != "directed":
         raise ValueError("directed bi-sequences require chain_kind='directed'")
     seq, forbidden = _restricted_form(seq, forbidden)
     _fit_kernel(forbidden, chain_kind == "directed")
     return seq, forbidden
+
+
+def _check_chain_kind(chain_kind) -> None:
+    """The one check of a chain kind: one of ``CHAIN_KINDS``, else ``ValueError``."""
+    if chain_kind not in CHAIN_KINDS:
+        raise ValueError("chain_kind must be 'bipartite' or 'directed'")
 
 
 def _fit_kernel(forbidden, c6: bool) -> None:

@@ -176,17 +176,18 @@ SIGNATURES = {
     "p_c6: 'Fraction', c4_pairs: 'tuple[np.ndarray, np.ndarray]', "
     "c6_pairs: 'tuple[np.ndarray, np.ndarray]') -> None",
     "oracle.StateSpace": "(seq, forbidden=(), *, position_budget: 'int' = 36)",
-    "oracle.count_realizations": "(seq: 'BipartiteDegreeSequence', forbidden=(), *, "
-    "position_budget: 'int' = 36) -> 'int'",
-    "oracle.enumerate_realizations": "(seq: 'BipartiteDegreeSequence', forbidden=(), *, "
-    "position_budget: 'int' = 36) -> 'list[BipartiteRealization]'",
-    "oracle.exact_transition_matrix": "(seq: 'BipartiteDegreeSequence', forbidden=(), "
-    "chain_kind: 'str' = 'bipartite', *, state_budget: 'int' = 5000, "
+    "oracle.count_realizations": "(seq: 'BipartiteDegreeSequence | DirectedDegreeBiSequence', "
+    "forbidden=(), *, position_budget: 'int' = 36) -> 'int'",
+    "oracle.enumerate_realizations": "(seq: 'BipartiteDegreeSequence | DirectedDegreeBiSequence', "
+    "forbidden=(), *, position_budget: 'int' = 36) -> 'list[BipartiteRealization]'",
+    "oracle.exact_transition_matrix": "(seq: 'BipartiteDegreeSequence | DirectedDegreeBiSequence', "
+    "forbidden=(), chain_kind: 'str' = 'bipartite', *, state_budget: 'int' = 5000, "
     "position_budget: 'int' = 36) -> 'ExactKernel'",
-    "oracle.swap_graph_connected": "(seq: 'BipartiteDegreeSequence', forbidden=(), "
-    "moves: 'str' = 'c4', *, position_budget: 'int' = 36) -> 'tuple[bool, int]'",
-    "oracle.tv_curve": "(seq: 'BipartiteDegreeSequence', forbidden=(), "
-    "chain_kind: 'str' = 'bipartite', horizon: 'int' = 50, *, "
+    "oracle.swap_graph_connected": "(seq: 'BipartiteDegreeSequence | DirectedDegreeBiSequence', "
+    "forbidden=(), moves: 'str' = 'c4', *, position_budget: 'int' = 36) "
+    "-> 'tuple[bool, int]'",
+    "oracle.tv_curve": "(seq: 'BipartiteDegreeSequence | DirectedDegreeBiSequence', "
+    "forbidden=(), chain_kind: 'str' = 'bipartite', horizon: 'int' = 50, *, "
     "state_budget: 'int' = 5000) -> 'list[float]'",
     "oracle.tv_from_kernel": "(kernel: 'ExactKernel', horizon: 'int') -> 'list[float]'",
     "paths.AuxiliaryMatrix": "(seq, matrix, forbidden=(), *, validate=True)",

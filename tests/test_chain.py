@@ -14,6 +14,7 @@ from swapmc import (
     construct_bipartite,
     construct_directed,
     derive_chain_seeds,
+    exact_transition_matrix,
     sample,
     step_bipartite,
     step_directed,
@@ -219,6 +220,22 @@ def test_sample_rejects_a_kernel_that_does_not_fit_the_input(seq, forbidden, kin
     cfg = ChainConfig(seed=0, samples=1, burn_in=0, chain_kind=kind)
     with pytest.raises(ValueError, match=message):
         sample(seq, forbidden, cfg)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda seq, kind: chain.initial_state(seq, (), kind),
+        lambda seq, kind: ChainConfig(seed=0, samples=1, chain_kind=kind),
+        lambda seq, kind: exact_transition_matrix(seq, (), kind),
+    ],
+    ids=["initial_state", "ChainConfig", "exact_transition_matrix"],
+)
+def test_unknown_chain_kind_is_refused_in_one_wording(entry):
+    # initial_state used to return a start state for any kind
+    seq = BipartiteDegreeSequence((1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"^chain_kind must be 'bipartite' or 'directed'$"):
+        entry(seq, "foo")
 
 
 @pytest.mark.parametrize(

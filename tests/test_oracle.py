@@ -723,8 +723,10 @@ def test_level_wise_enumeration_matches_row_recursion(instance):
             tuple((i, i) for i in range(5)),
             72,
         ),  # object codes
+        (BipartiteDegreeSequence((2, 2), (1,) * 4 + (0,) * 62), (), 132),  # two mask words
+        (BipartiteDegreeSequence((2, 2), (1, 1) + (0,) * 62 + (1, 1)), (), 132),  # both used
     ],
-    ids=["8x8-permutations", "derangements-72-cells"],
+    ids=["8x8-permutations", "derangements-72-cells", "2x66-two-words", "2x66-both-words"],
 )
 def test_level_wise_enumeration_matches_row_recursion_at_width(seq, forbidden, budget):
     codes = StateSpace(seq, forbidden, position_budget=budget).codes
@@ -804,6 +806,34 @@ def test_index_finds_every_state(seq, forbidden, budget, foreign):
         space.index(BipartiteRealization(margins, M))
     with pytest.raises(ValueError, match="not a state"):
         space.index(BipartiteRealization(TRI, np.eye(3, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize(
+    "guard, message",
+    [
+        (lambda space: space.pairs(True), "a margin-preserving flip left the state space"),
+        (swapmc.oracle._orbits, "a relabelling left the state space"),
+    ],
+    ids=["flip", "relabelling"],
+)
+@pytest.mark.parametrize(
+    "seq, forbidden, budget",
+    [
+        (BipartiteDegreeSequence((2,) * 4, (2,) * 4), (), 36),
+        (
+            BipartiteDegreeSequence((1,) * 5 + (0,) * 4, (1,) * 5 + (0,) * 3),
+            tuple((i, i) for i in range(5)),
+            72,
+        ),
+    ],
+    ids=["4x4-2-regular", "derangements-72-cells"],
+)
+def test_guards_catch_a_state_missing_from_the_space(guard, message, seq, forbidden, budget):
+    space = StateSpace(seq, forbidden, position_budget=budget)
+    # the first state has a c4 neighbour and an orbit of more than one state
+    space.codes, space._lookups = np.delete(space.codes, 0), {}
+    with pytest.raises(RuntimeError, match=message):
+        guard(space)
 
 
 # ---------------------------------------------------------------------------
