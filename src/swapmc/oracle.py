@@ -144,12 +144,12 @@ class StateSpace:
                 # capacities are at most 1 before the last row, which takes
                 # every column left: its states are complete
                 if i < n - 1:
-                    # later rows need suffix[i + 1] columns with capacity left
-                    spare = np.count_nonzero(part, axis=1) - suffix[i + 1]
+                    # later rows need suffix[i + 1] columns with capacity
+                    # left, and shut ^ must are the full ones
+                    full = np.bitwise_count(shut ^ must).sum(axis=0, dtype=np.intp)
                     one = _column_words(part == 1, word)
-                    lost = reduce(
-                        np.add, (np.bitwise_count(t[row] & u[state]) for t, u in zip(take, one))
-                    )
+                    lost = np.bitwise_count(take[:, row] & one[:, state]).sum(axis=0, dtype=np.intp)
+                    spare = m - suffix[i + 1] - full
                     keep = lost <= spare[state]
                     state, row = state[keep], row[keep]
                     left.append(part[state] - cand[row])
