@@ -237,8 +237,9 @@ def _flip_lookup(codes: np.ndarray, cycles, n: int, m: int) -> tuple[np.ndarray,
     none forbidden, each sharing a row or a column with the next; flipping
     it keeps the margins exactly when the state's bits alternate around it,
     and maps the states that show its even cells set onto those that show
-    its odd cells set.  Both agree on the cycle's cells, so the flip keeps
-    their order: a cycle's k-th even state pairs with its k-th odd state.
+    its odd cells set.  Within each set the states agree on the cycle's
+    cells, so the flip keeps their order: a cycle's k-th even state pairs
+    with its k-th odd state.
     ``RuntimeError`` unless every such pair differs by the cycle's cells
     (then every flip lands in the space).  The two arrays are read-only.
     """
